@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .bench import records_to_csv, run_bench_beta, run_bench_dim, run_bench_starts, write_csv
-from .errors import EquivalenceUnavailableError, ProblemFormatError, PwlNewtonError
+from .errors import EquivalenceUnavailableError, PwlNewtonError
 from .formats import load_problem, load_vector_file, report_to_dict
 from .pwls import (
     ConditionReport,
@@ -57,13 +57,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ProblemFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except PwlNewtonError as exc:
+    except (OSError, PwlNewtonError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -59,7 +59,7 @@ def positive_part(x) -> tuple[np.ndarray, np.ndarray]:
 def sign_pattern(x) -> SignPattern:
     """0/1 pattern selecting the active orthant: bit i = 1 iff x_i > 0."""
     x = as_vector(x)
-    return tuple(int(v) for v in x > 0.0)
+    return tuple((x > 0.0).astype(int).tolist())
 
 
 @dataclass
@@ -222,21 +222,32 @@ def _max_residual_norm(res: np.ndarray) -> float:
     return float(np.abs(res).max())
 
 
+# (matrix, rhs, lift) of one Newton step; see _iterate_patterns
+StepSystem = tuple[np.ndarray, np.ndarray, Callable[[np.ndarray], np.ndarray]]
+
+
+def _identity(y: np.ndarray) -> np.ndarray:
+    return y
+
+
 def _iterate_patterns(
     x0,
+    n: int,
     opts: SolverOptions,
-    matrix_for: Callable[[SignPattern], np.ndarray],
-    rhs: np.ndarray,
+    system_for: Callable[[SignPattern], StepSystem],
     residual_of: Callable[[np.ndarray], np.ndarray],
     residual_scale: float,
 ) -> SolveReport:
     """Driver shared by the piecewise-linear and QP Newton iterations.
 
-    Every step solves matrix_for(pattern) * x_next = rhs, where pattern is
-    the current iterate's sign pattern.  In residual mode, termination per
-    iterate checks, in order: consecutive pattern repeat (exact solution),
-    the residual rule, non-consecutive pattern recurrence (cycle), and the
-    iteration cap.
+    Every step takes (matrix, rhs, lift) = system_for(pattern), where
+    pattern is the current iterate's sign pattern, solves matrix * y = rhs
+    and moves to x_next = lift(y).  A formulation may thus solve a reduced
+    system and lift its solution back to R^n; when rhs is empty the step
+    is lift(rhs) and nothing is factored.  In residual mode, termination
+    per iterate checks, in order: consecutive pattern repeat (exact
+    solution), the residual rule, non-consecutive pattern recurrence
+    (cycle), and the iteration cap.
 
     In known-solution mode the distance rule is what defines success, so
     it is checked first.  A consecutive pattern repeat then means the
@@ -246,11 +257,11 @@ def _iterate_patterns(
     change the outcome, only repeat the same solve.
     """
     x = as_vector(x0, "x0").copy()
-    if x.size != rhs.size:
-        raise DimensionError(f"x0 has length {x.size}, expected {rhs.size}")
+    if x.size != n:
+        raise DimensionError(f"x0 has length {x.size}, expected {n}")
     u = opts.known_solution
-    if u is not None and u.size != rhs.size:
-        raise DimensionError(f"known_solution has length {u.size}, expected {rhs.size}")
+    if u is not None and u.size != n:
+        raise DimensionError(f"known_solution has length {u.size}, expected {n}")
 
     def tolerance_met(xk: np.ndarray) -> bool:
         if u is not None:
@@ -279,10 +290,14 @@ def _iterate_patterns(
         return report(SolveStatus.CONVERGED, x, 0, x)
 
     for k in range(1, opts.max_iter + 1):
-        f = lu_factor(matrix_for(patterns[-1]))
-        if f.singular:
-            return report(SolveStatus.SINGULAR_JACOBIAN, None, k - 1, x)
-        x_new = lu_solve(f, rhs)
+        matrix, rhs, lift = system_for(patterns[-1])
+        y = rhs
+        if rhs.size:
+            f = lu_factor(matrix)
+            if f.singular:
+                return report(SolveStatus.SINGULAR_JACOBIAN, None, k - 1, x)
+            y = lu_solve(f, rhs)
+        x_new = lift(y)
         pat = sign_pattern(x_new)
         patterns.append(pat)
         if trace is not None:
@@ -321,9 +336,9 @@ def newton_solve(p: PwlsProblem, x0, opts: Optional[SolverOptions] = None) -> So
     opts = opts if opts is not None else SolverOptions()
     return _iterate_patterns(
         x0,
+        p.n,
         opts,
-        matrix_for=lambda bits: _pattern_matrix(p.T, bits),
-        rhs=p.b,
+        system_for=lambda bits: (_pattern_matrix(p.T, bits), p.b, _identity),
         residual_of=lambda x: residual(p, x),
         residual_scale=1.0 + float(np.abs(p.b).max()),
     )

@@ -3,8 +3,9 @@
 minimize 1/2 x^T Q x + x^T b_tilde + c over x >= 0, with Q symmetric
 positive definite.  The optimality conditions reduce to the piecewise
 linear equation [Q - I] x+ + x = -b_tilde, solved here by the same
-pattern-driven Newton iteration as the T/b form; the QP solution is then
-the positive part of the equation's solution.
+pattern-driven Newton iteration as the T/b form, with each step reduced
+to the active set; the QP solution is then the positive part of the
+equation's solution.
 
 Projection onto a simplicial cone {A x : x >= 0} is the special case
 Q = A^T A, b_tilde = -A^T z, and is exposed directly.
@@ -25,6 +26,7 @@ from .pwls import (
     SignPattern,
     SolveReport,
     SolverOptions,
+    StepSystem,
     _iterate_patterns,
 )
 
@@ -109,36 +111,50 @@ def qp_residual(q: QpProblem, x) -> np.ndarray:
     x = as_vector(x)
     if x.size != q.n:
         raise DimensionError(f"x has length {x.size}, expected {q.n}")
-    qm_i = q.Q - np.eye(q.n)
-    return qm_i @ np.maximum(x, 0.0) + x + q.b_tilde
+    xp = np.maximum(x, 0.0)
+    return q.Q @ xp - xp + x + q.b_tilde
 
 
 def qp_newton_solve(q: QpProblem, x0, opts: Optional[SolverOptions] = None) -> SolveReport:
     """Newton iteration x_{k+1} = -([Q - I] diag(s_k) + I)^-1 b_tilde.
 
-    Shares all termination and cycle machinery with the T/b solver.  For
-    symmetric positive definite Q the step matrix is provably nonsingular,
-    so a SingularJacobian outcome on SPD input indicates a numerical
-    defect rather than an expected failure mode.  On convergence the
-    report's solution solves the piecewise linear equation; apply
-    recover_qp_solution to obtain the QP minimizer.
+    Each step is solved on the active set A = {i : s_i = 1} only.  With
+    the columns permuted so that A comes first, the step matrix is
+    [[Q_AA, 0], [Q_IA, I]], so the step is Q_AA x_A = -b_tilde_A followed
+    by x_I = -b_tilde_I - Q_IA x_A: one factorization of size |A| and one
+    mat-vec, and x_{k+1} = -b_tilde with nothing factored when A is empty.
+    This is the primal-dual active-set form of the semi-smooth Newton step.
+
+    Shares all termination and cycle machinery with the T/b solver.  The
+    determinant of the step matrix equals det Q_AA, so for symmetric
+    positive definite Q the step is provably nonsingular and a
+    SingularJacobian outcome on SPD input indicates a numerical defect
+    rather than an expected failure mode.  The singular flag is judged on
+    Q_AA, at the scale max|Q_AA|.  On convergence the report's solution
+    solves the piecewise linear equation; apply recover_qp_solution to
+    obtain the QP minimizer.
     """
     opts = opts if opts is not None else SolverOptions()
-    qm_i = q.Q - np.eye(q.n)
+    minus_b = -q.b_tilde
 
-    def matrix_for(bits: SignPattern) -> np.ndarray:
-        # [Q - I] diag(s) + I scales the columns picked by the pattern
-        m = qm_i * np.asarray(bits, dtype=float)[np.newaxis, :]
-        idx = np.arange(q.n)
-        m[idx, idx] += 1.0
-        return m
+    def system_for(bits: SignPattern) -> StepSystem:
+        a = np.flatnonzero(bits)
+        rows = q.Q[a]
+
+        def lift(x_a: np.ndarray) -> np.ndarray:
+            # Q is exactly symmetric, so x_A @ Q[A] is Q[:, A] x_A
+            x = minus_b - x_a @ rows
+            x[a] = x_a
+            return x
+
+        return rows[:, a], minus_b[a], lift
 
     return _iterate_patterns(
         x0,
+        q.n,
         opts,
-        matrix_for=matrix_for,
-        rhs=-q.b_tilde,
-        residual_of=lambda x: qm_i @ np.maximum(x, 0.0) + x + q.b_tilde,
+        system_for=system_for,
+        residual_of=lambda x: qp_residual(q, x),
         residual_scale=1.0 + float(np.abs(q.b_tilde).max()),
     )
 

@@ -22,6 +22,7 @@ from pwlnewton import (
     qp_residual,
     qp_to_pwls,
     recover_qp_solution,
+    sign_pattern,
 )
 
 
@@ -113,6 +114,59 @@ def test_step_matrix_nonsingular_for_spd_q():
             bits = rng.integers(0, 2, n)
             m = (q_matrix - np.eye(n)) * bits[np.newaxis, :] + np.eye(n)
             assert not lu_factor(m).singular
+
+
+def spd_with_beta(n, beta, rng):
+    """SPD Q with ||Q - I|| = beta; for beta >= 1 its eigenvalues lie in (1, 1 + beta]."""
+    if beta < 1.0:
+        return spd_near_identity(n, beta, rng)
+    w, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    eigenvalues = 1.0 + beta * rng.uniform(0.0, 1.0, n)
+    eigenvalues[0] = 1.0 + beta
+    return (w * eigenvalues[np.newaxis, :]) @ w.T
+
+
+def dense_step(q, bits):
+    """The full n x n Newton step: solve [Q - I] diag(s) + I against -b_tilde."""
+    n = q.n
+    m = (q.Q - np.eye(n)) * np.asarray(bits, dtype=float)[np.newaxis, :] + np.eye(n)
+    return np.linalg.solve(m, -q.b_tilde)
+
+
+@pytest.mark.parametrize("beta", [0.3, 5.0, 1e3])
+@pytest.mark.parametrize("n", [1, 2, 7, 30])
+def test_reduced_step_matches_dense_step(n, beta):
+    # each iterate of the active-set step equals the n x n step from the
+    # previous pattern; the starts give the empty and the full active set
+    rng = np.random.default_rng(int(1000 * beta) + n)
+    q = QpProblem(Q=spd_with_beta(n, beta, rng), b_tilde=rng.standard_normal(n))
+    for x0 in (-np.ones(n), np.ones(n), rng.standard_normal(n)):
+        opts = SolverOptions(tol_f=0.0, max_iter=50, keep_iterates=True)
+        report = qp_newton_solve(q, x0, opts)
+        assert report.pattern_trace[0] == sign_pattern(x0)
+        for k in range(1, report.iterations + 1):
+            expected = dense_step(q, report.pattern_trace[k - 1])
+            scale = 1.0 + np.abs(expected).max()
+            np.testing.assert_allclose(report.iterate_trace[k], expected, rtol=0, atol=1e-10 * scale)
+            assert report.pattern_trace[k] == sign_pattern(expected)
+        # the dense iteration repeats its pattern after as many steps
+        patterns = [sign_pattern(x0)]
+        for _ in range(opts.max_iter):
+            patterns.append(sign_pattern(dense_step(q, patterns[-1])))
+            if patterns[-1] == patterns[-2]:
+                break
+        assert report.status is SolveStatus.CONVERGED_EXACT
+        assert report.iterations == len(patterns) - 1
+        assert report.pattern_trace == patterns
+
+
+def test_qp_singular_jacobian_status():
+    # the full active set makes the step matrix Q itself, which is singular
+    q = QpProblem(Q=[[1.0, 1.0], [1.0, 1.0]], b_tilde=[-1.0, -1.0])
+    report = qp_newton_solve(q, [1.0, 1.0])
+    assert report.status is SolveStatus.SINGULAR_JACOBIAN
+    assert report.iterations == 0
+    assert report.solution is None
 
 
 # ----------------------------------------------------- kkt / objective
