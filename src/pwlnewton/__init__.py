@@ -14,7 +14,6 @@ from .errors import (
     DimensionError,
     EquivalenceUnavailableError,
     GeneratorError,
-    IterationLimitError,
     ProblemFormatError,
     PwlNewtonError,
     SingularMatrixError,

@@ -14,8 +14,9 @@ statistic and whose value sits in the ``iterations`` column (iteration
 statistics) or ``runtime_s`` column (time totals); unused cells are blank.
 A mean over zero solved instances is emitted as "-".
 
-Iteration and status columns are exact functions of the flags and seed;
-only runtimes vary between reruns.
+Iteration and status columns are exact functions of the flags and seed.
+Runtimes vary between reruns, and the error column can vary at rounding
+level (for example with the BLAS thread count).
 """
 
 from __future__ import annotations

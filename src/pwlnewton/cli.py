@@ -6,7 +6,9 @@ experiments and emit CSV (to --out, or to stdout when --out is omitted).
 
 Exit codes for solve/project follow the solver status: 0 converged,
 2 cycled, 3 iteration cap reached, 4 singular step matrix; malformed
-input exits 1.
+input exits 1.  A qp file whose Q is not positive definite counts as
+malformed: the Newton iteration would stop at a KKT point that need not
+minimize the QP, so ``solve`` refuses it before solving.
 """
 
 from __future__ import annotations
@@ -168,6 +170,10 @@ def cmd_solve(args) -> int:
     problem = load_problem(args.problem)
     if isinstance(problem, ConeInstance):
         print("error: cone files are handled by the 'project' command", file=sys.stderr)
+        return 1
+    if isinstance(problem, QpProblem) and not problem.is_positive_definite():
+        print("error: Q is not positive definite, so a solution of the QP equation "
+              "need not minimize the QP", file=sys.stderr)
         return 1
 
     formulation = args.formulation

@@ -13,10 +13,6 @@ class SingularMatrixError(PwlNewtonError):
     """A factorization or solve hit a (numerically) singular matrix."""
 
 
-class IterationLimitError(PwlNewtonError):
-    """An iterative kernel did not converge within its iteration budget."""
-
-
 class AsymmetricMatrixError(PwlNewtonError, ValueError):
     """A symmetric-only routine received an asymmetric matrix."""
 

@@ -1,9 +1,10 @@
 """Dense linear algebra kernels used by every solver module.
 
 LU factorization with partial pivoting and a scale-invariant singularity
-flag (the factorization itself is LAPACK's getrf), power-iteration
-estimates of the spectral norm and of the inverse's spectral norm, and a
-symmetric eigendecomposition with eigenvalues sorted descending.
+flag (the factorization itself is LAPACK's getrf), the spectral norm and
+the inverse's spectral norm from the singular values (LAPACK's gesdd via
+scipy), and a symmetric eigendecomposition with eigenvalues sorted
+descending.
 
 All functions are pure: they never mutate their arguments and keep no
 shared state, so concurrent calls on distinct inputs need no locking.
@@ -17,12 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import (
-    AsymmetricMatrixError,
-    DimensionError,
-    IterationLimitError,
-    SingularMatrixError,
-)
+from .errors import AsymmetricMatrixError, DimensionError, SingularMatrixError
 
 # Pivots below PIVOT_RTOL * max|M| mark the factorization singular.
 PIVOT_RTOL = 1e-12
@@ -61,9 +57,9 @@ def as_square_matrix(a, name: str = "matrix") -> np.ndarray:
 class LuFactors:
     """PM = LU factors in LAPACK's combined storage.
 
-    ``piv`` holds the successive row interchanges as returned by getrf;
-    the ``permutation`` property derives the explicit row bijection.
-    When ``singular`` is set, no solve may be performed with the factors.
+    ``piv`` holds the successive row interchanges as returned by getrf:
+    row i was swapped with row piv[i].  When ``singular`` is set, no solve
+    may be performed with the factors.
     """
 
     lu: np.ndarray
@@ -73,14 +69,6 @@ class LuFactors:
     @property
     def n(self) -> int:
         return self.lu.shape[0]
-
-    @property
-    def permutation(self) -> np.ndarray:
-        perm = np.arange(self.n)
-        for i, j in enumerate(self.piv):
-            if i != j:
-                perm[i], perm[j] = perm[j], perm[i]
-        return perm
 
 
 def lu_factor(m) -> LuFactors:
@@ -116,58 +104,21 @@ def lu_inverse(f: LuFactors) -> np.ndarray:
     return lu_solve(f, np.eye(f.n))
 
 
-def _power_iteration(apply_gram, n: int, tol: float, max_iter: int) -> float:
-    """sqrt of the largest eigenvalue of a PSD operator v -> apply_gram(v).
+def spectral_norm(m) -> float:
+    """||M||, the largest singular value of M."""
+    return float(sla.svdvals(as_matrix(m), check_finite=False)[0])
 
-    Starts from the all-ones vector with a fixed deterministic jitter (so
-    the start is never orthogonal to the dominant eigenvector of a
-    structured matrix) and stops when the Rayleigh quotient's relative
-    change drops below ``tol``.
+
+def inv_spectral_norm(m) -> float:
+    """||M^-1||, the reciprocal of the smallest singular value of M.
+
+    Raises SingularMatrixError exactly where lu_factor flags M singular,
+    so the norm is defined wherever an LU solve with M is allowed.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
-    v = np.ones(n) + 1e-2 * np.sin(np.arange(1, n + 1))
-    v /= np.linalg.norm(v)
-    rho_prev = None
-    for _ in range(max_iter):
-        w = apply_gram(v)
-        rho = float(v @ w)
-        norm_w = float(np.linalg.norm(w))
-        if norm_w == 0.0:
-            return 0.0
-        v = w / norm_w
-        if rho_prev is not None and abs(rho - rho_prev) <= tol * max(abs(rho), np.finfo(float).tiny):
-            return float(np.sqrt(max(rho, 0.0)))
-        rho_prev = rho
-    raise IterationLimitError(f"power iteration did not converge within {max_iter} iterations")
-
-
-def spectral_norm(m, tol: float = 1e-10, max_iter: int = 10000) -> float:
-    """Largest singular value of M, via power iteration on M^T M."""
-    m = as_matrix(m)
-    return _power_iteration(lambda v: m.T @ (m @ v), m.shape[1], tol, max_iter)
-
-
-def inv_spectral_norm(m, tol: float = 1e-10, max_iter: int = 10000) -> float:
-    """||M^-1||, applying M^-1 and M^-T through LU solves.
-
-    The inverse is never formed; each power step solves two triangular
-    systems with the factors of M.
-    """
-    f = lu_factor(m)
-    return _inv_norm_from_factors(f, tol, max_iter)
-
-
-def _inv_norm_from_factors(f: LuFactors, tol: float = 1e-10, max_iter: int = 10000) -> float:
-    if f.singular:
+    m = as_square_matrix(m)
+    if lu_factor(m).singular:
         raise SingularMatrixError("matrix is singular; ||M^-1|| is undefined")
-
-    def apply_gram(v):
-        return lu_solve(f, lu_solve(f, v), trans=1)
-
-    return _power_iteration(apply_gram, f.n, tol, max_iter)
+    return float(1.0 / sla.svdvals(m, check_finite=False)[-1])
 
 
 def sym_eig(s) -> tuple[np.ndarray, np.ndarray]:

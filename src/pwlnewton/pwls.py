@@ -37,7 +37,6 @@ from .linalg import (
     lu_factor,
     lu_inverse,
     lu_solve,
-    _inv_norm_from_factors,
 )
 
 # sign pattern of x: bit i is 1 iff x_i > 0 (the sign of 0 counts as 0)
@@ -171,6 +170,18 @@ class ConditionReport:
     rate_ok: bool
     contraction_modulus: float
     predicted_rate: Optional[float]
+
+    @classmethod
+    def from_modulus(cls, m: float) -> "ConditionReport":
+        """The report for contraction modulus m (inf when T is singular)."""
+        existence_ok = m < 1.0
+        return cls(
+            inv_norm=m,
+            existence_ok=existence_ok,
+            rate_ok=m < 0.5,
+            contraction_modulus=m,
+            predicted_rate=m / (1.0 - m) if existence_ok else None,
+        )
 
 
 @dataclass
@@ -355,14 +366,13 @@ def fixed_point_solve(p: PwlsProblem, x0, opts: Optional[SolverOptions] = None) 
     x = as_vector(x0, "x0").copy()
     if x.size != p.n:
         raise DimensionError(f"x0 has length {x.size}, expected {p.n}")
-    f = lu_factor(p.T)
-    if f.singular:
-        raise ContractionHypothesisError("T is singular, so ||T^-1|| is not below 1")
-    # coarse tolerance: the guard only needs lam < 1, and a loose stopping
-    # rule cannot stall on near-tied singular values the way a 1e-10 one can
-    lam = _inv_norm_from_factors(f, tol=1e-6)
+    try:
+        lam = inv_spectral_norm(p.T)
+    except SingularMatrixError as exc:
+        raise ContractionHypothesisError("T is singular, so ||T^-1|| is not below 1") from exc
     if lam >= 1.0:
         raise ContractionHypothesisError(f"||T^-1|| = {lam:.6g} >= 1; the map is not a contraction")
+    f = lu_factor(p.T)
 
     patterns = [sign_pattern(x)]
     trace: Optional[list[np.ndarray]] = [x.copy()] if opts.keep_iterates else None
@@ -420,14 +430,7 @@ def check_conditions(p: PwlsProblem) -> ConditionReport:
         inv_norm = inv_spectral_norm(p.T)
     except SingularMatrixError:
         inv_norm = float("inf")
-    existence_ok = inv_norm < 1.0
-    return ConditionReport(
-        inv_norm=inv_norm,
-        existence_ok=existence_ok,
-        rate_ok=inv_norm < 0.5,
-        contraction_modulus=inv_norm,
-        predicted_rate=inv_norm / (1.0 - inv_norm) if existence_ok else None,
-    )
+    return ConditionReport.from_modulus(inv_norm)
 
 
 def definite_sign_rows(m) -> DefiniteSignClassification:

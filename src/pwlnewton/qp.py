@@ -208,15 +208,7 @@ def check_qp_conditions(q: QpProblem) -> ConditionReport:
     Under the T = [Q - I]^-1 equivalence, ||T^-1|| equals ||Q - I||, so
     the report's fields keep their meaning.
     """
-    beta = spectral_norm(q.Q - np.eye(q.n))
-    existence_ok = beta < 1.0
-    return ConditionReport(
-        inv_norm=beta,
-        existence_ok=existence_ok,
-        rate_ok=beta < 0.5,
-        contraction_modulus=beta,
-        predicted_rate=beta / (1.0 - beta) if existence_ok else None,
-    )
+    return ConditionReport.from_modulus(spectral_norm(q.Q - np.eye(q.n)))
 
 
 def cone_instance_to_qp(ci: ConeInstance) -> QpProblem:

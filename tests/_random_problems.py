@@ -6,8 +6,7 @@ import numpy as np
 def matrix_with_inv_norm(n: int, lam: float, rng: np.random.Generator) -> np.ndarray:
     """Nonsingular T with ||T^-1|| = lam, built from a prescribed SVD of T^-1.
 
-    The second singular value stays below 0.9 * lam so power-iteration
-    based norm estimates always see a spectral gap.
+    The other singular values of T^-1 are drawn from [0.2, 0.9] * lam.
     """
     u, _ = np.linalg.qr(rng.standard_normal((n, n)))
     v, _ = np.linalg.qr(rng.standard_normal((n, n)))

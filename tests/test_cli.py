@@ -58,6 +58,29 @@ def test_solve_qp_identity_single_iteration(tmp_path, capsys):
     assert "||Q - I||" in out
 
 
+def test_solve_qp_near_tied_norm(tmp_path, capsys):
+    # the two eigenvalues of Q - I differ by 1e-4 relative
+    problem = write_json(tmp_path / "qp.json",
+                         {"kind": "qp", "Q": [[2.0, 0.0], [0.0, 2.0001]], "b_tilde": [-1.0, 1.0]})
+    code = main(["solve", problem])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "status: ConvergedExact" in out
+    assert "||Q - I|| = 1.0001" in out
+
+
+def test_solve_rejects_indefinite_qp(tmp_path, capsys):
+    # Newton stops at the KKT saddle [0.25, 0.25] (objective -0.25), but
+    # [1, 0] scores -0.5
+    problem = write_json(tmp_path / "qp.json",
+                         {"kind": "qp", "Q": [[1.0, 3.0], [3.0, 1.0]], "b_tilde": [-1.0, -1.0]})
+    for formulation in ("qp", "pwls"):
+        assert main(["solve", problem, "--formulation", formulation]) == 1
+        captured = capsys.readouterr()
+        assert "status:" not in captured.out
+        assert captured.err.startswith("error: ") and "positive definite" in captured.err
+
+
 def test_solve_qp_as_pwls_formulation(tmp_path, capsys):
     problem = write_json(tmp_path / "qp.json",
                          {"kind": "qp", "Q": [[1.2]], "b_tilde": [-2.4], "c": 0.0})

@@ -6,7 +6,6 @@ import pytest
 from pwlnewton import (
     AsymmetricMatrixError,
     DimensionError,
-    IterationLimitError,
     SingularMatrixError,
     inv_spectral_norm,
     lu_factor,
@@ -31,15 +30,14 @@ def sigma_max_2x2(m):
 def test_lu_identity():
     f = lu_factor(np.eye(3))
     assert not f.singular
-    assert np.array_equal(f.permutation, [0, 1, 2])
+    assert np.array_equal(f.piv, [0, 1, 2])
     assert np.array_equal(f.lu, np.eye(3))
 
 
 def test_lu_row_swap_not_singular():
     f = lu_factor([[0.0, 1.0], [1.0, 0.0]])
     assert not f.singular
-    assert not np.array_equal(f.permutation, [0, 1])
-    assert sorted(f.permutation) == [0, 1]
+    assert f.piv[0] == 1
 
 
 def test_lu_singular_flag_on_zero_pivot():
@@ -95,13 +93,6 @@ def test_lu_solve_transpose():
     np.testing.assert_allclose(m.T @ x, rhs, atol=1e-12)
 
 
-def test_lu_permutation_is_bijection():
-    rng = np.random.default_rng(11)
-    for _ in range(10):
-        f = lu_factor(rng.standard_normal((7, 7)))
-        assert sorted(f.permutation) == list(range(7))
-
-
 def test_lu_rejects_non_square():
     with pytest.raises(DimensionError):
         lu_factor(np.ones((2, 3)))
@@ -147,18 +138,13 @@ def test_spectral_norm_transpose_and_scaling_invariants():
     for _ in range(10):
         m = rng.standard_normal((6, 6))
         s = spectral_norm(m)
-        assert spectral_norm(m.T) == pytest.approx(s, rel=1e-6)
-        assert spectral_norm(-2.5 * m) == pytest.approx(2.5 * s, rel=1e-6)
+        assert spectral_norm(m.T) == pytest.approx(s, rel=1e-12)
+        assert spectral_norm(-2.5 * m) == pytest.approx(2.5 * s, rel=1e-12)
 
 
-def test_spectral_norm_rejects_bad_tol():
-    with pytest.raises(ValueError):
-        spectral_norm(np.eye(2), tol=0.0)
-
-
-def test_spectral_norm_iteration_limit():
-    with pytest.raises(IterationLimitError):
-        spectral_norm(np.random.default_rng(0).standard_normal((5, 5)), max_iter=1)
+def test_spectral_norm_near_tied_singular_values():
+    # the two largest singular values differ by 1e-4 relative
+    assert spectral_norm(np.diag([1.0, 1.0001])) == 1.0001
 
 
 # --------------------------------------------------- inverse spectral norm
@@ -177,6 +163,10 @@ def test_inv_spectral_norm_2x2():
     assert abs(value - 3.8644) <= 1e-3
 
 
+def test_inv_spectral_norm_near_tied_singular_values():
+    assert inv_spectral_norm(np.diag([1.0, 1.0 / 1.0001])) == pytest.approx(1.0001, rel=1e-12)
+
+
 def test_inv_spectral_norm_singular():
     with pytest.raises(SingularMatrixError):
         inv_spectral_norm(np.diag([0.0, 1.0]))
@@ -188,7 +178,7 @@ def test_inv_spectral_norm_matches_smallest_singular_value():
         m = rng.standard_normal((n, n)) + 2.0 * np.eye(n)
         eigenvalues, _ = sym_eig(m.T @ m)
         sigma_min = math.sqrt(eigenvalues[-1])
-        assert inv_spectral_norm(m) * sigma_min == pytest.approx(1.0, rel=1e-6)
+        assert inv_spectral_norm(m) * sigma_min == pytest.approx(1.0, rel=1e-12)
 
 
 # ------------------------------------------------------------ sym_eig

@@ -362,6 +362,19 @@ def test_check_conditions_boundary_is_strict():
     assert not report.existence_ok
 
 
+def test_near_tied_inverse_norm_just_above_one():
+    # ||T^-1|| = 1 + 1e-7, and the second singular value of T^-1 sits
+    # 1e-6 below it: the map is not a contraction
+    eps = 1e-7
+    t = np.diag([1.0 / (1.0 + eps), 1.0 / ((1.0 + eps) * (1.0 - 1e-6))])
+    p = PwlsProblem(T=t, b=[1.0, 1.0])
+    report = check_conditions(p)
+    assert report.inv_norm == pytest.approx(1.0 + eps, rel=1e-12)
+    assert not report.existence_ok
+    with pytest.raises(ContractionHypothesisError):
+        fixed_point_solve(p, np.zeros(2))
+
+
 def test_check_conditions_singular():
     report = check_conditions(PwlsProblem(T=np.zeros((2, 2)), b=[1.0, 1.0]))
     assert report.inv_norm == float("inf")
