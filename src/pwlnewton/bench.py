@@ -114,9 +114,24 @@ def solve_generated(
         report = qp_newton_solve(inst.q, start, opts)
         times.append(time.perf_counter() - t0)
     u = inst.known_solution
-    x = report.solution if report.solution is not None else report.last_iterate
-    error = float(np.linalg.norm(u - x)) / (1.0 + float(np.linalg.norm(u)))
+    error = float(np.linalg.norm(u - report.last_iterate)) / (1.0 + float(np.linalg.norm(u)))
     return report, error, float(statistics.median(times))
+
+
+def _batch(seed: int, tag: int, key: int, n: int, beta_low: float, beta_high: float,
+           count: int) -> list[GeneratedInstance]:
+    """``count`` instances of size n from the sub-stream (seed, tag, key)."""
+    cfg = GeneratorConfig(n=n, beta_low=beta_low, beta_high=beta_high,
+                          seed=_subseed(seed, tag, key))
+    return make_batch(cfg, count)
+
+
+def _solve_row(experiment: str, inst: GeneratedInstance, tolx: float, index: str,
+               max_iter: int, repeats: int, x0: Optional[np.ndarray] = None) -> BenchRecord:
+    """Solve one instance and return its per-solve CSV row."""
+    report, error, runtime = solve_generated(inst, tolx, max_iter, repeats, x0)
+    return BenchRecord(experiment, inst.q.n, inst.beta_used, tolx, index,
+                       report.status.value, report.iterations, error, runtime)
 
 
 def run_bench_dim(
@@ -127,7 +142,6 @@ def run_bench_dim(
     *,
     beta_low: float = 1e-12,
     beta_high: float = 0.5,
-    value_bound: float = 1e6,
     max_iter: int = 100,
     repeats: int = 10,
 ) -> list[BenchRecord]:
@@ -139,27 +153,18 @@ def run_bench_dim(
     """
     records: list[BenchRecord] = []
     for n in sizes:
-        cfg = GeneratorConfig(n=n, beta_low=beta_low, beta_high=beta_high,
-                              value_bound=value_bound, seed=_subseed(seed, _DIM_TAG, n))
-        batch = make_batch(cfg, count)
+        batch = _batch(seed, _DIM_TAG, n, n, beta_low, beta_high, count)
         for tolx in tolxs:
-            total_iterations = 0
-            total_runtime = 0.0
-            for i, inst in enumerate(batch):
-                report, error, runtime = solve_generated(inst, tolx, max_iter, repeats)
-                total_iterations += report.iterations
-                total_runtime += runtime
-                records.append(BenchRecord(
-                    "bench-dim", n, inst.beta_used, tolx, str(i),
-                    report.status.value, report.iterations, error, runtime,
-                ))
+            rows = [_solve_row("bench-dim", inst, tolx, str(i), max_iter, repeats)
+                    for i, inst in enumerate(batch)]
+            records += rows
             records.append(BenchRecord(
                 "bench-dim", n, None, tolx, "all", "total-iterations",
-                total_iterations, None, None,
+                sum(row.iterations for row in rows), None, None,
             ))
             records.append(BenchRecord(
                 "bench-dim", n, None, tolx, "all", "total-runtime",
-                None, None, total_runtime,
+                None, None, sum(row.runtime_s for row in rows),
             ))
     return records
 
@@ -173,35 +178,32 @@ def run_bench_starts(
     *,
     beta_low: float = 1e-12,
     beta_high: float = 0.5,
-    value_bound: float = 1e6,
     max_iter: int = 100,
     repeats: int = 1,
 ) -> list[BenchRecord]:
     """Start-point sweep: each problem solved from ``starts`` random x0.
 
-    Per problem and tolx, summary records iterations-mean and
-    iterations-std (sample std; 0 for a single start) are emitted, then
-    the grand statistics mean-of-means and mean-of-stds over problems.
+    Starts are drawn from the generator's value range.  Per problem and
+    tolx, summary records iterations-mean and iterations-std (sample std;
+    0 for a single start) are emitted, then the grand statistics
+    mean-of-means and mean-of-stds over problems.
     """
-    cfg = GeneratorConfig(n=n, beta_low=beta_low, beta_high=beta_high,
-                          value_bound=value_bound, seed=_subseed(seed, _STARTS_TAG, n))
-    batch = make_batch(cfg, problems)
+    batch = _batch(seed, _STARTS_TAG, n, n, beta_low, beta_high, problems)
+    bound = GeneratorConfig.value_bound
     records: list[BenchRecord] = []
     for tolx in tolxs:
         means: list[float] = []
         stds: list[float] = []
         for i, inst in enumerate(batch):
-            iteration_counts: list[int] = []
+            rows = []
             for j in range(starts):
                 rng = np.random.default_rng(
                     np.random.SeedSequence([int(seed), _STARTS_TAG, i, j]))
-                x0 = rng.uniform(-value_bound, value_bound, n)
-                report, error, runtime = solve_generated(inst, tolx, max_iter, repeats, x0=x0)
-                iteration_counts.append(report.iterations)
-                records.append(BenchRecord(
-                    "bench-starts", n, inst.beta_used, tolx, f"{i}:{j}",
-                    report.status.value, report.iterations, error, runtime,
-                ))
+                x0 = rng.uniform(-bound, bound, n)
+                rows.append(_solve_row("bench-starts", inst, tolx, f"{i}:{j}",
+                                       max_iter, repeats, x0))
+            records += rows
+            iteration_counts = [row.iterations for row in rows]
             mean = float(np.mean(iteration_counts))
             std = float(np.std(iteration_counts, ddof=1)) if len(iteration_counts) > 1 else 0.0
             means.append(mean)
@@ -227,7 +229,6 @@ def run_bench_beta(
     tolxs: Sequence[float],
     seed: int = 0,
     *,
-    value_bound: float = 1e6,
     max_iter: int = 100,
     repeats: int = 1,
 ) -> list[BenchRecord]:
@@ -238,20 +239,15 @@ def run_bench_beta(
     """
     records: list[BenchRecord] = []
     for r, (lb, ub) in enumerate(ranges):
-        cfg = GeneratorConfig(n=n, beta_low=lb, beta_high=ub,
-                              value_bound=value_bound, seed=_subseed(seed, _BETA_TAG, r))
-        batch = make_batch(cfg, count)
+        batch = _batch(seed, _BETA_TAG, r, n, lb, ub, count)
         label = f"[{lb:g},{ub:g})"
         for tolx in tolxs:
-            solved_iterations: list[int] = []
-            for i, inst in enumerate(batch):
-                report, error, runtime = solve_generated(inst, tolx, max_iter, repeats)
-                if report.status in CONVERGED_STATUSES:
-                    solved_iterations.append(report.iterations)
-                records.append(BenchRecord(
-                    "bench-beta", n, inst.beta_used, tolx, str(i),
-                    report.status.value, report.iterations, error, runtime,
-                ))
+            rows = [_solve_row("bench-beta", inst, tolx, str(i), max_iter, repeats)
+                    for i, inst in enumerate(batch)]
+            records += rows
+            # SolveStatus is a str enum, so the status strings compare equal
+            solved_iterations = [row.iterations for row in rows
+                                 if row.status in CONVERGED_STATUSES]
             records.append(BenchRecord(
                 "bench-beta", n, label, tolx, "all", "solved-count",
                 len(solved_iterations), None, None))

@@ -6,9 +6,10 @@ experiments and emit CSV (to --out, or to stdout when --out is omitted).
 
 Exit codes for solve/project follow the solver status: 0 converged,
 2 cycled, 3 iteration cap reached, 4 singular step matrix; malformed
-input exits 1.  A qp file whose Q is not positive definite counts as
-malformed: the Newton iteration would stop at a KKT point that need not
-minimize the QP, so ``solve`` refuses it before solving.
+input, and on any command an out-of-range numeric flag, exits 1 with
+``error: <message>``.  A qp file whose Q is not positive definite
+counts as malformed: the Newton iteration would stop at a KKT point that
+need not minimize the QP, so ``solve`` refuses it before solving.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, PwlNewtonError) as exc:
+    except (OSError, ValueError, PwlNewtonError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 import scipy.linalg as sla
@@ -26,13 +27,15 @@ PIVOT_RTOL = 1e-12
 SYM_RTOL = 1e-12
 
 
-def as_vector(x, name: str = "vector") -> np.ndarray:
-    """Coerce to a finite 1-D float64 array."""
+def as_vector(x, name: str = "vector", n: Optional[int] = None) -> np.ndarray:
+    """Coerce to a finite 1-D float64 array, of length n when n is given."""
     v = np.asarray(x, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise DimensionError(f"{name} must be a non-empty 1-D array, got shape {v.shape}")
     if not np.isfinite(v).all():
         raise ValueError(f"{name} must contain only finite values")
+    if n is not None and v.size != n:
+        raise DimensionError(f"{name} has length {v.size}, expected {n}")
     return v
 
 
@@ -89,14 +92,14 @@ def lu_factor(m) -> LuFactors:
     return LuFactors(lu=lu, piv=piv, singular=singular)
 
 
-def lu_solve(f: LuFactors, rhs, trans: int = 0) -> np.ndarray:
-    """Solve Mx = rhs (or M^T x = rhs for trans=1) from LU factors."""
+def lu_solve(f: LuFactors, rhs) -> np.ndarray:
+    """Solve Mx = rhs from LU factors."""
     if f.singular:
         raise SingularMatrixError("cannot solve with singular LU factors")
     b = np.asarray(rhs, dtype=float)
     if b.shape[0] != f.n:
         raise DimensionError(f"right-hand side has length {b.shape[0]}, expected {f.n}")
-    return sla.lu_solve((f.lu, f.piv), b, trans=trans, check_finite=False)
+    return sla.lu_solve((f.lu, f.piv), b, check_finite=False)
 
 
 def lu_inverse(f: LuFactors) -> np.ndarray:

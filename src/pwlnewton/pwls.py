@@ -23,12 +23,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .errors import (
-    ContractionHypothesisError,
-    DimensionError,
-    SingularMatrixError,
-    SizeGuardError,
-)
+from .errors import ContractionHypothesisError, SingularMatrixError, SizeGuardError
 from .linalg import (
     as_matrix,
     as_square_matrix,
@@ -70,11 +65,7 @@ class PwlsProblem:
 
     def __post_init__(self):
         self.T = as_square_matrix(self.T, "T")
-        self.b = as_vector(self.b, "b")
-        if self.b.size != self.T.shape[0]:
-            raise DimensionError(
-                f"b has length {self.b.size} but T is {self.T.shape[0]}x{self.T.shape[1]}"
-            )
+        self.b = as_vector(self.b, "b", self.T.shape[0])
 
     @property
     def n(self) -> int:
@@ -201,9 +192,7 @@ class DefiniteSignClassification:
 
 def residual(p: PwlsProblem, x) -> np.ndarray:
     """F(x) = x+ + T x - b."""
-    x = as_vector(x)
-    if x.size != p.n:
-        raise DimensionError(f"x has length {x.size}, expected {p.n}")
+    x = as_vector(x, "x", p.n)
     return np.maximum(x, 0.0) + p.T @ x - p.b
 
 
@@ -213,9 +202,7 @@ def newton_step(p: PwlsProblem, x) -> np.ndarray:
     Raises SingularMatrixError when the step matrix is singular; the
     iterative driver maps that to SolveReport status SingularJacobian.
     """
-    x = as_vector(x)
-    if x.size != p.n:
-        raise DimensionError(f"x has length {x.size}, expected {p.n}")
+    x = as_vector(x, "x", p.n)
     f = lu_factor(_pattern_matrix(p.T, sign_pattern(x)))
     if f.singular:
         raise SingularMatrixError("Newton step matrix diag(s) + T is singular")
@@ -267,12 +254,10 @@ def _iterate_patterns(
     declared MaxIterations immediately: running out the cap could never
     change the outcome, only repeat the same solve.
     """
-    x = as_vector(x0, "x0").copy()
-    if x.size != n:
-        raise DimensionError(f"x0 has length {x.size}, expected {n}")
+    x = as_vector(x0, "x0", n).copy()
     u = opts.known_solution
-    if u is not None and u.size != n:
-        raise DimensionError(f"known_solution has length {u.size}, expected {n}")
+    if u is not None:
+        u = as_vector(u, "known_solution", n)
 
     def tolerance_met(xk: np.ndarray) -> bool:
         if u is not None:
@@ -363,15 +348,13 @@ def fixed_point_solve(p: PwlsProblem, x0, opts: Optional[SolverOptions] = None) 
     makes it a useful independent oracle.
     """
     opts = opts if opts is not None else SolverOptions()
-    x = as_vector(x0, "x0").copy()
-    if x.size != p.n:
-        raise DimensionError(f"x0 has length {x.size}, expected {p.n}")
+    x = as_vector(x0, "x0", p.n).copy()
     try:
         lam = inv_spectral_norm(p.T)
     except SingularMatrixError as exc:
         raise ContractionHypothesisError("T is singular, so ||T^-1|| is not below 1") from exc
     if lam >= 1.0:
-        raise ContractionHypothesisError(f"||T^-1|| = {lam:.6g} >= 1; the map is not a contraction")
+        raise ContractionHypothesisError(f"||T^-1|| = {lam!r} >= 1; the map is not a contraction")
     f = lu_factor(p.T)
 
     patterns = [sign_pattern(x)]

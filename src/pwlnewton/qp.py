@@ -18,7 +18,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import DimensionError, EquivalenceUnavailableError, SingularMatrixError
+from .errors import EquivalenceUnavailableError, SingularMatrixError
 from .linalg import as_square_matrix, as_vector, lu_factor, lu_inverse, spectral_norm, sym_eig
 from .pwls import (
     ConditionReport,
@@ -48,12 +48,7 @@ class QpProblem:
     def __post_init__(self):
         q = as_square_matrix(self.Q, "Q")
         self.Q = 0.5 * (q + q.T)
-        self.b_tilde = as_vector(self.b_tilde, "b_tilde")
-        if self.b_tilde.size != self.Q.shape[0]:
-            raise DimensionError(
-                f"b_tilde has length {self.b_tilde.size} but Q is "
-                f"{self.Q.shape[0]}x{self.Q.shape[1]}"
-            )
+        self.b_tilde = as_vector(self.b_tilde, "b_tilde", self.Q.shape[0])
         self.c = float(self.c)
 
     @property
@@ -74,11 +69,7 @@ class ConeInstance:
 
     def __post_init__(self):
         self.A = as_square_matrix(self.A, "A")
-        self.z = as_vector(self.z, "z")
-        if self.z.size != self.A.shape[0]:
-            raise DimensionError(
-                f"z has length {self.z.size} but A is {self.A.shape[0]}x{self.A.shape[1]}"
-            )
+        self.z = as_vector(self.z, "z", self.A.shape[0])
         if lu_factor(self.A).singular:
             raise SingularMatrixError("A must be nonsingular to define a simplicial cone")
 
@@ -108,9 +99,7 @@ class ConeProjectionResult(NamedTuple):
 
 def qp_residual(q: QpProblem, x) -> np.ndarray:
     """Residual [Q - I] x+ + x + b_tilde of the underlying equation."""
-    x = as_vector(x)
-    if x.size != q.n:
-        raise DimensionError(f"x has length {x.size}, expected {q.n}")
+    x = as_vector(x, "x", q.n)
     xp = np.maximum(x, 0.0)
     return q.Q @ xp - xp + x + q.b_tilde
 
@@ -165,9 +154,7 @@ def recover_qp_solution(x_star) -> np.ndarray:
 
 
 def kkt_residual(q: QpProblem, x) -> KktResidual:
-    x = as_vector(x)
-    if x.size != q.n:
-        raise DimensionError(f"x has length {x.size}, expected {q.n}")
+    x = as_vector(x, "x", q.n)
     gradient = q.Q @ x + q.b_tilde
     return KktResidual(
         primal_violation=float(np.abs(np.minimum(x, 0.0)).max()),
@@ -182,9 +169,7 @@ def kkt_scale(q: QpProblem) -> float:
 
 
 def qp_objective(q: QpProblem, x) -> float:
-    x = as_vector(x)
-    if x.size != q.n:
-        raise DimensionError(f"x has length {x.size}, expected {q.n}")
+    x = as_vector(x, "x", q.n)
     return float(0.5 * x @ (q.Q @ x) + x @ q.b_tilde + q.c)
 
 
@@ -229,17 +214,14 @@ def cone_projection(
     q = cone_instance_to_qp(ci)
     start = np.zeros(ci.n) if x0 is None else as_vector(x0, "x0")
     report = qp_newton_solve(q, start, opts)
-    base = report.solution if report.solution is not None else report.last_iterate
-    v = np.maximum(base, 0.0)
+    v = np.maximum(report.last_iterate, 0.0)
     return ConeProjectionResult(v=v, projection=ci.A @ v, report=report)
 
 
 def lcp_residual(q: QpProblem, x, y) -> float:
     """Max violation of y - Qx = b_tilde, x >= 0, y >= 0, <x, y> = 0."""
-    x = as_vector(x, "x")
-    y = as_vector(y, "y")
-    if x.size != q.n or y.size != q.n:
-        raise DimensionError(f"x and y must have length {q.n}")
+    x = as_vector(x, "x", q.n)
+    y = as_vector(y, "y", q.n)
     return max(
         float(np.abs(y - q.Q @ x - q.b_tilde).max()),
         float(np.abs(np.minimum(x, 0.0)).max()),

@@ -14,6 +14,7 @@ from pwlnewton import (
     spectral_norm,
     sym_eig,
 )
+from pwlnewton.linalg import as_vector
 
 
 def sigma_max_2x2(m):
@@ -85,14 +86,6 @@ def test_lu_solve_residual_graded_conditioning():
         assert np.abs(m @ x - rhs).max() <= 1e-10 * (1.0 + np.abs(rhs).max())
 
 
-def test_lu_solve_transpose():
-    rng = np.random.default_rng(3)
-    m = rng.standard_normal((6, 6)) + 3.0 * np.eye(6)
-    rhs = rng.standard_normal(6)
-    x = lu_solve(lu_factor(m), rhs, trans=1)
-    np.testing.assert_allclose(m.T @ x, rhs, atol=1e-12)
-
-
 def test_lu_rejects_non_square():
     with pytest.raises(DimensionError):
         lu_factor(np.ones((2, 3)))
@@ -101,6 +94,11 @@ def test_lu_rejects_non_square():
 def test_lu_rejects_nan():
     with pytest.raises(ValueError):
         lu_factor([[np.nan, 0.0], [0.0, 1.0]])
+
+
+def test_as_vector_rejects_wrong_length():
+    with pytest.raises(DimensionError, match=r"b has length 2, expected 3"):
+        as_vector([1.0, 2.0], "b", 3)
 
 
 def test_lu_solve_rejects_wrong_length():

@@ -371,7 +371,7 @@ def test_near_tied_inverse_norm_just_above_one():
     report = check_conditions(p)
     assert report.inv_norm == pytest.approx(1.0 + eps, rel=1e-12)
     assert not report.existence_ok
-    with pytest.raises(ContractionHypothesisError):
+    with pytest.raises(ContractionHypothesisError, match=r"1\.0000001"):
         fixed_point_solve(p, np.zeros(2))
 
 

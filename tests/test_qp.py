@@ -4,6 +4,7 @@ from _random_problems import spd_near_identity
 
 from pwlnewton import (
     ConeInstance,
+    DimensionError,
     EquivalenceUnavailableError,
     QpProblem,
     SingularMatrixError,
@@ -55,6 +56,25 @@ def test_qp_problem_not_positive_definite():
 def test_cone_instance_rejects_singular_a():
     with pytest.raises(SingularMatrixError):
         ConeInstance(A=[[1.0, 1.0], [1.0, 1.0]], z=[1.0, 0.0])
+
+
+TWO_BY_TWO = QpProblem(Q=np.eye(2), b_tilde=[1.0, -1.0])
+
+
+@pytest.mark.parametrize("call, name", [
+    pytest.param(lambda: QpProblem(Q=np.eye(2), b_tilde=[1.0, 2.0, 3.0]), "b_tilde",
+                 id="QpProblem"),
+    pytest.param(lambda: ConeInstance(A=np.eye(2), z=[1.0]), "z", id="ConeInstance"),
+    pytest.param(lambda: qp_residual(TWO_BY_TWO, [1.0, 2.0, 3.0]), "x", id="qp_residual"),
+    pytest.param(lambda: kkt_residual(TWO_BY_TWO, [1.0]), "x", id="kkt_residual"),
+    pytest.param(lambda: qp_objective(TWO_BY_TWO, [1.0, 2.0, 3.0]), "x", id="qp_objective"),
+    pytest.param(lambda: lcp_residual(TWO_BY_TWO, [1.0], [0.0, 0.0]), "x", id="lcp_residual-x"),
+    pytest.param(lambda: lcp_residual(TWO_BY_TWO, [0.0, 0.0], [1.0, 2.0, 3.0]), "y",
+                 id="lcp_residual-y"),
+])
+def test_wrong_length_vector_is_rejected(call, name):
+    with pytest.raises(DimensionError, match=rf"^{name} has length"):
+        call()
 
 
 # ----------------------------------------------------------- newton solve
