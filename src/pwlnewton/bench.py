@@ -188,6 +188,8 @@ def run_bench_starts(
     0 for a single start) are emitted, then the grand statistics
     mean-of-means and mean-of-stds over problems.
     """
+    if starts < 1:
+        raise ValueError("starts must be at least 1")
     batch = _batch(seed, _STARTS_TAG, n, n, beta_low, beta_high, problems)
     bound = GeneratorConfig.value_bound
     records: list[BenchRecord] = []

@@ -1,7 +1,7 @@
 """Dense linear algebra kernels used by every solver module.
 
 LU factorization with partial pivoting and a scale-invariant singularity
-flag (the factorization itself is LAPACK's getrf), the spectral norm and
+flag (LAPACK's getrf and getrs, called directly), the spectral norm and
 the inverse's spectral norm from the singular values (LAPACK's gesdd via
 scipy), and a symmetric eigendecomposition with eigenvalues sorted
 descending.
@@ -12,12 +12,12 @@ shared state, so concurrent calls on distinct inputs need no locking.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .errors import AsymmetricMatrixError, DimensionError, SingularMatrixError
 
@@ -82,10 +82,10 @@ def lu_factor(m) -> LuFactors:
     matrices produced by the enumerator without tripping on scale.
     """
     m = as_square_matrix(m)
-    with warnings.catch_warnings():
-        # getrf completes on singular input and leaves a zero pivot in U.
-        warnings.simplefilter("ignore", sla.LinAlgWarning)
-        lu, piv = sla.lu_factor(m, check_finite=False)
+    # getrf completes on singular input (info > 0) and leaves a zero pivot in U
+    lu, piv, info = dgetrf(m)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of getrf")
     scale = float(np.abs(m).max())
     pivots = np.abs(np.diag(lu))
     singular = scale == 0.0 or bool((pivots < PIVOT_RTOL * scale).any())
@@ -99,7 +99,10 @@ def lu_solve(f: LuFactors, rhs) -> np.ndarray:
     b = np.asarray(rhs, dtype=float)
     if b.shape[0] != f.n:
         raise DimensionError(f"right-hand side has length {b.shape[0]}, expected {f.n}")
-    return sla.lu_solve((f.lu, f.piv), b, check_finite=False)
+    x, info = dgetrs(f.lu, f.piv, b)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of getrs")
+    return x
 
 
 def lu_inverse(f: LuFactors) -> np.ndarray:

@@ -1,12 +1,12 @@
 """Solver for the piecewise linear system  x+ + T x = b.
 
 The system is linear on each orthant of R^n, and the active orthant is
-encoded by the 0/1 sign pattern of the iterate's positive part.  The
-Newton step solves a linear system whose matrix depends only on that
-pattern, so each iterate is a deterministic function of its predecessor's
-pattern.  This gives exact termination tests for free: a new iterate whose
-pattern equals its predecessor's is an exact solution, and a pattern that
-recurs non-consecutively proves the iteration has entered a cycle.
+encoded by the iterate's sign pattern, a bool array that is True where
+the iterate is positive.  The Newton step's matrix depends only on that
+pattern, so each iterate is a deterministic function of its
+predecessor's pattern.  This gives exact termination tests for free: a
+new iterate whose pattern equals its predecessor's is an exact solution,
+and a pattern that recurs non-consecutively proves a cycle.
 
 Besides the Newton driver the module provides a fixed-point solver (valid
 when ||T^-1|| < 1, useful as an independent cross-check), a brute-force
@@ -17,6 +17,7 @@ that guarantee convergence.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Optional
@@ -34,8 +35,8 @@ from .linalg import (
     lu_solve,
 )
 
-# sign pattern of x: bit i is 1 iff x_i > 0 (the sign of 0 counts as 0)
-SignPattern = tuple[int, ...]
+# sign pattern of x: a bool array, True at i iff x_i > 0 (0 counts as not positive)
+SignPattern = np.ndarray
 
 # guard for routines that sweep all 2^n sign patterns
 ENUMERATION_LIMIT = 20
@@ -51,9 +52,8 @@ def positive_part(x) -> tuple[np.ndarray, np.ndarray]:
 
 
 def sign_pattern(x) -> SignPattern:
-    """0/1 pattern selecting the active orthant: bit i = 1 iff x_i > 0."""
-    x = as_vector(x)
-    return tuple((x > 0.0).astype(int).tolist())
+    """Bool array selecting the active orthant: True at i iff x_i > 0."""
+    return as_vector(x) > 0.0
 
 
 @dataclass
@@ -108,6 +108,10 @@ class SolverOptions:
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
+        for name in ("tol_f", "tol_x", "tol_step"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if self.known_solution is not None:
             self.known_solution = as_vector(self.known_solution, "known_solution")
 
@@ -116,9 +120,9 @@ class SolverOptions:
 class SolveReport:
     """Outcome of one solver run.
 
-    ``pattern_trace`` always holds the sign pattern of every iterate
-    (length iterations + 1); ``iterate_trace`` holds the iterates
-    themselves only when the run was started with keep_iterates.
+    ``pattern_trace`` always holds the sign pattern of every iterate as a
+    bool array (length iterations + 1); ``iterate_trace`` holds the
+    iterates themselves only when the run was started with keep_iterates.
     ``cycle`` is (start index, period) when status is Cycled.
     ``last_iterate`` is the final iterate regardless of status.
     """
@@ -211,13 +215,8 @@ def newton_step(p: PwlsProblem, x) -> np.ndarray:
 
 def _pattern_matrix(T: np.ndarray, bits: SignPattern) -> np.ndarray:
     m = T.copy()
-    idx = np.arange(T.shape[0])
-    m[idx, idx] += np.asarray(bits, dtype=float)
+    m.flat[:: T.shape[0] + 1] += np.asarray(bits, dtype=float)
     return m
-
-
-def _max_residual_norm(res: np.ndarray) -> float:
-    return float(np.abs(res).max())
 
 
 # (matrix, rhs, lift) of one Newton step; see _iterate_patterns
@@ -256,17 +255,22 @@ def _iterate_patterns(
     """
     x = as_vector(x0, "x0", n).copy()
     u = opts.known_solution
+    # threshold of the active stopping rule, computed once per solve
+    bound = opts.tol_f * residual_scale
     if u is not None:
         u = as_vector(u, "known_solution", n)
+        bound = opts.tol_x * (1.0 + math.sqrt(u @ u))
 
     def tolerance_met(xk: np.ndarray) -> bool:
         if u is not None:
-            return float(np.linalg.norm(u - xk)) < opts.tol_x * (1.0 + float(np.linalg.norm(u)))
-        return _max_residual_norm(residual_of(xk)) <= opts.tol_f * residual_scale
+            d = u - xk
+            return math.sqrt(d @ d) < bound
+        return float(np.abs(residual_of(xk)).max()) <= bound
 
     patterns: list[SignPattern] = [sign_pattern(x)]
     trace: Optional[list[np.ndarray]] = [x.copy()] if opts.keep_iterates else None
-    seen: dict[SignPattern, int] = {patterns[0]: 0}
+    # index of the iterate each pattern was first seen at, keyed by its bytes
+    seen: dict[bytes, int] = {patterns[0].tobytes(): 0}
     cycle: Optional[tuple[int, int]] = None
 
     def report(status: SolveStatus, solution: Optional[np.ndarray], iterations: int,
@@ -275,7 +279,7 @@ def _iterate_patterns(
             status=status,
             solution=solution,
             iterations=iterations,
-            final_residual_norm=_max_residual_norm(residual_of(last)),
+            final_residual_norm=float(np.abs(residual_of(last)).max()),
             pattern_trace=patterns,
             last_iterate=last,
             iterate_trace=trace,
@@ -298,7 +302,8 @@ def _iterate_patterns(
         patterns.append(pat)
         if trace is not None:
             trace.append(x_new.copy())
-        previous = seen.get(pat)
+        key = pat.tobytes()
+        previous = seen.get(key)
         if u is not None:
             if tolerance_met(x_new):
                 return report(SolveStatus.CONVERGED, x_new, k, x_new)
@@ -317,7 +322,7 @@ def _iterate_patterns(
             # starting at iterate previous + 1.
             cycle = (previous + 1, k - previous)
             return report(SolveStatus.CYCLED, None, k, x_new)
-        seen[pat] = k
+        seen[key] = k
         x = x_new
 
     return report(SolveStatus.MAX_ITERATIONS, None, opts.max_iter, x)
@@ -366,7 +371,7 @@ def fixed_point_solve(p: PwlsProblem, x0, opts: Optional[SolverOptions] = None) 
             status=status,
             solution=solution,
             iterations=iterations,
-            final_residual_norm=_max_residual_norm(residual(p, last)),
+            final_residual_norm=float(np.abs(residual(p, last)).max()),
             pattern_trace=patterns,
             last_iterate=last,
             iterate_trace=trace,
@@ -396,13 +401,13 @@ def enumerate_solutions(p: PwlsProblem) -> tuple[list[np.ndarray], list[SignPatt
         raise SizeGuardError(f"enumeration is limited to n <= {ENUMERATION_LIMIT}, got n = {p.n}")
     solutions: list[np.ndarray] = []
     singular_patterns: list[SignPattern] = []
-    for bits in itertools.product((0, 1), repeat=p.n):
-        f = lu_factor(_pattern_matrix(p.T, bits))
+    for s in map(np.array, itertools.product((False, True), repeat=p.n)):
+        f = lu_factor(_pattern_matrix(p.T, s))
         if f.singular:
-            singular_patterns.append(bits)
+            singular_patterns.append(s)
             continue
         x = lu_solve(f, p.b)
-        if np.array_equal(x > 0.0, np.asarray(bits, dtype=bool)):
+        if np.array_equal(x > 0.0, s):
             solutions.append(x)
     return solutions, singular_patterns
 
@@ -450,7 +455,7 @@ def check_finite_termination_hypothesis(
             )
         patterns = itertools.product((0, 1), repeat=p.n)
     for bits in patterns:
-        f = lu_factor(_pattern_matrix(p.T, tuple(bits)))
+        f = lu_factor(_pattern_matrix(p.T, bits))
         if f.singular:
             return False
         if not definite_sign_rows(lu_inverse(f)).has_definite_sign_rows:

@@ -17,9 +17,10 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf
 
 from .errors import EquivalenceUnavailableError, SingularMatrixError
-from .linalg import as_square_matrix, as_vector, lu_factor, lu_inverse, spectral_norm, sym_eig
+from .linalg import as_square_matrix, as_vector, lu_factor, lu_inverse, spectral_norm
 from .pwls import (
     ConditionReport,
     PwlsProblem,
@@ -38,7 +39,7 @@ class QpProblem:
     Symmetrizing loses nothing (the quadratic form is unchanged) and makes
     downstream symmetry assumptions unconditional.  Positive definiteness
     is deliberately not checked here; call is_positive_definite when the
-    guarantee matters, since the check costs a full eigendecomposition.
+    guarantee matters (it costs one Cholesky factorization of Q).
     """
 
     Q: np.ndarray
@@ -56,8 +57,8 @@ class QpProblem:
         return self.b_tilde.size
 
     def is_positive_definite(self) -> bool:
-        eigenvalues, _ = sym_eig(self.Q)
-        return bool(eigenvalues[-1] > 0.0)
+        """True iff LAPACK's potrf completes a Cholesky factorization of Q."""
+        return dpotrf(self.Q)[1] == 0
 
 
 @dataclass

@@ -287,5 +287,23 @@ def test_out_of_range_flag_is_an_error(diagonal_file, capsys):
         assert err.startswith("error: ") and message in err
 
 
+def test_nonpositive_tolerance_is_an_error(diagonal_file, capsys):
+    # before the check, --tolx -1 reported every solve as MaxIterations
+    for argv, message in ((["bench-dim", "--n", "3", "--count", "1", "--tolx", "-1"], "tol_x"),
+                          (["solve", diagonal_file, "--tol-f", "0"], "tol_f")):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert "MaxIterations" not in captured.out
+
+
+def test_bench_starts_rejects_zero_starts(capsys):
+    # a sweep with no starts has no mean to report
+    assert main(["bench-starts", "--n", "3", "--count", "1", "--starts", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: starts must be at least 1\n"
+    assert captured.out == ""
+
+
 def test_missing_file(capsys):
     assert main(["solve", "/nonexistent/problem.json"]) == 1

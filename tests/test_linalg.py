@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
+from scipy.linalg.lapack import dgetrf
 
 from pwlnewton import (
     AsymmetricMatrixError,
@@ -14,6 +16,7 @@ from pwlnewton import (
     spectral_norm,
     sym_eig,
 )
+from pwlnewton import linalg
 from pwlnewton.linalg import as_vector
 
 
@@ -51,6 +54,47 @@ def test_lu_singular_flag_on_zero_pivot():
 
 def test_lu_zero_matrix_is_singular():
     assert lu_factor(np.zeros((3, 3))).singular
+
+
+def test_lu_kernels_match_scipy_bit_for_bit():
+    # getrf/getrs are called directly; scipy's lu_factor/lu_solve wrap the
+    # same LAPACK routines, so factors and solutions agree bit for bit
+    rng = np.random.default_rng(41)
+    for n in (1, 2, 7, 50):
+        for grading in (np.ones(n), np.logspace(-4, 4, n)):
+            m = rng.standard_normal((n, n)) * grading[:, np.newaxis]
+            f = lu_factor(m)
+            lu, piv = sla.lu_factor(m)
+            assert not f.singular
+            assert np.array_equal(f.lu, lu)
+            assert np.array_equal(f.piv, piv) and f.piv.dtype == piv.dtype
+            for rhs in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+                x = lu_solve(f, rhs)
+                assert x.shape == rhs.shape
+                assert np.array_equal(x, sla.lu_solve((lu, piv), rhs))
+            assert np.array_equal(lu_inverse(f), sla.lu_solve((lu, piv), np.eye(n)))
+
+
+def test_lu_exactly_singular_matches_scipy():
+    # rows 0 and 1 are proportional, so getrf meets an exact zero pivot
+    m = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [1.0, 0.0, 1.0]])
+    assert dgetrf(m)[2] > 0
+    with pytest.warns(sla.LinAlgWarning):
+        lu, piv = sla.lu_factor(m)
+    f = lu_factor(m)
+    assert f.singular
+    assert np.array_equal(f.lu, lu) and np.array_equal(f.piv, piv)
+
+
+def test_lu_kernels_raise_on_illegal_lapack_argument(monkeypatch):
+    # LAPACK reports a bad argument as info < 0; scipy raises ValueError too
+    f = lu_factor(np.eye(2))
+    monkeypatch.setattr(linalg, "dgetrf", lambda m: (m, np.zeros(2, np.int32), -1))
+    with pytest.raises(ValueError, match="argument 1 of getrf"):
+        lu_factor(np.eye(2))
+    monkeypatch.setattr(linalg, "dgetrs", lambda lu, piv, b: (b, -3))
+    with pytest.raises(ValueError, match="argument 3 of getrs"):
+        lu_solve(f, [1.0, 1.0])
 
 
 def test_lu_solve_identity():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from _random_problems import m_matrix, matrix_with_inv_norm, planted_pwls
@@ -62,9 +64,11 @@ def test_positive_part_identities():
 
 
 def test_sign_pattern():
-    assert sign_pattern([2.0, 0.0, -5.0]) == (1, 0, 0)
-    assert sign_pattern([4.0, 1.0]) == (1, 1)
-    assert sign_pattern([-1.0, -2.0]) == (0, 0)
+    assert sign_pattern([2.0, 0.0, -5.0]).dtype == bool
+    assert np.array_equal(sign_pattern([2.0, 0.0, -5.0]), [True, False, False])
+    assert np.array_equal(sign_pattern([4.0, 1.0]), [True, True])
+    assert np.array_equal(sign_pattern([-1.0, -2.0]), [False, False])
+    assert np.array_equal(sign_pattern([-0.0, 1e-300]), [False, True])
 
 
 def test_residual_golden():
@@ -200,6 +204,16 @@ def test_solver_options_validation():
         SolverOptions(max_iter=0)
 
 
+@pytest.mark.parametrize("name", ["tol_f", "tol_x", "tol_step"])
+@pytest.mark.parametrize("value", [-1.0, 0.0, math.inf, math.nan])
+def test_solver_options_reject_nonpositive_or_nonfinite_tolerance(name, value):
+    # a tolerance no distance or residual can undercut would report an
+    # exact solution as MaxIterations
+    with pytest.raises(ValueError, match=name):
+        SolverOptions(**{name: value})
+    SolverOptions(**{name: 5e-324})
+
+
 def test_newton_solve_rejects_wrong_x0_length():
     with pytest.raises(DimensionError):
         newton_solve(cycle_problem(), [1.0, 2.0, 3.0])
@@ -214,7 +228,7 @@ def test_consecutive_pattern_repeat_implies_tiny_residual():
         p = PwlsProblem(T=t, b=b)
         report = newton_solve(p, rng.standard_normal(n), SolverOptions(keep_iterates=True))
         if report.status is SolveStatus.CONVERGED_EXACT:
-            assert report.pattern_trace[-1] == report.pattern_trace[-2]
+            assert np.array_equal(report.pattern_trace[-1], report.pattern_trace[-2])
             res = residual(p, report.iterate_trace[-1])
             assert np.abs(res).max() <= 1e-9 * (1.0 + np.abs(b).max())
 
@@ -305,7 +319,8 @@ def test_enumerate_two_zero_example():
     solutions, singular = enumerate_solutions(PwlsProblem(T=T_TWO_ZEROS, b=B_TWO_ZEROS))
     assert len(solutions) == 1
     np.testing.assert_array_equal(solutions[0], [0.0, 1.0])
-    assert set(singular) == {(1, 1), (1, 0)}
+    assert np.array_equal(singular, [[True, False], [True, True]])
+    assert all(s.dtype == bool for s in singular)
 
 
 def test_enumerate_cycle_problem_unique_zero():

@@ -51,6 +51,24 @@ def test_qp_problem_symmetrizes():
 def test_qp_problem_not_positive_definite():
     q = QpProblem(Q=[[1.0, 0.0], [0.0, -1.0]], b_tilde=[0.0, 0.0])
     assert not q.is_positive_definite()
+    # semidefinite: eigenvalues 2 and 0, so Cholesky meets a zero pivot
+    q = QpProblem(Q=[[1.0, 1.0], [1.0, 1.0]], b_tilde=[0.0, 0.0])
+    assert not q.is_positive_definite()
+
+
+def test_is_positive_definite_agrees_with_eigh():
+    # spectra kept at least 0.1 away from 0, where rounding cannot tip the verdict
+    rng = np.random.default_rng(23)
+    verdicts = []
+    for n in (1, 2, 5, 20, 50):
+        for _ in range(10):
+            w, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            lam = rng.uniform(0.1, 10.0, n) * rng.choice([-1.0, 1.0, 1.0, 1.0], n)
+            q = QpProblem(Q=(w * lam) @ w.T, b_tilde=np.zeros(n))
+            expected = bool(np.linalg.eigh(q.Q)[0][0] > 0.0)
+            assert q.is_positive_definite() == expected
+            verdicts.append(expected)
+    assert any(verdicts) and not all(verdicts)
 
 
 def test_cone_instance_rejects_singular_a():
@@ -161,23 +179,24 @@ def test_reduced_step_matches_dense_step(n, beta):
     rng = np.random.default_rng(int(1000 * beta) + n)
     q = QpProblem(Q=spd_with_beta(n, beta, rng), b_tilde=rng.standard_normal(n))
     for x0 in (-np.ones(n), np.ones(n), rng.standard_normal(n)):
-        opts = SolverOptions(tol_f=0.0, max_iter=50, keep_iterates=True)
+        # tol_f is the smallest positive double, so in effect only a pattern repeat stops
+        opts = SolverOptions(tol_f=5e-324, max_iter=50, keep_iterates=True)
         report = qp_newton_solve(q, x0, opts)
-        assert report.pattern_trace[0] == sign_pattern(x0)
+        assert np.array_equal(report.pattern_trace[0], sign_pattern(x0))
         for k in range(1, report.iterations + 1):
             expected = dense_step(q, report.pattern_trace[k - 1])
             scale = 1.0 + np.abs(expected).max()
             np.testing.assert_allclose(report.iterate_trace[k], expected, rtol=0, atol=1e-10 * scale)
-            assert report.pattern_trace[k] == sign_pattern(expected)
+            assert np.array_equal(report.pattern_trace[k], sign_pattern(expected))
         # the dense iteration repeats its pattern after as many steps
         patterns = [sign_pattern(x0)]
         for _ in range(opts.max_iter):
             patterns.append(sign_pattern(dense_step(q, patterns[-1])))
-            if patterns[-1] == patterns[-2]:
+            if np.array_equal(patterns[-1], patterns[-2]):
                 break
         assert report.status is SolveStatus.CONVERGED_EXACT
         assert report.iterations == len(patterns) - 1
-        assert report.pattern_trace == patterns
+        assert np.array_equal(report.pattern_trace, patterns)
 
 
 def test_qp_singular_jacobian_status():
