@@ -43,8 +43,6 @@ from .pwls import (
     enumerate_solutions,
     fixed_point_solve,
     newton_solve,
-    newton_step,
-    positive_part,
     residual,
     sign_pattern,
 )
@@ -57,13 +55,10 @@ from .qp import (
     cone_instance_to_qp,
     cone_projection,
     kkt_residual,
-    kkt_scale,
-    lcp_residual,
     qp_newton_solve,
     qp_objective,
     qp_residual,
     qp_to_pwls,
-    recover_qp_solution,
 )
 from .gen import GeneratedInstance, GeneratorConfig, make_batch, make_instance, make_spd_matrix
 from .bench import (

@@ -105,11 +105,13 @@ def solve_generated(
     median wall-clock time is reported; repeats run serially so the
     measurements are uncontended.
     """
+    if repeats < 1:
+        raise ValueError("repeats must be at least 1")
     opts = SolverOptions(max_iter=max_iter, known_solution=inst.known_solution, tol_x=tolx)
     start = inst.x0 if x0 is None else x0
     times = []
     report = None
-    for _ in range(max(1, repeats)):
+    for _ in range(repeats):
         t0 = time.perf_counter()
         report = qp_newton_solve(inst.q, start, opts)
         times.append(time.perf_counter() - t0)

@@ -18,7 +18,6 @@ from typing import Union
 import numpy as np
 
 from .errors import ProblemFormatError, SingularMatrixError
-from .gen import GeneratedInstance
 from .pwls import ConditionReport, PwlsProblem, SolveReport
 from .qp import ConeInstance, QpProblem
 
@@ -68,33 +67,12 @@ def _field(obj: dict, name: str, kind: str) -> np.ndarray:
 
 def _number(value, name: str) -> float:
     try:
-        return float(value)
+        number = float(value)
     except (TypeError, ValueError) as exc:
         raise ProblemFormatError(f"field '{name}': not a number") from exc
-
-
-def to_problem_dict(problem: Union[Problem, GeneratedInstance]) -> dict:
-    """Serializable dict in the problem-file layout.
-
-    A GeneratedInstance serializes as its QP; the planted solution and
-    start are not part of the interchange format.
-    """
-    if isinstance(problem, GeneratedInstance):
-        problem = problem.q
-    if isinstance(problem, PwlsProblem):
-        return {"kind": "pwls", "T": problem.T.tolist(), "b": problem.b.tolist()}
-    if isinstance(problem, QpProblem):
-        return {"kind": "qp", "Q": problem.Q.tolist(),
-                "b_tilde": problem.b_tilde.tolist(), "c": problem.c}
-    if isinstance(problem, ConeInstance):
-        return {"kind": "cone", "A": problem.A.tolist(), "z": problem.z.tolist()}
-    raise TypeError(f"cannot serialize {type(problem).__name__}")
-
-
-def save_problem(problem: Union[Problem, GeneratedInstance], path: str) -> None:
-    with open(path, "w") as handle:
-        json.dump(to_problem_dict(problem), handle)
-        handle.write("\n")
+    if not np.isfinite(number):
+        raise ProblemFormatError(f"field '{name}': not a finite number")
+    return number
 
 
 def load_vector_file(path: str) -> np.ndarray:

@@ -45,12 +45,6 @@ ENUMERATION_LIMIT = 20
 ZERO_RTOL = 1e-14
 
 
-def positive_part(x) -> tuple[np.ndarray, np.ndarray]:
-    """Split x into (x+, x-) with x = x+ - x- and <x+, x-> = 0."""
-    x = as_vector(x)
-    return np.maximum(x, 0.0), np.maximum(-x, 0.0)
-
-
 def sign_pattern(x) -> SignPattern:
     """Bool array selecting the active orthant: True at i iff x_i > 0."""
     return as_vector(x) > 0.0
@@ -198,19 +192,6 @@ def residual(p: PwlsProblem, x) -> np.ndarray:
     """F(x) = x+ + T x - b."""
     x = as_vector(x, "x", p.n)
     return np.maximum(x, 0.0) + p.T @ x - p.b
-
-
-def newton_step(p: PwlsProblem, x) -> np.ndarray:
-    """One Newton step: the solve of [diag(sign_pattern(x)) + T] x_next = b.
-
-    Raises SingularMatrixError when the step matrix is singular; the
-    iterative driver maps that to SolveReport status SingularJacobian.
-    """
-    x = as_vector(x, "x", p.n)
-    f = lu_factor(_pattern_matrix(p.T, sign_pattern(x)))
-    if f.singular:
-        raise SingularMatrixError("Newton step matrix diag(s) + T is singular")
-    return lu_solve(f, p.b)
 
 
 def _pattern_matrix(T: np.ndarray, bits: SignPattern) -> np.ndarray:
@@ -446,7 +427,8 @@ def check_finite_termination_hypothesis(
     caller may instead supply a sample of patterns for large n.  When the
     exhaustive check passes, the Newton iteration terminates in finitely
     many steps at the unique solution, with per-coordinate monotone
-    trajectories.
+    trajectories.  Each supplied pattern must have length n and 0/1 or
+    bool entries (DimensionError or ValueError otherwise).
     """
     if patterns is None:
         if p.n > ENUMERATION_LIMIT:
@@ -455,7 +437,10 @@ def check_finite_termination_hypothesis(
             )
         patterns = itertools.product((0, 1), repeat=p.n)
     for bits in patterns:
-        f = lu_factor(_pattern_matrix(p.T, bits))
+        s = as_vector(bits, "pattern", p.n)
+        if not ((s == 0.0) | (s == 1.0)).all():
+            raise ValueError(f"pattern entries must be 0 or 1, got {bits!r}")
+        f = lu_factor(_pattern_matrix(p.T, s))
         if f.singular:
             return False
         if not definite_sign_rows(lu_inverse(f)).has_definite_sign_rows:

@@ -48,7 +48,8 @@ class QpProblem:
 
     def __post_init__(self):
         q = as_square_matrix(self.Q, "Q")
-        self.Q = 0.5 * (q + q.T)
+        # halving each term first cannot overflow on finite input
+        self.Q = 0.5 * q + 0.5 * q.T
         self.b_tilde = as_vector(self.b_tilde, "b_tilde", self.Q.shape[0])
         self.c = float(self.c)
 
@@ -121,8 +122,8 @@ def qp_newton_solve(q: QpProblem, x0, opts: Optional[SolverOptions] = None) -> S
     SingularJacobian outcome on SPD input indicates a numerical defect
     rather than an expected failure mode.  The singular flag is judged on
     Q_AA, at the scale max|Q_AA|.  On convergence the report's solution
-    solves the piecewise linear equation; apply recover_qp_solution to
-    obtain the QP minimizer.
+    solves the piecewise linear equation, and its positive part is the
+    QP minimizer.
     """
     opts = opts if opts is not None else SolverOptions()
     minus_b = -q.b_tilde
@@ -149,11 +150,6 @@ def qp_newton_solve(q: QpProblem, x0, opts: Optional[SolverOptions] = None) -> S
     )
 
 
-def recover_qp_solution(x_star) -> np.ndarray:
-    """Positive part of the equation's solution: the QP minimizer."""
-    return np.maximum(as_vector(x_star), 0.0)
-
-
 def kkt_residual(q: QpProblem, x) -> KktResidual:
     x = as_vector(x, "x", q.n)
     gradient = q.Q @ x + q.b_tilde
@@ -162,11 +158,6 @@ def kkt_residual(q: QpProblem, x) -> KktResidual:
         dual_violation=float(np.abs(np.minimum(gradient, 0.0)).max()),
         complementarity=float(abs(gradient @ x)),
     )
-
-
-def kkt_scale(q: QpProblem) -> float:
-    """Relative scale 1 + ||b_tilde||_inf + max absolute row sum of Q."""
-    return 1.0 + float(np.abs(q.b_tilde).max()) + float(np.abs(q.Q).sum(axis=1).max())
 
 
 def qp_objective(q: QpProblem, x) -> float:
@@ -218,14 +209,3 @@ def cone_projection(
     v = np.maximum(report.last_iterate, 0.0)
     return ConeProjectionResult(v=v, projection=ci.A @ v, report=report)
 
-
-def lcp_residual(q: QpProblem, x, y) -> float:
-    """Max violation of y - Qx = b_tilde, x >= 0, y >= 0, <x, y> = 0."""
-    x = as_vector(x, "x", q.n)
-    y = as_vector(y, "y", q.n)
-    return max(
-        float(np.abs(y - q.Q @ x - q.b_tilde).max()),
-        float(np.abs(np.minimum(x, 0.0)).max()),
-        float(np.abs(np.minimum(y, 0.0)).max()),
-        float(abs(x @ y)),
-    )

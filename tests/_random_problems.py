@@ -37,3 +37,8 @@ def spd_near_identity(n: int, beta: float, rng: np.random.Generator) -> np.ndarr
     eigenvalues = beta * rng.uniform(-1.0, 1.0, n)
     eigenvalues[0] = beta * rng.choice([-1.0, 1.0])
     return np.eye(n) + (w * eigenvalues[np.newaxis, :]) @ w.T
+
+
+def qp_scale(q) -> float:
+    """Relative scale 1 + ||b_tilde||_inf + max absolute row sum of Q."""
+    return 1.0 + float(np.abs(q.b_tilde).max()) + float(np.abs(q.Q).sum(axis=1).max())

@@ -8,7 +8,7 @@ a failing criterion shows up as an ordinary pytest failure.
 import time
 
 import numpy as np
-from _random_problems import matrix_with_inv_norm, planted_pwls, spd_near_identity
+from _random_problems import matrix_with_inv_norm, planted_pwls, qp_scale, spd_near_identity
 
 from pwlnewton import (
     ConeInstance,
@@ -23,7 +23,6 @@ from pwlnewton import (
     fixed_point_solve,
     inv_spectral_norm,
     kkt_residual,
-    kkt_scale,
     lu_factor,
     make_batch,
     make_spd_matrix,
@@ -226,7 +225,7 @@ def test_criterion_10_cone_projection():
         result = cone_projection(ci)
         assert result.report.converged
         kkt = kkt_residual(cone_instance_to_qp(ci), result.v)
-        assert kkt.worst <= 1e-7 * kkt_scale(cone_instance_to_qp(ci))
+        assert kkt.worst <= 1e-7 * qp_scale(cone_instance_to_qp(ci))
     for _ in range(50):
         n = int(rng.integers(2, 13))
         a = rng.standard_normal((n, n)) + 2.0 * np.eye(n)

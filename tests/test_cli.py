@@ -281,7 +281,8 @@ def test_bench_beta_unpaired_ranges(capsys):
 
 def test_out_of_range_flag_is_an_error(diagonal_file, capsys):
     for argv, message in ((["solve", diagonal_file, "--max-iter", "0"], "max_iter"),
-                          (["bench-dim", "--n", "0"], "n must be")):
+                          (["bench-dim", "--n", "0"], "n must be"),
+                          (["bench-dim", "--repeats", "0"], "repeats")):
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err

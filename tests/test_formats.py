@@ -5,12 +5,10 @@ import pytest
 
 from pwlnewton import (
     ConeInstance,
-    GeneratorConfig,
     ProblemFormatError,
     PwlsProblem,
     QpProblem,
     check_conditions,
-    make_instance,
     newton_solve,
 )
 from pwlnewton.formats import (
@@ -18,47 +16,39 @@ from pwlnewton.formats import (
     load_vector_file,
     parse_problem,
     report_to_dict,
-    save_problem,
-    to_problem_dict,
 )
 
 
+def write_problem(path, payload):
+    """Write payload in the documented problem-file layout."""
+    with open(path, "w") as handle:
+        json.dump(payload, handle)
+    return str(path)
+
+
 def test_round_trip_pwls(tmp_path):
-    p = PwlsProblem(T=[[-2.0, 3.0], [-1.0, 1.0]], b=[-5.0, -3.0])
-    path = tmp_path / "p.json"
-    save_problem(p, str(path))
-    loaded = load_problem(str(path))
+    payload = {"kind": "pwls", "T": [[-2.0, 3.0], [-1.0, 1.0]], "b": [-5.0, -3.0]}
+    loaded = load_problem(write_problem(tmp_path / "p.json", payload))
     assert isinstance(loaded, PwlsProblem)
-    np.testing.assert_array_equal(loaded.T, p.T)
-    np.testing.assert_array_equal(loaded.b, p.b)
+    np.testing.assert_array_equal(loaded.T, payload["T"])
+    np.testing.assert_array_equal(loaded.b, payload["b"])
 
 
 def test_round_trip_qp(tmp_path):
-    q = QpProblem(Q=[[1.2, 0.1], [0.1, 1.1]], b_tilde=[1.0, -2.0], c=3.5)
-    path = tmp_path / "q.json"
-    save_problem(q, str(path))
-    loaded = load_problem(str(path))
+    payload = {"kind": "qp", "Q": [[1.2, 0.1], [0.1, 1.1]], "b_tilde": [1.0, -2.0], "c": 3.5}
+    loaded = load_problem(write_problem(tmp_path / "q.json", payload))
     assert isinstance(loaded, QpProblem)
-    np.testing.assert_array_equal(loaded.Q, q.Q)
+    np.testing.assert_array_equal(loaded.Q, payload["Q"])
+    np.testing.assert_array_equal(loaded.b_tilde, payload["b_tilde"])
     assert loaded.c == 3.5
 
 
 def test_round_trip_cone(tmp_path):
-    ci = ConeInstance(A=[[1.0, 0.0], [1.0, 1.0]], z=[-1.0, 2.0])
-    path = tmp_path / "c.json"
-    save_problem(ci, str(path))
-    loaded = load_problem(str(path))
+    payload = {"kind": "cone", "A": [[1.0, 0.0], [1.0, 1.0]], "z": [-1.0, 2.0]}
+    loaded = load_problem(write_problem(tmp_path / "c.json", payload))
     assert isinstance(loaded, ConeInstance)
-    np.testing.assert_array_equal(loaded.A, ci.A)
-
-
-def test_generated_instance_serializes_as_qp(tmp_path):
-    inst = make_instance(GeneratorConfig(n=3, beta_low=0.1, beta_high=0.4, seed=2))
-    payload = to_problem_dict(inst)
-    assert payload["kind"] == "qp"
-    loaded = parse_problem(payload)
-    np.testing.assert_allclose(loaded.Q, inst.q.Q)
-    np.testing.assert_allclose(loaded.b_tilde, inst.q.b_tilde)
+    np.testing.assert_array_equal(loaded.A, payload["A"])
+    np.testing.assert_array_equal(loaded.z, payload["z"])
 
 
 def test_qp_default_c_is_zero():
@@ -75,6 +65,9 @@ def test_parse_errors_name_fields():
         parse_problem({"kind": "quadratic"})
     with pytest.raises(ProblemFormatError, match="'c'"):
         parse_problem({"kind": "qp", "Q": [[1.0]], "b_tilde": [1.0], "c": "x"})
+    for c in (float("nan"), float("inf")):
+        with pytest.raises(ProblemFormatError, match="'c'"):
+            parse_problem({"kind": "qp", "Q": [[1.0]], "b_tilde": [1.0], "c": c})
     with pytest.raises(ProblemFormatError, match="'b'"):
         parse_problem({"kind": "pwls", "T": [[1.0]], "b": [float("nan")]})
     with pytest.raises(ProblemFormatError):

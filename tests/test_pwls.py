@@ -19,8 +19,6 @@ from pwlnewton import (
     lu_factor,
     lu_inverse,
     newton_solve,
-    newton_step,
-    positive_part,
     residual,
     sign_pattern,
 )
@@ -39,28 +37,6 @@ def cycle_problem():
 
 
 # ------------------------------------------------------- basic pieces
-
-
-def test_positive_part():
-    xp, xm = positive_part([2.0, 0.0, -5.0])
-    np.testing.assert_array_equal(xp, [2.0, 0.0, 0.0])
-    np.testing.assert_array_equal(xm, [0.0, 0.0, 5.0])
-    xp, xm = positive_part([0.0, 0.0])
-    np.testing.assert_array_equal(xp, [0.0, 0.0])
-    np.testing.assert_array_equal(xm, [0.0, 0.0])
-    xp, xm = positive_part([-3.0, 3.0])
-    np.testing.assert_array_equal(xp, [0.0, 3.0])
-    np.testing.assert_array_equal(xm, [3.0, 0.0])
-
-
-def test_positive_part_identities():
-    rng = np.random.default_rng(1)
-    for _ in range(50):
-        x = rng.standard_normal(rng.integers(1, 10))
-        xp, xm = positive_part(x)
-        np.testing.assert_array_equal(xp - xm, x)
-        assert xp @ xm == 0.0
-        assert (xp >= 0).all() and (xm >= 0).all()
 
 
 def test_sign_pattern():
@@ -97,15 +73,26 @@ def test_problem_validation():
 # ------------------------------------------------------- newton step
 
 
+def dense_step(t, b, x):
+    """Newton step from x by a dense solve that shares no code with the solver."""
+    return np.linalg.solve(np.diag(x > 0) + t, b)
+
+
 def test_newton_step_cycle_hops():
-    p = cycle_problem()
-    np.testing.assert_array_equal(newton_step(p, [4.0, 1.0]), [-1.0, -2.0])
-    np.testing.assert_array_equal(newton_step(p, [-1.0, -2.0]), [4.0, 1.0])
+    report = newton_solve(cycle_problem(), [4.0, 1.0], SolverOptions(keep_iterates=True))
+    assert report.status is SolveStatus.CYCLED
+    np.testing.assert_array_equal(report.iterate_trace[1], [-1.0, -2.0])
+    np.testing.assert_array_equal(report.iterate_trace[2], [4.0, 1.0])
 
 
 def test_newton_step_fixed_point_is_solution():
+    # [9, -9] lies in the orthant of the solution [1, -1], so one step lands
+    # on it and the repeated pattern proves it exact
     p = PwlsProblem(T=3.0 * np.eye(2), b=[4.0, -3.0])
-    np.testing.assert_allclose(newton_step(p, [1.0, -1.0]), [1.0, -1.0], atol=1e-15)
+    report = newton_solve(p, [9.0, -9.0])
+    assert report.status is SolveStatus.CONVERGED_EXACT
+    assert report.iterations == 1
+    np.testing.assert_allclose(report.solution, [1.0, -1.0], atol=1e-15)
 
 
 def test_newton_step_consistency():
@@ -114,11 +101,14 @@ def test_newton_step_consistency():
         n = int(rng.integers(1, 9))
         t = rng.standard_normal((n, n)) + 2.0 * np.eye(n)
         b = rng.standard_normal(n)
-        p = PwlsProblem(T=t, b=b)
-        x = rng.standard_normal(n)
-        x_next = newton_step(p, x)
-        lhs = (np.diag(np.asarray(sign_pattern(x), float)) + t) @ x_next - b
-        assert np.abs(lhs).max() <= 1e-10 * (1.0 + np.abs(b).max())
+        report = newton_solve(PwlsProblem(T=t, b=b), rng.standard_normal(n),
+                              SolverOptions(keep_iterates=True))
+        trace = report.iterate_trace
+        assert len(trace) >= 2
+        for x, x_next in zip(trace, trace[1:]):
+            lhs = (np.diag(np.asarray(sign_pattern(x), float)) + t) @ x_next - b
+            assert np.abs(lhs).max() <= 1e-10 * (1.0 + np.abs(b).max())
+            np.testing.assert_allclose(x_next, dense_step(t, b, x), rtol=1e-10, atol=1e-12)
 
 
 # ------------------------------------------------------ newton solve
@@ -270,7 +260,7 @@ def test_cycle_detection_soundness():
         point = report.iterate_trace[start]
         x = point.copy()
         for _ in range(period):
-            x = newton_step(p, x)
+            x = dense_step(t, b, x)
         np.testing.assert_allclose(x, point, rtol=1e-10, atol=1e-12)
     assert seen_cycle
 
@@ -477,10 +467,24 @@ def test_hypothesis_m_matrix_true():
 def test_hypothesis_sampled_patterns_for_large_n():
     n = 25
     p = PwlsProblem(T=3.0 * np.eye(n), b=np.ones(n))
-    patterns = [tuple([0] * n), tuple([1] * n), tuple([1, 0] * 12 + [1])]
+    patterns = [tuple([0] * n), tuple([1] * n), tuple([1, 0] * 12 + [1]), np.ones(n, dtype=bool)]
     assert check_finite_termination_hypothesis(p, patterns)
     with pytest.raises(SizeGuardError):
         check_finite_termination_hypothesis(p)
+
+
+@pytest.mark.parametrize("pattern, error", [
+    ([1], DimensionError),
+    ([1, 1, 0], DimensionError),
+    ([2, 0], ValueError),
+    ([0.5, 1], ValueError),
+    ([-1, 0], ValueError),
+], ids=["short", "long", "two", "half", "minus-one"])
+def test_hypothesis_rejects_malformed_patterns(pattern, error):
+    p = PwlsProblem(T=np.diag([-1.0, 3.0]), b=[1.0, 1.0])
+    with pytest.raises(error) as info:
+        check_finite_termination_hypothesis(p, [pattern])
+    assert info.type is error
 
 
 def test_monotone_trajectories_under_hypothesis():

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
-from _random_problems import spd_near_identity
+from scipy.linalg import cholesky, solve_triangular
+from scipy.optimize import nnls
+from _random_problems import qp_scale, spd_near_identity
 
 from pwlnewton import (
     ConeInstance,
@@ -14,15 +16,13 @@ from pwlnewton import (
     cone_instance_to_qp,
     cone_projection,
     kkt_residual,
-    kkt_scale,
-    lcp_residual,
     lu_factor,
+    make_spd_matrix,
     newton_solve,
     qp_newton_solve,
     qp_objective,
     qp_residual,
     qp_to_pwls,
-    recover_qp_solution,
     sign_pattern,
 )
 
@@ -46,6 +46,24 @@ def test_qp_problem_symmetrizes():
     q = QpProblem(Q=[[2.0, 1.0], [0.0, 2.0]], b_tilde=[0.0, 0.0])
     np.testing.assert_array_equal(q.Q, [[2.0, 0.5], [0.5, 2.0]])
     assert q.is_positive_definite()
+
+
+def test_qp_problem_symmetrizes_huge_entries_without_overflow():
+    # q + q.T overflows here although the average is finite
+    big = 1.7e308
+    q = QpProblem(Q=[[big, 1.0], [1.0, big]], b_tilde=[-1.0, -1.0])
+    np.testing.assert_array_equal(q.Q, [[big, 1.0], [1.0, big]])
+    assert qp_newton_solve(q, np.zeros(2)).status is SolveStatus.CONVERGED_EXACT
+    asymmetric = QpProblem(Q=[[big, big], [-big, big]], b_tilde=[0.0, 0.0])
+    np.testing.assert_array_equal(asymmetric.Q, [[big, 0.0], [0.0, big]])
+
+
+def test_qp_problem_symmetrization_is_exact_average():
+    # halving before adding rounds exactly as (Q + Q^T)/2 away from subnormals
+    rng = np.random.default_rng(26)
+    for _ in range(20):
+        m = rng.standard_normal((7, 7)) * 10.0 ** rng.integers(-200, 200)
+        np.testing.assert_array_equal(QpProblem(Q=m, b_tilde=np.ones(7)).Q, 0.5 * (m + m.T))
 
 
 def test_qp_problem_not_positive_definite():
@@ -86,9 +104,6 @@ TWO_BY_TWO = QpProblem(Q=np.eye(2), b_tilde=[1.0, -1.0])
     pytest.param(lambda: qp_residual(TWO_BY_TWO, [1.0, 2.0, 3.0]), "x", id="qp_residual"),
     pytest.param(lambda: kkt_residual(TWO_BY_TWO, [1.0]), "x", id="kkt_residual"),
     pytest.param(lambda: qp_objective(TWO_BY_TWO, [1.0, 2.0, 3.0]), "x", id="qp_objective"),
-    pytest.param(lambda: lcp_residual(TWO_BY_TWO, [1.0], [0.0, 0.0]), "x", id="lcp_residual-x"),
-    pytest.param(lambda: lcp_residual(TWO_BY_TWO, [0.0, 0.0], [1.0, 2.0, 3.0]), "y",
-                 id="lcp_residual-y"),
 ])
 def test_wrong_length_vector_is_rejected(call, name):
     with pytest.raises(DimensionError, match=rf"^{name} has length"):
@@ -111,7 +126,7 @@ def test_qp_scalar_closed_form():
     report = qp_newton_solve(scalar_problem(), np.zeros(1))
     assert report.status is SolveStatus.CONVERGED_EXACT
     np.testing.assert_allclose(report.solution, [2.0], atol=1e-14)
-    v = recover_qp_solution(report.solution)
+    v = np.maximum(report.solution, 0.0)
     np.testing.assert_allclose(v, [2.0], atol=1e-14)
     kkt = kkt_residual(scalar_problem(), v)
     assert kkt.worst <= 1e-14
@@ -240,16 +255,11 @@ def test_recovered_solution_beats_random_feasible_points():
     q, _ = planted_qp(6, 0.4, rng)
     report = qp_newton_solve(q, rng.standard_normal(6))
     assert report.converged
-    best = recover_qp_solution(report.solution)
+    best = np.maximum(report.solution, 0.0)
     f_best = qp_objective(q, best)
     for _ in range(100):
         candidate = rng.uniform(0.0, 3.0, 6)
         assert f_best <= qp_objective(q, candidate) + 1e-10
-
-
-def test_recover_qp_solution():
-    np.testing.assert_array_equal(recover_qp_solution([2.0, -1.0]), [2.0, 0.0])
-    np.testing.assert_array_equal(recover_qp_solution([0.0, 0.0]), [0.0, 0.0])
 
 
 # ------------------------------------------------------------ conversion
@@ -329,7 +339,7 @@ def test_projection_kkt_characterization():
         ci = ConeInstance(A=a, z=3.0 * rng.standard_normal(n))
         result = cone_projection(ci)
         assert result.report.converged
-        scale = kkt_scale(cone_instance_to_qp(ci))
+        scale = qp_scale(cone_instance_to_qp(ci))
         gradient = a.T @ (result.projection - ci.z)
         assert result.v.min() >= 0.0
         assert gradient.min() >= -1e-8 * scale
@@ -360,19 +370,32 @@ def test_projection_from_custom_start():
     np.testing.assert_allclose(from_zero.projection, from_random.projection, atol=1e-9)
 
 
-# ------------------------------------------------------------------ lcp
+# ------------------------------------------------- nnls differential checks
 
 
-def test_lcp_residual_at_solution():
-    rng = np.random.default_rng(16)
-    q, _ = planted_qp(5, 0.3, rng)
-    report = qp_newton_solve(q, rng.standard_normal(5))
-    x = recover_qp_solution(report.solution)
-    y = q.Q @ x + q.b_tilde
-    assert lcp_residual(q, x, y) <= 1e-9
+@pytest.mark.parametrize("beta", [0.3, 5.0, 1e3])
+def test_qp_solution_matches_nnls(beta):
+    # with Q = R^T R the QP is min ||R x + R^-T b_tilde||^2 / 2 over x >= 0
+    rng = np.random.default_rng(24)
+    n = 30
+    for _ in range(20):
+        q = QpProblem(Q=make_spd_matrix(n, beta, rng), b_tilde=rng.standard_normal(n))
+        r = cholesky(q.Q)
+        expected, _ = nnls(r, -solve_triangular(r, q.b_tilde, trans="T"))
+        report = qp_newton_solve(q, np.zeros(n))
+        assert report.converged
+        x = np.maximum(report.solution, 0.0)
+        assert np.linalg.norm(x - expected) <= 1e-10 * np.linalg.norm(expected)
 
 
-def test_lcp_residual_trivial_cases():
-    q = QpProblem(Q=np.eye(2), b_tilde=[1.0, 2.0])
-    assert lcp_residual(q, np.zeros(2), q.b_tilde) == 0.0
-    assert lcp_residual(q, np.zeros(2), np.zeros(2)) == 2.0
+def test_cone_projection_matches_nnls():
+    rng = np.random.default_rng(25)
+    for _ in range(50):
+        n = int(rng.integers(1, 13))
+        a = rng.standard_normal((n, n)) + 2.0 * np.eye(n)
+        ci = ConeInstance(A=a, z=3.0 * rng.standard_normal(n))
+        coefficients, _ = nnls(a, ci.z)
+        expected = a @ coefficients
+        result = cone_projection(ci)
+        assert result.report.converged
+        assert np.linalg.norm(result.projection - expected) <= 1e-10 * np.linalg.norm(expected)
