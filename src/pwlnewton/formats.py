@@ -6,8 +6,8 @@ Three problem kinds share one container layout, dispatched on "kind":
 * {"kind": "qp",   "Q": [[...], ...], "b_tilde": [...], "c": 0.0}
 * {"kind": "cone", "A": [[...], ...], "z": [...]}
 
-Numbers are plain IEEE-754 doubles in decimal.  Parse errors raise
-ProblemFormatError with a message naming the offending field.
+Numbers are plain IEEE-754 doubles in decimal, never strings or true/false.
+Parse errors raise ProblemFormatError with a message naming the offending field.
 """
 
 from __future__ import annotations
@@ -24,13 +24,18 @@ from .qp import ConeInstance, QpProblem
 Problem = Union[PwlsProblem, QpProblem, ConeInstance]
 
 
-def load_problem(path: str) -> Problem:
+def _read_json(path: str):
     try:
         with open(path) as handle:
-            obj = json.load(handle)
+            return json.load(handle)
     except json.JSONDecodeError as exc:
         raise ProblemFormatError(f"file is not valid JSON: {exc}") from exc
-    return parse_problem(obj)
+    except RecursionError as exc:
+        raise ProblemFormatError("file nests JSON arrays or objects too deeply") from exc
+
+
+def load_problem(path: str) -> Problem:
+    return parse_problem(_read_json(path))
 
 
 def parse_problem(obj) -> Problem:
@@ -53,39 +58,39 @@ def parse_problem(obj) -> Problem:
     raise ProblemFormatError(f"field 'kind': expected one of pwls/qp/cone, got {kind!r}")
 
 
+def _numeric_array(value, name: str) -> np.ndarray:
+    """value as a float array, refusing leaves that are not JSON numbers."""
+    try:
+        array = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ProblemFormatError(f"{name}: not a numeric array ({exc})") from exc
+    # the float conversion succeeded, so value is rectangular and this has its
+    # leaves; bool is an int subclass, but JSON's true and false are not numbers
+    for leaf in np.asarray(value, dtype=object).flat:
+        if isinstance(leaf, bool) or not isinstance(leaf, (int, float)):
+            raise ProblemFormatError(f"{name}: {leaf!r} is not a number")
+    return array
+
+
 def _field(obj: dict, name: str, kind: str) -> np.ndarray:
     if name not in obj:
         raise ProblemFormatError(f"{kind} problem: missing field '{name}'")
-    try:
-        value = np.asarray(obj[name], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ProblemFormatError(f"field '{name}': not a numeric array ({exc})") from exc
+    value = _numeric_array(obj[name], f"field '{name}'")
     if not np.isfinite(value).all():
         raise ProblemFormatError(f"field '{name}': contains non-finite values")
     return value
 
 
 def _number(value, name: str) -> float:
-    try:
-        number = float(value)
-    except (TypeError, ValueError) as exc:
-        raise ProblemFormatError(f"field '{name}': not a number") from exc
-    if not np.isfinite(number):
+    number = _numeric_array(value, f"field '{name}'")
+    if number.ndim != 0 or not np.isfinite(number):
         raise ProblemFormatError(f"field '{name}': not a finite number")
-    return number
+    return float(number)
 
 
 def load_vector_file(path: str) -> np.ndarray:
     """A starting point stored as a JSON array of numbers."""
-    try:
-        with open(path) as handle:
-            obj = json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise ProblemFormatError(f"file is not valid JSON: {exc}") from exc
-    try:
-        vector = np.asarray(obj, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ProblemFormatError(f"starting point: not a numeric array ({exc})") from exc
+    vector = _numeric_array(_read_json(path), "starting point")
     if vector.ndim != 1 or not np.isfinite(vector).all():
         raise ProblemFormatError("starting point: expected a flat array of finite numbers")
     return vector

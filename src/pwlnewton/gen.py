@@ -9,6 +9,7 @@ against the exact answer) and a random starting point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -31,16 +32,14 @@ class GeneratorConfig:
     n: int
     beta_low: float
     beta_high: float
-    value_bound: float = 1e6
     seed: int = 0
+    value_bound: ClassVar[float] = 1e6
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be at least 1")
         if not 0.0 < self.beta_low < self.beta_high:
             raise ValueError("need 0 < beta_low < beta_high")
-        if self.value_bound <= 0.0:
-            raise ValueError("value_bound must be positive")
 
 
 @dataclass
@@ -53,8 +52,7 @@ class GeneratedInstance:
     beta_used: float
 
 
-def make_spd_matrix(n: int, beta: float, rng: np.random.Generator,
-                    value_bound: float = 1e6) -> np.ndarray:
+def make_spd_matrix(n: int, beta: float, rng: np.random.Generator) -> np.ndarray:
     """Symmetric positive definite Q with ||Q - I|| = beta.
 
     Draws a nonsingular B with uniform entries, eigendecomposes B^T B as
@@ -66,8 +64,9 @@ def make_spd_matrix(n: int, beta: float, rng: np.random.Generator,
         raise ValueError("n must be at least 1")
     if beta <= 0.0:
         raise ValueError("beta must be positive")
+    bound = GeneratorConfig.value_bound
     for _ in range(MAX_SINGULAR_DRAWS):
-        b = rng.uniform(-value_bound, value_bound, (n, n))
+        b = rng.uniform(-bound, bound, (n, n))
         if not lu_factor(b).singular:
             break
     else:
@@ -87,7 +86,7 @@ def make_instance(cfg: GeneratorConfig, rng: np.random.Generator | None = None) 
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     beta = float(rng.uniform(cfg.beta_low, cfg.beta_high))
-    q_matrix = make_spd_matrix(cfg.n, beta, rng, cfg.value_bound)
+    q_matrix = make_spd_matrix(cfg.n, beta, rng)
     u = rng.uniform(-cfg.value_bound, cfg.value_bound, cfg.n)
     b_tilde = -((q_matrix - np.eye(cfg.n)) @ np.maximum(u, 0.0) + u)
     x0 = rng.uniform(-cfg.value_bound, cfg.value_bound, cfg.n)

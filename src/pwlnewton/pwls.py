@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Optional
@@ -31,7 +32,6 @@ from .linalg import (
     as_vector,
     inv_spectral_norm,
     lu_factor,
-    lu_inverse,
     lu_solve,
 )
 
@@ -100,6 +100,10 @@ class SolverOptions:
     keep_iterates: bool = False
 
     def __post_init__(self):
+        try:
+            self.max_iter = operator.index(self.max_iter)
+        except TypeError:
+            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}") from None
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         for name in ("tol_f", "tol_x", "tol_step"):
@@ -200,32 +204,30 @@ def _pattern_matrix(T: np.ndarray, bits: SignPattern) -> np.ndarray:
     return m
 
 
-# (matrix, rhs, lift) of one Newton step; see _iterate_patterns
-StepSystem = tuple[np.ndarray, np.ndarray, Callable[[np.ndarray], np.ndarray]]
-
-
-def _identity(y: np.ndarray) -> np.ndarray:
-    return y
+def _solve_or_none(matrix: np.ndarray, rhs: np.ndarray) -> Optional[np.ndarray]:
+    """matrix^-1 rhs, or None when lu_factor flags matrix singular."""
+    f = lu_factor(matrix)
+    return None if f.singular else lu_solve(f, rhs)
 
 
 def _iterate_patterns(
     x0,
     n: int,
     opts: SolverOptions,
-    system_for: Callable[[SignPattern], StepSystem],
+    step: Callable[[SignPattern], Optional[np.ndarray]],
     residual_of: Callable[[np.ndarray], np.ndarray],
     residual_scale: float,
 ) -> SolveReport:
     """Driver shared by the piecewise-linear and QP Newton iterations.
 
-    Every step takes (matrix, rhs, lift) = system_for(pattern), where
-    pattern is the current iterate's sign pattern, solves matrix * y = rhs
-    and moves to x_next = lift(y).  A formulation may thus solve a reduced
-    system and lift its solution back to R^n; when rhs is empty the step
-    is lift(rhs) and nothing is factored.  In residual mode, termination
-    per iterate checks, in order: consecutive pattern repeat (exact
-    solution), the residual rule, non-consecutive pattern recurrence
-    (cycle), and the iteration cap.
+    Every iterate is x_next = step(pattern), where pattern is the current
+    iterate's sign pattern; step returns None when the pattern's step
+    matrix is singular, which ends the run as SingularJacobian.  A
+    formulation may solve a reduced system inside step and map its
+    solution back to R^n.  In residual mode, termination per iterate
+    checks, in order: consecutive pattern repeat (exact solution), the
+    residual rule, non-consecutive pattern recurrence (cycle), and the
+    iteration cap.
 
     In known-solution mode the distance rule is what defines success, so
     it is checked first.  A consecutive pattern repeat then means the
@@ -271,14 +273,9 @@ def _iterate_patterns(
         return report(SolveStatus.CONVERGED, x, 0, x)
 
     for k in range(1, opts.max_iter + 1):
-        matrix, rhs, lift = system_for(patterns[-1])
-        y = rhs
-        if rhs.size:
-            f = lu_factor(matrix)
-            if f.singular:
-                return report(SolveStatus.SINGULAR_JACOBIAN, None, k - 1, x)
-            y = lu_solve(f, rhs)
-        x_new = lift(y)
+        x_new = step(patterns[-1])
+        if x_new is None:
+            return report(SolveStatus.SINGULAR_JACOBIAN, None, k - 1, x)
         pat = sign_pattern(x_new)
         patterns.append(pat)
         if trace is not None:
@@ -320,7 +317,7 @@ def newton_solve(p: PwlsProblem, x0, opts: Optional[SolverOptions] = None) -> So
         x0,
         p.n,
         opts,
-        system_for=lambda bits: (_pattern_matrix(p.T, bits), p.b, _identity),
+        step=lambda bits: _solve_or_none(_pattern_matrix(p.T, bits), p.b),
         residual_of=lambda x: residual(p, x),
         residual_scale=1.0 + float(np.abs(p.b).max()),
     )
@@ -383,12 +380,10 @@ def enumerate_solutions(p: PwlsProblem) -> tuple[list[np.ndarray], list[SignPatt
     solutions: list[np.ndarray] = []
     singular_patterns: list[SignPattern] = []
     for s in map(np.array, itertools.product((False, True), repeat=p.n)):
-        f = lu_factor(_pattern_matrix(p.T, s))
-        if f.singular:
+        x = _solve_or_none(_pattern_matrix(p.T, s), p.b)
+        if x is None:
             singular_patterns.append(s)
-            continue
-        x = lu_solve(f, p.b)
-        if np.array_equal(x > 0.0, s):
+        elif np.array_equal(x > 0.0, s):
             solutions.append(x)
     return solutions, singular_patterns
 
@@ -440,9 +435,7 @@ def check_finite_termination_hypothesis(
         s = as_vector(bits, "pattern", p.n)
         if not ((s == 0.0) | (s == 1.0)).all():
             raise ValueError(f"pattern entries must be 0 or 1, got {bits!r}")
-        f = lu_factor(_pattern_matrix(p.T, s))
-        if f.singular:
-            return False
-        if not definite_sign_rows(lu_inverse(f)).has_definite_sign_rows:
+        inverse = _solve_or_none(_pattern_matrix(p.T, s), np.eye(p.n))
+        if inverse is None or not definite_sign_rows(inverse).has_definite_sign_rows:
             return False
     return True

@@ -27,8 +27,8 @@ from .pwls import (
     SignPattern,
     SolveReport,
     SolverOptions,
-    StepSystem,
     _iterate_patterns,
+    _solve_or_none,
 )
 
 
@@ -128,23 +128,22 @@ def qp_newton_solve(q: QpProblem, x0, opts: Optional[SolverOptions] = None) -> S
     opts = opts if opts is not None else SolverOptions()
     minus_b = -q.b_tilde
 
-    def system_for(bits: SignPattern) -> StepSystem:
+    def step(bits: SignPattern) -> Optional[np.ndarray]:
         a = np.flatnonzero(bits)
         rows = q.Q[a]
-
-        def lift(x_a: np.ndarray) -> np.ndarray:
-            # Q is exactly symmetric, so x_A @ Q[A] is Q[:, A] x_A
-            x = minus_b - x_a @ rows
-            x[a] = x_a
-            return x
-
-        return rows[:, a], minus_b[a], lift
+        x_a = _solve_or_none(rows[:, a], minus_b[a]) if a.size else minus_b[a]
+        if x_a is None:
+            return None
+        # Q is exactly symmetric, so x_A @ Q[A] is Q[:, A] x_A
+        x = minus_b - x_a @ rows
+        x[a] = x_a
+        return x
 
     return _iterate_patterns(
         x0,
         q.n,
         opts,
-        system_for=system_for,
+        step=step,
         residual_of=lambda x: qp_residual(q, x),
         residual_scale=1.0 + float(np.abs(q.b_tilde).max()),
     )

@@ -308,3 +308,14 @@ def test_bench_starts_rejects_zero_starts(capsys):
 
 def test_missing_file(capsys):
     assert main(["solve", "/nonexistent/problem.json"]) == 1
+
+
+def test_deeply_nested_json_is_an_error(diagonal_file, tmp_path, capsys):
+    # json.load raises RecursionError here, which once escaped as a traceback
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 10000 + "]" * 10000)
+    for argv in (["solve", str(deep)], ["solve", diagonal_file, "--x0", str(deep)]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "deeply" in captured.err
+        assert captured.out == ""

@@ -72,6 +72,18 @@ def test_parse_errors_name_fields():
         parse_problem({"kind": "pwls", "T": [[1.0]], "b": [float("nan")]})
     with pytest.raises(ProblemFormatError):
         parse_problem([1, 2, 3])
+    # strings and booleans are not numbers, even where float() would take them;
+    # neither is a list where one number belongs, or an integer beyond a double's range
+    for payload, field in (({"kind": "pwls", "T": [["3"]], "b": [2.0]}, "'T'"),
+                           ({"kind": "pwls", "T": [[3.0]], "b": ["2"]}, "'b'"),
+                           ({"kind": "pwls", "T": [[3.0]], "b": [True]}, "'b'"),
+                           ({"kind": "qp", "Q": [[1.0]], "b_tilde": [1.0], "c": "7"}, "'c'"),
+                           ({"kind": "qp", "Q": [[1.0]], "b_tilde": [1.0], "c": False}, "'c'"),
+                           ({"kind": "qp", "Q": [[1.0]], "b_tilde": [1.0], "c": [7.0]}, "'c'"),
+                           ({"kind": "pwls", "T": [[10**400]], "b": [1.0]}, "'T'"),
+                           ({"kind": "qp", "Q": [[1.0]], "b_tilde": [1.0], "c": 10**400}, "'c'")):
+        with pytest.raises(ProblemFormatError, match=field):
+            parse_problem(payload)
 
 
 def test_load_vector_file(tmp_path):
@@ -79,9 +91,10 @@ def test_load_vector_file(tmp_path):
     path.write_text("[1.5, -2.0]")
     np.testing.assert_array_equal(load_vector_file(str(path)), [1.5, -2.0])
     bad = tmp_path / "bad.json"
-    bad.write_text("[[1.0]]")
-    with pytest.raises(ProblemFormatError):
-        load_vector_file(str(bad))
+    for text in ("[[1.0]]", '["1.5"]', "[true, 1.0]"):
+        bad.write_text(text)
+        with pytest.raises(ProblemFormatError, match="starting point"):
+            load_vector_file(str(bad))
 
 
 def test_report_dict_is_strict_json():

@@ -28,8 +28,6 @@ def test_config_validation():
         GeneratorConfig(n=3, beta_low=0.0, beta_high=0.2)
     with pytest.raises(ValueError):
         GeneratorConfig(n=3, beta_low=0.3, beta_high=0.2)
-    with pytest.raises(ValueError):
-        GeneratorConfig(n=3, beta_low=0.1, beta_high=0.2, value_bound=0.0)
 
 
 def test_spd_matrix_norm_identity():

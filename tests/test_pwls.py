@@ -192,6 +192,10 @@ def test_newton_solve_matches_enumeration():
 def test_solver_options_validation():
     with pytest.raises(ValueError):
         SolverOptions(max_iter=0)
+    # a non-integer cap used to pass here and fail later inside range()
+    for max_iter in (2.5, math.inf):
+        with pytest.raises(ValueError, match="max_iter"):
+            SolverOptions(max_iter=max_iter)
 
 
 @pytest.mark.parametrize("name", ["tol_f", "tol_x", "tol_step"])
