@@ -12,6 +12,7 @@ shared state, so concurrent calls on distinct inputs need no locking.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -39,21 +40,25 @@ def as_vector(x, name: str = "vector", n: Optional[int] = None) -> np.ndarray:
     return v
 
 
-def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce to a finite 2-D float64 array."""
+def finite_matrix(a, name: str = "matrix") -> tuple[np.ndarray, float]:
+    """Coerce to a finite 2-D float64 array; return it with its scale max|a|."""
     m = np.asarray(a, dtype=float)
     if m.ndim != 2 or m.size == 0:
         raise DimensionError(f"{name} must be a non-empty 2-D array, got shape {m.shape}")
-    if not np.isfinite(m).all():
+    scale = float(np.abs(m).max())  # NaN or inf exactly when some entry is
+    if not math.isfinite(scale):
         raise ValueError(f"{name} must contain only finite values")
+    return m, scale
+
+
+def _require_square(m: np.ndarray, name: str) -> np.ndarray:
+    if m.shape[0] != m.shape[1]:
+        raise DimensionError(f"{name} must be square, got shape {m.shape}")
     return m
 
 
 def as_square_matrix(a, name: str = "matrix") -> np.ndarray:
-    m = as_matrix(a, name)
-    if m.shape[0] != m.shape[1]:
-        raise DimensionError(f"{name} must be square, got shape {m.shape}")
-    return m
+    return _require_square(finite_matrix(a, name)[0], name)
 
 
 @dataclass
@@ -79,15 +84,16 @@ def lu_factor(m) -> LuFactors:
 
     The singular flag is set when any pivot falls below
     PIVOT_RTOL * max|M|, which catches the exactly singular sign-pattern
-    matrices produced by the enumerator without tripping on scale.
+    matrices produced by the enumerator without tripping on scale.  The
+    finite check on M and the scale max|M| come from one pass over M.
     """
-    m = as_square_matrix(m)
+    m, scale = finite_matrix(m)
+    _require_square(m, "matrix")
     # getrf completes on singular input (info > 0) and leaves a zero pivot in U
     lu, piv, info = dgetrf(m)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of getrf")
-    scale = float(np.abs(m).max())
-    pivots = np.abs(np.diag(lu))
+    pivots = np.abs(lu.diagonal())
     singular = scale == 0.0 or bool((pivots < PIVOT_RTOL * scale).any())
     return LuFactors(lu=lu, piv=piv, singular=singular)
 
@@ -97,6 +103,8 @@ def lu_solve(f: LuFactors, rhs) -> np.ndarray:
     if f.singular:
         raise SingularMatrixError("cannot solve with singular LU factors")
     b = np.asarray(rhs, dtype=float)
+    if not 1 <= b.ndim <= 2:
+        raise DimensionError(f"right-hand side must be 1-D or 2-D, got shape {b.shape}")
     if b.shape[0] != f.n:
         raise DimensionError(f"right-hand side has length {b.shape[0]}, expected {f.n}")
     x, info = dgetrs(f.lu, f.piv, b)
@@ -112,7 +120,7 @@ def lu_inverse(f: LuFactors) -> np.ndarray:
 
 def spectral_norm(m) -> float:
     """||M||, the largest singular value of M."""
-    return float(sla.svdvals(as_matrix(m), check_finite=False)[0])
+    return float(sla.svdvals(finite_matrix(m)[0], check_finite=False)[0])
 
 
 def inv_spectral_norm(m) -> float:
@@ -133,8 +141,8 @@ def sym_eig(s) -> tuple[np.ndarray, np.ndarray]:
     Returns eigenvalues sorted descending and the orthogonal matrix W
     whose columns are the matching eigenvectors.
     """
-    s = as_square_matrix(s, "symmetric matrix")
-    scale = float(np.abs(s).max())
+    s, scale = finite_matrix(s, "symmetric matrix")
+    _require_square(s, "symmetric matrix")
     if scale > 0.0 and float(np.abs(s - s.T).max()) > SYM_RTOL * scale:
         raise AsymmetricMatrixError("matrix exceeds the symmetry tolerance")
     eigvals, eigvecs = np.linalg.eigh(0.5 * (s + s.T))

@@ -27,9 +27,9 @@ import numpy as np
 
 from .errors import ContractionHypothesisError, SingularMatrixError, SizeGuardError
 from .linalg import (
-    as_matrix,
     as_square_matrix,
     as_vector,
+    finite_matrix,
     inv_spectral_norm,
     lu_factor,
     lu_solve,
@@ -200,7 +200,8 @@ def residual(p: PwlsProblem, x) -> np.ndarray:
 
 def _pattern_matrix(T: np.ndarray, bits: SignPattern) -> np.ndarray:
     m = T.copy()
-    m.flat[:: T.shape[0] + 1] += np.asarray(bits, dtype=float)
+    # m is a fresh C-ordered copy, so this strided slice is a view of its diagonal
+    m.ravel()[:: T.shape[0] + 1] += bits
     return m
 
 
@@ -212,11 +213,10 @@ def _solve_or_none(matrix: np.ndarray, rhs: np.ndarray) -> Optional[np.ndarray]:
 
 def _iterate_patterns(
     x0,
-    n: int,
+    rhs: np.ndarray,
     opts: SolverOptions,
     step: Callable[[SignPattern], Optional[np.ndarray]],
     residual_of: Callable[[np.ndarray], np.ndarray],
-    residual_scale: float,
 ) -> SolveReport:
     """Driver shared by the piecewise-linear and QP Newton iterations.
 
@@ -224,10 +224,10 @@ def _iterate_patterns(
     iterate's sign pattern; step returns None when the pattern's step
     matrix is singular, which ends the run as SingularJacobian.  A
     formulation may solve a reduced system inside step and map its
-    solution back to R^n.  In residual mode, termination per iterate
-    checks, in order: consecutive pattern repeat (exact solution), the
-    residual rule, non-consecutive pattern recurrence (cycle), and the
-    iteration cap.
+    solution back to R^n, n = rhs.size; max|rhs| scales the residual
+    rule.  In residual mode, termination per iterate checks, in order:
+    consecutive pattern repeat (exact solution), the residual rule,
+    non-consecutive pattern recurrence (cycle), and the iteration cap.
 
     In known-solution mode the distance rule is what defines success, so
     it is checked first.  A consecutive pattern repeat then means the
@@ -236,12 +236,13 @@ def _iterate_patterns(
     declared MaxIterations immediately: running out the cap could never
     change the outcome, only repeat the same solve.
     """
-    x = as_vector(x0, "x0", n).copy()
+    x = as_vector(x0, "x0", rhs.size).copy()
     u = opts.known_solution
     # threshold of the active stopping rule, computed once per solve
-    bound = opts.tol_f * residual_scale
-    if u is not None:
-        u = as_vector(u, "known_solution", n)
+    if u is None:
+        bound = opts.tol_f * (1.0 + float(np.abs(rhs).max()))
+    else:
+        u = as_vector(u, "known_solution", rhs.size)
         bound = opts.tol_x * (1.0 + math.sqrt(u @ u))
 
     def tolerance_met(xk: np.ndarray) -> bool:
@@ -315,11 +316,10 @@ def newton_solve(p: PwlsProblem, x0, opts: Optional[SolverOptions] = None) -> So
     opts = opts if opts is not None else SolverOptions()
     return _iterate_patterns(
         x0,
-        p.n,
+        p.b,
         opts,
         step=lambda bits: _solve_or_none(_pattern_matrix(p.T, bits), p.b),
         residual_of=lambda x: residual(p, x),
-        residual_scale=1.0 + float(np.abs(p.b).max()),
     )
 
 
@@ -399,8 +399,8 @@ def check_conditions(p: PwlsProblem) -> ConditionReport:
 
 def definite_sign_rows(m) -> DefiniteSignClassification:
     """Classify each row of m as nonnegative, nonpositive, or mixed."""
-    m = as_matrix(m)
-    threshold = ZERO_RTOL * float(np.abs(m).max())
+    m, scale = finite_matrix(m)
+    threshold = ZERO_RTOL * scale
     has_pos = (m > threshold).any(axis=1)
     has_neg = (m < -threshold).any(axis=1)
     mixed = has_pos & has_neg

@@ -129,7 +129,7 @@ def qp_newton_solve(q: QpProblem, x0, opts: Optional[SolverOptions] = None) -> S
     minus_b = -q.b_tilde
 
     def step(bits: SignPattern) -> Optional[np.ndarray]:
-        a = np.flatnonzero(bits)
+        a = bits.nonzero()[0]
         rows = q.Q[a]
         x_a = _solve_or_none(rows[:, a], minus_b[a]) if a.size else minus_b[a]
         if x_a is None:
@@ -141,11 +141,10 @@ def qp_newton_solve(q: QpProblem, x0, opts: Optional[SolverOptions] = None) -> S
 
     return _iterate_patterns(
         x0,
-        q.n,
+        q.b_tilde,
         opts,
         step=step,
         residual_of=lambda x: qp_residual(q, x),
-        residual_scale=1.0 + float(np.abs(q.b_tilde).max()),
     )
 
 

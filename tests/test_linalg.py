@@ -59,20 +59,24 @@ def test_lu_zero_matrix_is_singular():
 def test_lu_kernels_match_scipy_bit_for_bit():
     # getrf/getrs are called directly; scipy's lu_factor/lu_solve wrap the
     # same LAPACK routines, so factors and solutions agree bit for bit
+    # same for C- and F-ordered input and for a strided submatrix view
     rng = np.random.default_rng(41)
     for n in (1, 2, 7, 50):
         for grading in (np.ones(n), np.logspace(-4, 4, n)):
             m = rng.standard_normal((n, n)) * grading[:, np.newaxis]
-            f = lu_factor(m)
-            lu, piv = sla.lu_factor(m)
-            assert not f.singular
-            assert np.array_equal(f.lu, lu)
-            assert np.array_equal(f.piv, piv) and f.piv.dtype == piv.dtype
-            for rhs in (rng.standard_normal(n), rng.standard_normal((n, 3))):
-                x = lu_solve(f, rhs)
-                assert x.shape == rhs.shape
-                assert np.array_equal(x, sla.lu_solve((lu, piv), rhs))
-            assert np.array_equal(lu_inverse(f), sla.lu_solve((lu, piv), np.eye(n)))
+            view = np.zeros((n + 1, 2 * n))[1:, ::2]
+            view[...] = m
+            for a in (m, np.asfortranarray(m), view):
+                f = lu_factor(a)
+                lu, piv = sla.lu_factor(a)
+                assert not f.singular
+                assert np.array_equal(f.lu, lu)
+                assert np.array_equal(f.piv, piv) and f.piv.dtype == piv.dtype
+                for rhs in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+                    x = lu_solve(f, rhs)
+                    assert x.shape == rhs.shape
+                    assert np.array_equal(x, sla.lu_solve((lu, piv), rhs))
+                assert np.array_equal(lu_inverse(f), sla.lu_solve((lu, piv), np.eye(n)))
 
 
 def test_lu_exactly_singular_matches_scipy():
@@ -131,13 +135,31 @@ def test_lu_solve_residual_graded_conditioning():
 
 
 def test_lu_rejects_non_square():
-    with pytest.raises(DimensionError):
+    with pytest.raises(DimensionError, match="must be square"):
         lu_factor(np.ones((2, 3)))
 
 
+def test_lu_rejects_non_matrix_input():
+    for bad in ([1.0, 2.0], np.zeros((0, 0)), np.zeros((0, 3))):
+        with pytest.raises(DimensionError, match="non-empty 2-D array"):
+            lu_factor(bad)
+
+
 def test_lu_rejects_nan():
-    with pytest.raises(ValueError):
-        lu_factor([[np.nan, 0.0], [0.0, 1.0]])
+    # the finite check comes before the square check
+    for bad in (np.nan, np.inf, -np.inf):
+        for m in ([[bad, 0.0], [0.0, 1.0]], [[1.0, 0.0, bad], [0.0, 1.0, 0.0]]):
+            with pytest.raises(ValueError, match="matrix must contain only finite values"):
+                lu_factor(m)
+
+
+def test_lu_factor_does_not_mutate_its_argument():
+    rng = np.random.default_rng(44)
+    m = rng.standard_normal((6, 6))
+    for a in (m, np.asfortranarray(m), np.diag([0.0, 2.0])):
+        before = a.copy()
+        lu_factor(a)
+        assert a.tobytes() == before.tobytes()
 
 
 def test_as_vector_rejects_wrong_length():
@@ -149,6 +171,13 @@ def test_lu_solve_rejects_wrong_length():
     f = lu_factor(np.eye(3))
     with pytest.raises(DimensionError):
         lu_solve(f, [1.0, 2.0])
+
+
+def test_lu_solve_rejects_rhs_of_wrong_rank():
+    f = lu_factor(np.eye(3))
+    for rhs in (3.0, np.ones((3, 1, 1))):
+        with pytest.raises(DimensionError, match="1-D or 2-D"):
+            lu_solve(f, rhs)
 
 
 def test_lu_inverse():

@@ -22,6 +22,7 @@ from pwlnewton import (
     residual,
     sign_pattern,
 )
+from pwlnewton.pwls import _pattern_matrix
 
 # golden 2x2 data: a unique zero at [2,-1] but a 2-cycle for the iteration
 T_CYCLE = np.array([[-2.0, 3.0], [-1.0, 1.0]])
@@ -59,6 +60,20 @@ def test_residual_at_zero_is_minus_b():
     t = rng.standard_normal((4, 4))
     b = rng.standard_normal(4)
     np.testing.assert_array_equal(residual(PwlsProblem(T=t, b=b), np.zeros(4)), -b)
+
+
+def test_pattern_matrix_is_t_plus_diag_bitwise():
+    # bool patterns come from the driver, 0/1 floats from
+    # check_finite_termination_hypothesis; -0.0 + 0.0 is +0.0 on both sides
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 7):
+        t = rng.standard_normal((n, n))
+        t[np.diag_indices(n)] = np.where(np.arange(n) % 2 == 0, -0.0, t.diagonal())
+        before = t.copy()
+        draws = [np.zeros(n, bool), np.ones(n, bool), rng.random(n) < 0.5]
+        for s in draws + [d.astype(float) for d in draws]:
+            assert _pattern_matrix(t, s).tobytes() == (t + np.diag(s)).tobytes()
+        assert t.tobytes() == before.tobytes()
 
 
 def test_problem_validation():

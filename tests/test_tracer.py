@@ -35,10 +35,12 @@ def traced_span_names(tracer, solve) -> set[str]:
 
 
 def test_traced_solves_record_lu_spans(tracer):
-    # x0 > 0 makes the first QP step factor a non-empty Q_AA
+    # x0 > 0 makes the first QP step factor a non-empty Q_AA; the T/b solve
+    # runs the residual rule, the only caller of pwls.residual
     q = tracer.qp.QpProblem(Q=[[2.0, 0.5], [0.5, 1.5]], b_tilde=[-1.0, 1.0])
     p = tracer.pwls.PwlsProblem(T=[[3.0, 1.0], [0.5, 2.0]], b=[1.0, -1.0])
-    for solve in (lambda: tracer.qp.qp_newton_solve(q, np.ones(2)),
-                  lambda: tracer.pwls.newton_solve(p, np.zeros(2))):
-        names = traced_span_names(tracer, solve)
-        assert {"solve", "linalg.lu_factor", "linalg.lu_solve"} <= names
+    kernels = {"solve", "linalg.lu_factor", "linalg.lu_solve", "pwls.sign_pattern"}
+    for solve, expected in ((lambda: tracer.qp.qp_newton_solve(q, np.ones(2)), kernels),
+                            (lambda: tracer.pwls.newton_solve(p, np.zeros(2)),
+                             kernels | {"pwls.residual"})):
+        assert expected <= traced_span_names(tracer, solve)
