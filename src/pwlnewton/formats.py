@@ -7,26 +7,37 @@ Three problem kinds share one container layout, dispatched on "kind":
 * {"kind": "cone", "A": [[...], ...], "z": [...]}
 
 Numbers are plain IEEE-754 doubles in decimal, never strings or true/false.
-Parse errors raise ProblemFormatError with a message naming the offending field.
+Parse errors raise ProblemFormatError with a message naming the offending field;
+a file larger than MAX_JSON_BYTES raises SizeGuardError before it is parsed.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from typing import Union
 
 import numpy as np
 
-from .errors import ProblemFormatError, SingularMatrixError
+from .errors import ProblemFormatError, SingularMatrixError, SizeGuardError
 from .pwls import ConditionReport, PwlsProblem, SolveReport
 from .qp import ConeInstance, QpProblem
 
 Problem = Union[PwlsProblem, QpProblem, ConeInstance]
 
+# largest JSON input read, about a dense n = 3000 matrix at 25 bytes per entry
+MAX_JSON_BYTES = 256 * 2**20
+
 
 def _read_json(path: str):
     try:
         with open(path) as handle:
+            size = os.fstat(handle.fileno()).st_size
+            if size > MAX_JSON_BYTES:
+                raise SizeGuardError(
+                    f"file is {size} bytes, larger than the {MAX_JSON_BYTES} bytes "
+                    "allowed for JSON input"
+                )
             return json.load(handle)
     except json.JSONDecodeError as exc:
         raise ProblemFormatError(f"file is not valid JSON: {exc}") from exc

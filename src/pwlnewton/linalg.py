@@ -86,6 +86,8 @@ def lu_factor(m) -> LuFactors:
     PIVOT_RTOL * max|M|, which catches the exactly singular sign-pattern
     matrices produced by the enumerator without tripping on scale.  The
     finite check on M and the scale max|M| come from one pass over M.
+    The pivot test is one fmin over |diag U|; fmin skips NaN as a per-pivot
+    < would, so a NaN pivot neither sets the flag nor hides a tiny one.
     """
     m, scale = finite_matrix(m)
     _require_square(m, "matrix")
@@ -93,8 +95,8 @@ def lu_factor(m) -> LuFactors:
     lu, piv, info = dgetrf(m)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of getrf")
-    pivots = np.abs(lu.diagonal())
-    singular = scale == 0.0 or bool((pivots < PIVOT_RTOL * scale).any())
+    smallest = np.fmin.reduce(np.abs(lu.diagonal()))  # NaN only if every pivot is
+    singular = scale == 0.0 or bool(smallest < PIVOT_RTOL * scale)
     return LuFactors(lu=lu, piv=piv, singular=singular)
 
 

@@ -238,23 +238,21 @@ def _iterate_patterns(
     """
     x = as_vector(x0, "x0", rhs.size).copy()
     u = opts.known_solution
-    # threshold of the active stopping rule, computed once per solve
+    pat = sign_pattern(x)
+    # the active stopping rule's threshold, computed once per solve, and whether x0 meets it
     if u is None:
         bound = opts.tol_f * (1.0 + float(np.abs(rhs).max()))
+        met = float(np.abs(residual_of(x)).max()) <= bound
     else:
         u = as_vector(u, "known_solution", rhs.size)
         bound = opts.tol_x * (1.0 + math.sqrt(u @ u))
+        d = u - x
+        met = math.sqrt(d @ d) < bound
 
-    def tolerance_met(xk: np.ndarray) -> bool:
-        if u is not None:
-            d = u - xk
-            return math.sqrt(d @ d) < bound
-        return float(np.abs(residual_of(xk)).max()) <= bound
-
-    patterns: list[SignPattern] = [sign_pattern(x)]
+    patterns: list[SignPattern] = [pat]
     trace: Optional[list[np.ndarray]] = [x.copy()] if opts.keep_iterates else None
     # index of the iterate each pattern was first seen at, keyed by its bytes
-    seen: dict[bytes, int] = {patterns[0].tobytes(): 0}
+    seen: dict[bytes, int] = {pat.tobytes(): 0}
     cycle: Optional[tuple[int, int]] = None
 
     def report(status: SolveStatus, solution: Optional[np.ndarray], iterations: int,
@@ -270,11 +268,11 @@ def _iterate_patterns(
             cycle=cycle,
         )
 
-    if tolerance_met(x):
+    if met:
         return report(SolveStatus.CONVERGED, x, 0, x)
 
     for k in range(1, opts.max_iter + 1):
-        x_new = step(patterns[-1])
+        x_new = step(pat)
         if x_new is None:
             return report(SolveStatus.SINGULAR_JACOBIAN, None, k - 1, x)
         pat = sign_pattern(x_new)
@@ -284,7 +282,8 @@ def _iterate_patterns(
         key = pat.tobytes()
         previous = seen.get(key)
         if u is not None:
-            if tolerance_met(x_new):
+            d = u - x_new
+            if math.sqrt(d @ d) < bound:
                 return report(SolveStatus.CONVERGED, x_new, k, x_new)
             if previous == k - 1:
                 # stationary but outside the distance tolerance: no later
@@ -293,7 +292,7 @@ def _iterate_patterns(
         else:
             if previous == k - 1:
                 return report(SolveStatus.CONVERGED_EXACT, x_new, k, x_new)
-            if tolerance_met(x_new):
+            if float(np.abs(residual_of(x_new)).max()) <= bound:
                 return report(SolveStatus.CONVERGED, x_new, k, x_new)
         if previous is not None:
             # necessarily previous < k - 1 here; x_{k+1} would equal

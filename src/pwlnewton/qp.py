@@ -100,10 +100,18 @@ class ConeProjectionResult(NamedTuple):
 
 
 def qp_residual(q: QpProblem, x) -> np.ndarray:
-    """Residual [Q - I] x+ + x + b_tilde of the underlying equation."""
-    x = as_vector(x, "x", q.n)
+    """Residual [Q - I] x+ + x + b_tilde of the underlying equation, x checked first."""
+    return _qp_residual(q, as_vector(x, "x", q.n))
+
+
+def _qp_residual(q: QpProblem, x: np.ndarray) -> np.ndarray:
+    """qp_residual of an x already checked, as the Newton solve's iterates are."""
     xp = np.maximum(x, 0.0)
-    return q.Q @ xp - xp + x + q.b_tilde
+    r = q.Q @ xp  # then in place, in the left-to-right order of Q xp - xp + x + b_tilde
+    r -= xp
+    r += x
+    r += q.b_tilde
+    return r
 
 
 def qp_newton_solve(q: QpProblem, x0, opts: Optional[SolverOptions] = None) -> SolveReport:
@@ -130,8 +138,11 @@ def qp_newton_solve(q: QpProblem, x0, opts: Optional[SolverOptions] = None) -> S
 
     def step(bits: SignPattern) -> Optional[np.ndarray]:
         a = bits.nonzero()[0]
-        rows = q.Q[a]
-        x_a = _solve_or_none(rows[:, a], minus_b[a]) if a.size else minus_b[a]
+        rows = q.Q.take(a, axis=0)
+        # take gathers a small Q_AA faster; fancy indexing a large one, and in
+        # the column-major order getrf would otherwise copy it into
+        q_aa = rows.take(a, axis=1) if a.size <= 48 else rows[:, a]
+        x_a = _solve_or_none(q_aa, minus_b.take(a)) if a.size else minus_b[a]
         if x_a is None:
             return None
         # Q is exactly symmetric, so x_A @ Q[A] is Q[:, A] x_A
@@ -144,7 +155,7 @@ def qp_newton_solve(q: QpProblem, x0, opts: Optional[SolverOptions] = None) -> S
         q.b_tilde,
         opts,
         step=step,
-        residual_of=lambda x: qp_residual(q, x),
+        residual_of=lambda x: _qp_residual(q, x),
     )
 
 

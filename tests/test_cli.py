@@ -1,9 +1,11 @@
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
 
+from pwlnewton import formats
 from pwlnewton.cli import main
 
 
@@ -319,3 +321,20 @@ def test_deeply_nested_json_is_an_error(diagonal_file, tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and "deeply" in captured.err
         assert captured.out == ""
+
+
+def test_json_input_over_size_cap_is_an_error(diagonal_file, tmp_path, monkeypatch, capsys):
+    cap = os.path.getsize(diagonal_file)
+    monkeypatch.setattr(formats, "MAX_JSON_BYTES", cap)
+    x0 = tmp_path / "x0.json"
+    x0.write_text("[1.0, 1.0]" + " " * cap)
+    assert main(["solve", diagonal_file]) == 0
+    capsys.readouterr()
+    assert main(["solve", diagonal_file, "--x0", str(x0)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and f"{cap} bytes" in captured.err
+    monkeypatch.setattr(formats, "MAX_JSON_BYTES", cap - 1)
+    assert main(["solve", diagonal_file]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and f"{cap} bytes" in captured.err
+    assert captured.out == ""

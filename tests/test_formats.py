@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -8,9 +9,11 @@ from pwlnewton import (
     ProblemFormatError,
     PwlsProblem,
     QpProblem,
+    SizeGuardError,
     check_conditions,
     newton_solve,
 )
+from pwlnewton import formats
 from pwlnewton.formats import (
     load_problem,
     load_vector_file,
@@ -95,6 +98,21 @@ def test_load_vector_file(tmp_path):
         bad.write_text(text)
         with pytest.raises(ProblemFormatError, match="starting point"):
             load_vector_file(str(bad))
+
+
+def test_json_input_over_size_cap_is_refused(tmp_path, monkeypatch):
+    problem = write_problem(tmp_path / "p.json", {"kind": "pwls", "T": [[3.0]], "b": [4.0]})
+    x0 = tmp_path / "x0.json"
+    x0.write_text("[1.5]")
+    size = os.path.getsize(problem)
+    monkeypatch.setattr(formats, "MAX_JSON_BYTES", size)
+    assert isinstance(load_problem(problem), PwlsProblem)  # a file at the cap loads
+    monkeypatch.setattr(formats, "MAX_JSON_BYTES", size - 1)
+    with pytest.raises(SizeGuardError, match=rf"{size} bytes.*{size - 1}"):
+        load_problem(problem)
+    monkeypatch.setattr(formats, "MAX_JSON_BYTES", 4)
+    with pytest.raises(SizeGuardError, match=r"5 bytes.*\b4\b"):
+        load_vector_file(str(x0))
 
 
 def test_report_dict_is_strict_json():

@@ -101,6 +101,20 @@ def test_lu_kernels_raise_on_illegal_lapack_argument(monkeypatch):
         lu_solve(f, [1.0, 1.0])
 
 
+@pytest.mark.parametrize("pivots, singular", [
+    ([np.nan, 1e-13], True),
+    ([1e-13, np.nan], True),
+    ([np.nan, 0.5], False),
+    ([0.5, np.nan], False),
+])
+def test_lu_pivot_flag_skips_nan_pivots(monkeypatch, pivots, singular):
+    # a NaN pivot neither sets nor hides the flag; a pivot below
+    # PIVOT_RTOL * max|M| (here 1e-12) sets it
+    lu = np.diag(pivots)
+    monkeypatch.setattr(linalg, "dgetrf", lambda m: (lu, np.zeros(2, np.int32), 0))
+    assert lu_factor(np.eye(2)).singular is singular
+
+
 def test_lu_solve_identity():
     f = lu_factor(np.eye(2))
     assert np.array_equal(lu_solve(f, [5.0, -2.0]), [5.0, -2.0])

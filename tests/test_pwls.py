@@ -190,6 +190,45 @@ def test_newton_solve_max_iterations():
     assert report.iterations == 1
 
 
+@pytest.mark.parametrize("problem, x0, opts, status", [
+    # the known-solution rule stops at once; the start is not the solution
+    (PwlsProblem(T=3.0 * np.eye(2), b=[4.0, -3.0]), [1.2, -1.1],
+     SolverOptions(known_solution=[1.0, -1.0], tol_x=0.5), SolveStatus.CONVERGED),
+    (PwlsProblem(T=[[3.0, 1.0], [0.5, 2.0]], b=[1.0, -1.0]), [0.0, 0.0],
+     SolverOptions(), SolveStatus.CONVERGED_EXACT),
+    (cycle_problem(), [1.0, 1.0], SolverOptions(max_iter=1), SolveStatus.MAX_ITERATIONS),
+    (PwlsProblem(T=T_TWO_ZEROS, b=B_TWO_ZEROS), [1.0, 5.0], SolverOptions(),
+     SolveStatus.SINGULAR_JACOBIAN),
+    (cycle_problem(), [1.0, 1.0], SolverOptions(), SolveStatus.CYCLED),
+])
+def test_final_residual_norm_is_residual_of_last_iterate(problem, x0, opts, status):
+    report = newton_solve(problem, x0, opts)
+    assert report.status is status
+    assert report.final_residual_norm == float(np.abs(residual(problem, report.last_iterate)).max())
+
+
+def test_stopping_rule_boundaries():
+    # distance equal to tol_x * (1 + ||u||) = 0.25 misses the strict rule
+    report = newton_solve(PwlsProblem(T=[[1.0]], b=[0.0]), [0.25],
+                          SolverOptions(known_solution=[0.0], tol_x=0.25))
+    assert report.status is SolveStatus.CONVERGED
+    assert report.iterations == 1
+    # residual |0 + 0 - 1| equal to tol_f * (1 + max|b|) = 1.0 meets the rule
+    report = newton_solve(PwlsProblem(T=[[1.0]], b=[1.0]), [0.0], SolverOptions(tol_f=0.5))
+    assert report.status is SolveStatus.CONVERGED
+    assert report.iterations == 0
+    # the same boundaries at iterate 1: from -1 the step lands on 0.5, at
+    # distance 0.5 = tol_x from u = 0, so only iterate 2 (0.25) stops
+    report = newton_solve(PwlsProblem(T=[[1.0]], b=[0.5]), [-1.0],
+                          SolverOptions(known_solution=[0.0], tol_x=0.5))
+    assert report.status is SolveStatus.CONVERGED
+    assert report.iterations == 2
+    # and the step lands on 1 with residual 1 + 1 - 1 = 1.0, the bound
+    report = newton_solve(PwlsProblem(T=[[1.0]], b=[1.0]), [-1.0], SolverOptions(tol_f=0.5))
+    assert report.status is SolveStatus.CONVERGED
+    assert report.iterations == 1
+
+
 def test_newton_solve_matches_enumeration():
     rng = np.random.default_rng(9)
     for _ in range(20):

@@ -187,10 +187,11 @@ def dense_step(q, bits):
 
 
 @pytest.mark.parametrize("beta", [0.3, 5.0, 1e3])
-@pytest.mark.parametrize("n", [1, 2, 7, 30])
+@pytest.mark.parametrize("n", [1, 2, 7, 30, 60])
 def test_reduced_step_matches_dense_step(n, beta):
     # each iterate of the active-set step equals the n x n step from the
-    # previous pattern; the starts give the empty and the full active set
+    # previous pattern; the starts give the empty and the full active set,
+    # which at n = 60 is past the size where Q_AA is gathered another way
     rng = np.random.default_rng(int(1000 * beta) + n)
     q = QpProblem(Q=spd_with_beta(n, beta, rng), b_tilde=rng.standard_normal(n))
     for x0 in (-np.ones(n), np.ones(n), rng.standard_normal(n)):
@@ -221,6 +222,41 @@ def test_qp_singular_jacobian_status():
     assert report.status is SolveStatus.SINGULAR_JACOBIAN
     assert report.iterations == 0
     assert report.solution is None
+
+
+# an SPD Q on which the active-set iteration from [5, -1, -5] cycles with period 3
+Q_CYCLE = QpProblem(Q=[[33.0, -12.0, 15.0], [-12.0, 26.0, -12.0], [15.0, -12.0, 9.0]],
+                    b_tilde=[0.0, -3.0, 1.0])
+
+
+@pytest.mark.parametrize("q, x0, opts, status", [
+    # the known-solution rule stops at once; the start is not the solution
+    (scalar_problem(), [2.5], SolverOptions(known_solution=[2.0], tol_x=0.5),
+     SolveStatus.CONVERGED),
+    (planted_qp(6, 0.3, np.random.default_rng(1))[0], np.ones(6), SolverOptions(),
+     SolveStatus.CONVERGED_EXACT),
+    (Q_CYCLE, [5.0, -1.0, -5.0], SolverOptions(max_iter=1), SolveStatus.MAX_ITERATIONS),
+    (QpProblem(Q=[[1.0, 1.0], [1.0, 1.0]], b_tilde=[-1.0, -1.0]), [1.0, 1.0],
+     SolverOptions(), SolveStatus.SINGULAR_JACOBIAN),
+    (Q_CYCLE, [5.0, -1.0, -5.0], SolverOptions(), SolveStatus.CYCLED),
+])
+def test_final_residual_norm_is_residual_of_last_iterate(q, x0, opts, status):
+    report = qp_newton_solve(q, x0, opts)
+    assert report.status is status
+    assert report.final_residual_norm == float(np.abs(qp_residual(q, report.last_iterate)).max())
+    assert report.final_residual_norm > 0.0
+
+
+def test_qp_stopping_rule_boundaries():
+    # distance equal to tol_x * (1 + ||u||) = 0.25 misses the strict rule
+    report = qp_newton_solve(QpProblem(Q=[[2.0]], b_tilde=[0.0]), [0.25],
+                             SolverOptions(known_solution=[0.0], tol_x=0.25))
+    assert report.status is SolveStatus.CONVERGED
+    assert report.iterations == 1
+    # residual |b_tilde| at x = 0 equal to tol_f * (1 + max|b_tilde|) = 1.0 meets the rule
+    report = qp_newton_solve(QpProblem(Q=[[2.0]], b_tilde=[1.0]), [0.0], SolverOptions(tol_f=0.5))
+    assert report.status is SolveStatus.CONVERGED
+    assert report.iterations == 0
 
 
 # ----------------------------------------------------- kkt / objective
