@@ -9,7 +9,6 @@ experiments behind the CLI.
 """
 
 from .errors import (
-    AsymmetricMatrixError,
     ContractionHypothesisError,
     DimensionError,
     EquivalenceUnavailableError,
@@ -23,10 +22,8 @@ from .linalg import (
     LuFactors,
     inv_spectral_norm,
     lu_factor,
-    lu_inverse,
     lu_solve,
     spectral_norm,
-    sym_eig,
 )
 from .pwls import (
     CONVERGED_STATUSES,
@@ -64,11 +61,9 @@ from .gen import GeneratedInstance, GeneratorConfig, make_batch, make_instance, 
 from .bench import (
     BenchRecord,
     CSV_COLUMNS,
-    records_to_csv,
     run_bench_beta,
     run_bench_dim,
     run_bench_starts,
-    solve_generated,
     write_csv,
 )
 

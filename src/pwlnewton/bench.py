@@ -22,7 +22,6 @@ level (for example with the BLAS thread count).
 from __future__ import annotations
 
 import csv
-import io
 import statistics
 import time
 from dataclasses import dataclass
@@ -31,7 +30,7 @@ from typing import Optional, Sequence, TextIO, Union
 import numpy as np
 
 from .gen import GeneratedInstance, GeneratorConfig, make_batch
-from .pwls import CONVERGED_STATUSES, SolveReport, SolverOptions
+from .pwls import CONVERGED_STATUSES, SolverOptions
 from .qp import qp_newton_solve
 
 CSV_COLUMNS = (
@@ -80,44 +79,9 @@ def write_csv(records: Sequence[BenchRecord], destination: Union[str, TextIO]) -
         writer.writerow(record.to_row())
 
 
-def records_to_csv(records: Sequence[BenchRecord]) -> str:
-    buffer = io.StringIO()
-    write_csv(records, buffer)
-    return buffer.getvalue()
-
-
 def _subseed(seed: int, *parts: int) -> int:
     entropy = [int(seed)] + [int(p) for p in parts]
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
-
-
-def solve_generated(
-    inst: GeneratedInstance,
-    tolx: float,
-    max_iter: int = 100,
-    repeats: int = 1,
-    x0: Optional[np.ndarray] = None,
-) -> tuple[SolveReport, float, float]:
-    """Solve one instance against its planted solution.
-
-    Returns (report, relative error ||u - x|| / (1 + ||u||), runtime).
-    The solve is repeated ``repeats`` times on the same data and the
-    median wall-clock time is reported; repeats run serially so the
-    measurements are uncontended.
-    """
-    if repeats < 1:
-        raise ValueError("repeats must be at least 1")
-    opts = SolverOptions(max_iter=max_iter, known_solution=inst.known_solution, tol_x=tolx)
-    start = inst.x0 if x0 is None else x0
-    times = []
-    report = None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        report = qp_newton_solve(inst.q, start, opts)
-        times.append(time.perf_counter() - t0)
-    u = inst.known_solution
-    error = float(np.linalg.norm(u - report.last_iterate)) / (1.0 + float(np.linalg.norm(u)))
-    return report, error, float(statistics.median(times))
 
 
 def _batch(seed: int, tag: int, key: int, n: int, beta_low: float, beta_high: float,
@@ -130,10 +94,26 @@ def _batch(seed: int, tag: int, key: int, n: int, beta_low: float, beta_high: fl
 
 def _solve_row(experiment: str, inst: GeneratedInstance, tolx: float, index: str,
                max_iter: int, repeats: int, x0: Optional[np.ndarray] = None) -> BenchRecord:
-    """Solve one instance and return its per-solve CSV row."""
-    report, error, runtime = solve_generated(inst, tolx, max_iter, repeats, x0)
-    return BenchRecord(experiment, inst.q.n, inst.beta_used, tolx, index,
-                       report.status.value, report.iterations, error, runtime)
+    """Solve one instance against its planted solution and return its CSV row.
+
+    The error cell is ||u - x|| / (1 + ||u||) at the last iterate x.  The
+    solve is repeated ``repeats`` times on the same data and the median
+    wall-clock time is reported; repeats run serially so the measurements
+    are uncontended.
+    """
+    if repeats < 1:
+        raise ValueError("repeats must be at least 1")
+    opts = SolverOptions(max_iter=max_iter, known_solution=inst.known_solution, tol_x=tolx)
+    start = inst.x0 if x0 is None else x0
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        report = qp_newton_solve(inst.q, start, opts)
+        times.append(time.perf_counter() - t0)
+    u = inst.known_solution
+    error = float(np.linalg.norm(u - report.last_iterate)) / (1.0 + float(np.linalg.norm(u)))
+    return BenchRecord(experiment, inst.q.n, inst.beta_used, tolx, index, report.status.value,
+                       report.iterations, error, float(statistics.median(times)))
 
 
 def run_bench_dim(

@@ -21,8 +21,8 @@ from typing import Optional
 
 import numpy as np
 
-from .bench import records_to_csv, run_bench_beta, run_bench_dim, run_bench_starts, write_csv
-from .errors import EquivalenceUnavailableError, PwlNewtonError
+from .bench import run_bench_beta, run_bench_dim, run_bench_starts, write_csv
+from .errors import ProblemFormatError, PwlNewtonError
 from .formats import load_problem, load_vector_file, report_to_dict
 from .pwls import (
     ConditionReport,
@@ -170,25 +170,18 @@ def _print_condition(condition: ConditionReport, label: str) -> None:
 def cmd_solve(args) -> int:
     problem = load_problem(args.problem)
     if isinstance(problem, ConeInstance):
-        print("error: cone files are handled by the 'project' command", file=sys.stderr)
-        return 1
+        raise ProblemFormatError("cone files are handled by the 'project' command")
     if isinstance(problem, QpProblem) and not problem.is_positive_definite():
-        print("error: Q is not positive definite, so a solution of the QP equation "
-              "need not minimize the QP", file=sys.stderr)
-        return 1
+        raise ProblemFormatError("Q is not positive definite, so a solution of the QP "
+                                 "equation need not minimize the QP")
 
     formulation = args.formulation
     if formulation == "auto":
         formulation = "pwls" if isinstance(problem, PwlsProblem) else "qp"
     if formulation == "qp" and isinstance(problem, PwlsProblem):
-        print("error: a pwls file cannot be solved in qp formulation", file=sys.stderr)
-        return 1
+        raise ValueError("a pwls file cannot be solved in qp formulation")
     if formulation == "pwls" and isinstance(problem, QpProblem):
-        try:
-            problem = qp_to_pwls(problem)
-        except EquivalenceUnavailableError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        problem = qp_to_pwls(problem)
 
     opts = SolverOptions(max_iter=args.max_iter, tol_f=args.tol_f, keep_iterates=True)
     x0 = _resolve_x0(args, problem.n)
@@ -219,8 +212,7 @@ def cmd_solve(args) -> int:
 def cmd_project(args) -> int:
     problem = load_problem(args.problem)
     if not isinstance(problem, ConeInstance):
-        print("error: 'project' expects a cone problem file", file=sys.stderr)
-        return 1
+        raise ProblemFormatError("'project' expects a cone problem file")
     opts = SolverOptions(max_iter=args.max_iter, tol_f=args.tol_f, keep_iterates=True)
     x0 = _resolve_x0(args, problem.n)
     result = cone_projection(problem, x0=x0, opts=opts)
@@ -247,7 +239,7 @@ def _emit_records(args, records) -> None:
             print(f"{r.experiment} n={r.n}{beta} tolx={r.tolx:g} {r.status}={value}")
         print(f"wrote {args.out}")
     else:
-        sys.stdout.write(records_to_csv(records))
+        write_csv(records, sys.stdout)
 
 
 def _tolxs(args) -> list[float]:
@@ -283,8 +275,7 @@ def cmd_bench_beta(args) -> int:
         lows = lows or []
         highs = highs or []
         if len(lows) != len(highs):
-            print("error: --beta-low and --beta-high must come in pairs", file=sys.stderr)
-            return 1
+            raise ValueError("--beta-low and --beta-high must come in pairs")
         ranges = list(zip(lows, highs))
     records = run_bench_beta(
         ranges, args.n, args.count, _tolxs(args), args.seed,

@@ -13,10 +13,6 @@ class SingularMatrixError(PwlNewtonError):
     """A factorization or solve hit a (numerically) singular matrix."""
 
 
-class AsymmetricMatrixError(PwlNewtonError, ValueError):
-    """A symmetric-only routine received an asymmetric matrix."""
-
-
 class ContractionHypothesisError(PwlNewtonError):
     """The fixed-point map is not a contraction (||T^-1|| >= 1)."""
 

@@ -107,26 +107,27 @@ def load_vector_file(path: str) -> np.ndarray:
     return vector
 
 
+def _finite_or_str(v):
+    """v, or its str() when infinite or NaN, so the report stays strict JSON."""
+    return v if v is None or np.isfinite(v) else str(v)
+
+
 def report_to_dict(report: SolveReport, condition: ConditionReport | None = None,
                    include_iterates: bool = False) -> dict:
     out = {
         "status": report.status.value,
         "iterations": report.iterations,
-        "final_residual_norm": report.final_residual_norm,
+        "final_residual_norm": _finite_or_str(report.final_residual_norm),
         "solution": None if report.solution is None else report.solution.tolist(),
         "cycle": None if report.cycle is None else list(report.cycle),
     }
     if condition is not None:
-        # keep strict-JSON output even when T is singular (inv_norm = inf)
-        def finite_or_str(v):
-            return v if v is None or np.isfinite(v) else str(v)
-
         out["condition"] = {
-            "inv_norm": finite_or_str(condition.inv_norm),
+            "inv_norm": _finite_or_str(condition.inv_norm),
             "existence_ok": condition.existence_ok,
             "rate_ok": condition.rate_ok,
-            "contraction_modulus": finite_or_str(condition.contraction_modulus),
-            "predicted_rate": finite_or_str(condition.predicted_rate),
+            "contraction_modulus": _finite_or_str(condition.contraction_modulus),
+            "predicted_rate": _finite_or_str(condition.predicted_rate),
         }
     if include_iterates and report.iterate_trace is not None:
         out["iterates"] = [x.tolist() for x in report.iterate_trace]

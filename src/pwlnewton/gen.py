@@ -14,7 +14,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import GeneratorError
-from .linalg import lu_factor, sym_eig
+from .linalg import lu_factor
 from .qp import QpProblem
 
 # consecutive singular draws of B before giving up (probability ~ 0)
@@ -50,6 +50,16 @@ class GeneratedInstance:
     known_solution: np.ndarray
     x0: np.ndarray
     beta_used: float
+
+
+def sym_eig(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of the symmetric matrix s, descending, and matching eigenvectors.
+
+    The only caller passes B^T B, which numpy forms with syrk, so s is
+    exactly symmetric and needs no symmetrizing pass.
+    """
+    eigvals, eigvecs = np.linalg.eigh(s)
+    return eigvals[::-1].copy(), eigvecs[:, ::-1].copy()
 
 
 def make_spd_matrix(n: int, beta: float, rng: np.random.Generator) -> np.ndarray:

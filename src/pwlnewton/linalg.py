@@ -1,10 +1,9 @@
 """Dense linear algebra kernels used by every solver module.
 
 LU factorization with partial pivoting and a scale-invariant singularity
-flag (LAPACK's getrf and getrs, called directly), the spectral norm and
-the inverse's spectral norm from the singular values (LAPACK's gesdd via
-scipy), and a symmetric eigendecomposition with eigenvalues sorted
-descending.
+flag (LAPACK's getrf and getrs, called directly), and the spectral norm
+and the inverse's spectral norm from the singular values (LAPACK's gesdd
+via scipy).
 
 All functions are pure: they never mutate their arguments and keep no
 shared state, so concurrent calls on distinct inputs need no locking.
@@ -20,12 +19,10 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.linalg.lapack import dgetrf, dgetrs
 
-from .errors import AsymmetricMatrixError, DimensionError, SingularMatrixError
+from .errors import DimensionError, SingularMatrixError
 
 # Pivots below PIVOT_RTOL * max|M| mark the factorization singular.
 PIVOT_RTOL = 1e-12
-# Largest tolerated relative asymmetry max|S - S^T| / max|S| in sym_eig.
-SYM_RTOL = 1e-12
 
 
 def as_vector(x, name: str = "vector", n: Optional[int] = None) -> np.ndarray:
@@ -115,11 +112,6 @@ def lu_solve(f: LuFactors, rhs) -> np.ndarray:
     return x
 
 
-def lu_inverse(f: LuFactors) -> np.ndarray:
-    """Explicitly form M^-1 by solving against the identity."""
-    return lu_solve(f, np.eye(f.n))
-
-
 def spectral_norm(m) -> float:
     """||M||, the largest singular value of M."""
     return float(sla.svdvals(finite_matrix(m)[0], check_finite=False)[0])
@@ -135,17 +127,3 @@ def inv_spectral_norm(m) -> float:
     if lu_factor(m).singular:
         raise SingularMatrixError("matrix is singular; ||M^-1|| is undefined")
     return float(1.0 / sla.svdvals(m, check_finite=False)[-1])
-
-
-def sym_eig(s) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition S = W diag(lam) W^T of a symmetric matrix.
-
-    Returns eigenvalues sorted descending and the orthogonal matrix W
-    whose columns are the matching eigenvectors.
-    """
-    s, scale = finite_matrix(s, "symmetric matrix")
-    _require_square(s, "symmetric matrix")
-    if scale > 0.0 and float(np.abs(s - s.T).max()) > SYM_RTOL * scale:
-        raise AsymmetricMatrixError("matrix exceeds the symmetry tolerance")
-    eigvals, eigvecs = np.linalg.eigh(0.5 * (s + s.T))
-    return eigvals[::-1].copy(), eigvecs[:, ::-1].copy()

@@ -126,7 +126,6 @@ class SolveReport:
     """
 
     status: SolveStatus
-    solution: Optional[np.ndarray]
     iterations: int
     final_residual_norm: float
     pattern_trace: list[SignPattern]
@@ -137,6 +136,11 @@ class SolveReport:
     @property
     def converged(self) -> bool:
         return self.status in CONVERGED_STATUSES
+
+    @property
+    def solution(self) -> Optional[np.ndarray]:
+        """The last iterate when the run converged, otherwise None."""
+        return self.last_iterate if self.converged else None
 
     def cycle_points(self) -> list[np.ndarray]:
         """The iterates forming the detected cycle (needs keep_iterates)."""
@@ -158,23 +162,24 @@ class ConditionReport:
     m is the contraction modulus ||T^-1||.
     """
 
-    inv_norm: float
-    existence_ok: bool
-    rate_ok: bool
-    contraction_modulus: float
-    predicted_rate: Optional[float]
+    inv_norm: float  # inf when T is singular
 
-    @classmethod
-    def from_modulus(cls, m: float) -> "ConditionReport":
-        """The report for contraction modulus m (inf when T is singular)."""
-        existence_ok = m < 1.0
-        return cls(
-            inv_norm=m,
-            existence_ok=existence_ok,
-            rate_ok=m < 0.5,
-            contraction_modulus=m,
-            predicted_rate=m / (1.0 - m) if existence_ok else None,
-        )
+    @property
+    def existence_ok(self) -> bool:
+        return self.inv_norm < 1.0
+
+    @property
+    def rate_ok(self) -> bool:
+        return self.inv_norm < 0.5
+
+    @property
+    def contraction_modulus(self) -> float:
+        return self.inv_norm
+
+    @property
+    def predicted_rate(self) -> Optional[float]:
+        m = self.inv_norm
+        return m / (1.0 - m) if self.existence_ok else None
 
 
 @dataclass
@@ -255,11 +260,9 @@ def _iterate_patterns(
     seen: dict[bytes, int] = {pat.tobytes(): 0}
     cycle: Optional[tuple[int, int]] = None
 
-    def report(status: SolveStatus, solution: Optional[np.ndarray], iterations: int,
-               last: np.ndarray) -> SolveReport:
+    def report(status: SolveStatus, iterations: int, last: np.ndarray) -> SolveReport:
         return SolveReport(
             status=status,
-            solution=solution,
             iterations=iterations,
             final_residual_norm=float(np.abs(residual_of(last)).max()),
             pattern_trace=patterns,
@@ -269,12 +272,12 @@ def _iterate_patterns(
         )
 
     if met:
-        return report(SolveStatus.CONVERGED, x, 0, x)
+        return report(SolveStatus.CONVERGED, 0, x)
 
     for k in range(1, opts.max_iter + 1):
         x_new = step(pat)
         if x_new is None:
-            return report(SolveStatus.SINGULAR_JACOBIAN, None, k - 1, x)
+            return report(SolveStatus.SINGULAR_JACOBIAN, k - 1, x)
         pat = sign_pattern(x_new)
         patterns.append(pat)
         if trace is not None:
@@ -284,26 +287,26 @@ def _iterate_patterns(
         if u is not None:
             d = u - x_new
             if math.sqrt(d @ d) < bound:
-                return report(SolveStatus.CONVERGED, x_new, k, x_new)
+                return report(SolveStatus.CONVERGED, k, x_new)
             if previous == k - 1:
                 # stationary but outside the distance tolerance: no later
                 # iterate can differ, so the run provably cannot converge
-                return report(SolveStatus.MAX_ITERATIONS, None, k, x_new)
+                return report(SolveStatus.MAX_ITERATIONS, k, x_new)
         else:
             if previous == k - 1:
-                return report(SolveStatus.CONVERGED_EXACT, x_new, k, x_new)
+                return report(SolveStatus.CONVERGED_EXACT, k, x_new)
             if float(np.abs(residual_of(x_new)).max()) <= bound:
-                return report(SolveStatus.CONVERGED, x_new, k, x_new)
+                return report(SolveStatus.CONVERGED, k, x_new)
         if previous is not None:
             # necessarily previous < k - 1 here; x_{k+1} would equal
             # x_{previous+1}, so the orbit repeats with period k - previous
             # starting at iterate previous + 1.
             cycle = (previous + 1, k - previous)
-            return report(SolveStatus.CYCLED, None, k, x_new)
+            return report(SolveStatus.CYCLED, k, x_new)
         seen[key] = k
         x = x_new
 
-    return report(SolveStatus.MAX_ITERATIONS, None, opts.max_iter, x)
+    return report(SolveStatus.MAX_ITERATIONS, opts.max_iter, x)
 
 
 def newton_solve(p: PwlsProblem, x0, opts: Optional[SolverOptions] = None) -> SolveReport:
@@ -342,11 +345,9 @@ def fixed_point_solve(p: PwlsProblem, x0, opts: Optional[SolverOptions] = None) 
     patterns = [sign_pattern(x)]
     trace: Optional[list[np.ndarray]] = [x.copy()] if opts.keep_iterates else None
 
-    def report(status: SolveStatus, solution: Optional[np.ndarray], iterations: int,
-               last: np.ndarray) -> SolveReport:
+    def report(status: SolveStatus, iterations: int, last: np.ndarray) -> SolveReport:
         return SolveReport(
             status=status,
-            solution=solution,
             iterations=iterations,
             final_residual_norm=float(np.abs(residual(p, last)).max()),
             pattern_trace=patterns,
@@ -360,9 +361,9 @@ def fixed_point_solve(p: PwlsProblem, x0, opts: Optional[SolverOptions] = None) 
         if trace is not None:
             trace.append(x_new.copy())
         if float(np.linalg.norm(x_new - x)) <= opts.tol_step:
-            return report(SolveStatus.CONVERGED, x_new, k, x_new)
+            return report(SolveStatus.CONVERGED, k, x_new)
         x = x_new
-    return report(SolveStatus.MAX_ITERATIONS, None, opts.max_iter, x)
+    return report(SolveStatus.MAX_ITERATIONS, opts.max_iter, x)
 
 
 def enumerate_solutions(p: PwlsProblem) -> tuple[list[np.ndarray], list[SignPattern]]:
@@ -393,7 +394,7 @@ def check_conditions(p: PwlsProblem) -> ConditionReport:
         inv_norm = inv_spectral_norm(p.T)
     except SingularMatrixError:
         inv_norm = float("inf")
-    return ConditionReport.from_modulus(inv_norm)
+    return ConditionReport(inv_norm)
 
 
 def definite_sign_rows(m) -> DefiniteSignClassification:

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf
 
 from .errors import EquivalenceUnavailableError, SingularMatrixError
-from .linalg import as_square_matrix, as_vector, lu_factor, lu_inverse, spectral_norm
+from .linalg import as_square_matrix, as_vector, lu_factor, lu_solve, spectral_norm
 from .pwls import (
     ConditionReport,
     PwlsProblem,
@@ -184,7 +184,7 @@ def qp_to_pwls(q: QpProblem) -> PwlsProblem:
     f = lu_factor(q.Q - np.eye(q.n))
     if f.singular:
         raise EquivalenceUnavailableError("Q - I is singular; the T/b form does not exist")
-    T = lu_inverse(f)
+    T = lu_solve(f, np.eye(q.n))
     return PwlsProblem(T=T, b=-(T @ q.b_tilde))
 
 
@@ -194,7 +194,7 @@ def check_qp_conditions(q: QpProblem) -> ConditionReport:
     Under the T = [Q - I]^-1 equivalence, ||T^-1|| equals ||Q - I||, so
     the report's fields keep their meaning.
     """
-    return ConditionReport.from_modulus(spectral_norm(q.Q - np.eye(q.n)))
+    return ConditionReport(spectral_norm(q.Q - np.eye(q.n)))
 
 
 def cone_instance_to_qp(ci: ConeInstance) -> QpProblem:

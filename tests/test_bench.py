@@ -1,18 +1,26 @@
+import io
+
 import numpy as np
 
 from pwlnewton import (
     CSV_COLUMNS,
-    records_to_csv,
     run_bench_beta,
     run_bench_dim,
     run_bench_starts,
+    write_csv,
 )
 
 FAST = dict(max_iter=100, repeats=1)
 
 
+def csv_text(records):
+    buffer = io.StringIO()
+    write_csv(records, buffer)
+    return buffer.getvalue()
+
+
 def test_csv_header_only_when_empty():
-    text = records_to_csv([])
+    text = csv_text([])
     assert text == ",".join(CSV_COLUMNS) + "\n"
 
 
@@ -77,7 +85,7 @@ def test_bench_starts_statistics():
 
 def test_bench_beta_empty_ranges():
     assert run_bench_beta([], 5, 3, [1e-6], seed=1, **FAST) == []
-    assert records_to_csv(run_bench_beta([], 5, 3, [1e-6], seed=1, **FAST)).count("\n") == 1
+    assert csv_text(run_bench_beta([], 5, 3, [1e-6], seed=1, **FAST)).count("\n") == 1
 
 
 def test_bench_beta_counts_and_dash():
@@ -88,7 +96,7 @@ def test_bench_beta_counts_and_dash():
     assert solved[1e-12] == 0
     assert means[1e-12] == "-"
     assert means[1e-6] != "-"
-    text = records_to_csv(records)
+    text = csv_text(records)
     assert ",-," in text
 
 
@@ -103,7 +111,7 @@ def test_bench_beta_range_label_in_summary():
 
 def test_csv_schema_and_formatting():
     records = run_bench_dim([4], 2, [1e-6], seed=9, **FAST)
-    text = records_to_csv(records)
+    text = csv_text(records)
     lines = text.strip().split("\n")
     assert lines[0] == "experiment,n,beta,tolx,index,status,iterations,error,runtime_s"
     assert all(line.count(",") == 8 for line in lines)

@@ -1,10 +1,14 @@
 import csv
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pwlnewton
 from pwlnewton import formats
 from pwlnewton.cli import main
 
@@ -24,6 +28,45 @@ def cycle_file(tmp_path):
 def diagonal_file(tmp_path):
     return write_json(tmp_path / "diag.json",
                       {"kind": "pwls", "T": [[3.0, 0.0], [0.0, 3.0]], "b": [4.0, -3.0]})
+
+
+# --------------------------------------------------------------- refusals
+
+
+REFUSALS = {
+    "cone file to solve": (
+        ["solve", "{cone}"], "cone files are handled by the 'project' command"),
+    "Q not positive definite": (
+        ["solve", "{indefinite}"],
+        "Q is not positive definite, so a solution of the QP equation need not minimize the QP"),
+    "pwls file as qp": (
+        ["solve", "{pwls}", "--formulation", "qp"],
+        "a pwls file cannot be solved in qp formulation"),
+    "Q - I singular as pwls": (
+        ["solve", "{q_minus_i_singular}", "--formulation", "pwls"],
+        "Q - I is singular; the T/b form does not exist"),
+    "non-cone file to project": (
+        ["project", "{pwls}"], "'project' expects a cone problem file"),
+    "unpaired beta range": (
+        ["bench-beta", "--beta-low", "0.5"], "--beta-low and --beta-high must come in pairs"),
+}
+
+
+@pytest.mark.parametrize("argv, message", REFUSALS.values(), ids=REFUSALS.keys())
+def test_refusal_exits_1_with_one_error_line(argv, message, diagonal_file, tmp_path, capsys):
+    files = {
+        "cone": write_json(tmp_path / "cone.json", {"kind": "cone", "A": [[1.0]], "z": [1.0]}),
+        "indefinite": write_json(tmp_path / "qp.json", {
+            "kind": "qp", "Q": [[1.0, 3.0], [3.0, 1.0]], "b_tilde": [-1.0, -1.0]}),
+        "pwls": diagonal_file,
+        # Q is positive definite, but its eigenvalue 1 makes Q - I singular
+        "q_minus_i_singular": write_json(tmp_path / "qp1.json", {
+            "kind": "qp", "Q": [[1.0, 0.0], [0.0, 2.0]], "b_tilde": [-1.0, -1.0]}),
+    }
+    assert main([arg.format(**files) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 # ------------------------------------------------------------------ solve
@@ -338,3 +381,34 @@ def test_json_input_over_size_cap_is_an_error(diagonal_file, tmp_path, monkeypat
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and f"{cap} bytes" in captured.err
     assert captured.out == ""
+
+
+# ---------------------------------------------------------- console entry
+
+
+def run_module(*args):
+    """Run ``python -m pwlnewton`` in a fresh interpreter on this package."""
+    source = str(Path(pwlnewton.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [source, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "pwlnewton", *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_console_entry_csv_matches_out_file(diagonal_file, tmp_path):
+    flags = ["bench-starts", "--n", "4", "--count", "2", "--starts", "2"]
+    stdout_run = run_module(*flags)
+    assert stdout_run.returncode == 0 and stdout_run.stderr == ""
+    out = tmp_path / "starts.csv"
+    assert run_module(*flags, "--out", str(out)).returncode == 0
+
+    def without_runtime(text):
+        return [row[:-1] for row in csv.reader(text.splitlines())]
+
+    assert without_runtime(stdout_run.stdout) == without_runtime(out.read_text())
+    assert len(without_runtime(stdout_run.stdout)) > 1
+
+    refused = run_module("project", diagonal_file)
+    assert refused.returncode == 1
+    assert refused.stdout == ""
+    assert refused.stderr == "error: 'project' expects a cone problem file\n"

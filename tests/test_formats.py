@@ -10,6 +10,7 @@ from pwlnewton import (
     PwlsProblem,
     QpProblem,
     SizeGuardError,
+    SolveStatus,
     check_conditions,
     newton_solve,
 )
@@ -120,6 +121,26 @@ def test_report_dict_is_strict_json():
     report = newton_solve(PwlsProblem(T=3.0 * np.eye(2), b=[4.0, -3.0]), [0.0, 0.0])
     condition = check_conditions(p)  # singular T: inv_norm = inf
     payload = report_to_dict(report, condition)
-    text = json.dumps(payload)  # must not need Infinity literals
-    assert "Infinity" not in text
+    text = json.dumps(payload, allow_nan=False)  # must not need Infinity literals
     assert json.loads(text)["condition"]["inv_norm"] == "inf"
+    # the residual of x0 overflows, and the first step matrix is singular
+    huge = PwlsProblem(T=np.full((2, 2), 1e300), b=[1.0, 1.0])
+    with np.errstate(over="ignore"):
+        report = newton_solve(huge, [1e10, 1e10])
+    assert report.status is SolveStatus.SINGULAR_JACOBIAN and report.iterations == 0
+    assert report.final_residual_norm == float("inf")
+    text = json.dumps(report_to_dict(report), allow_nan=False)
+    assert json.loads(text)["final_residual_norm"] == "inf"
+
+
+def test_report_dict_condition_block():
+    p = PwlsProblem(T=3.0 * np.eye(2), b=[4.0, -3.0])
+    third = 1.0 / 3.0
+    condition = report_to_dict(newton_solve(p, [0.0, 0.0]), check_conditions(p))["condition"]
+    assert condition == {
+        "inv_norm": third,
+        "existence_ok": True,
+        "rate_ok": True,
+        "contraction_modulus": third,
+        "predicted_rate": third / (1.0 - third),  # 0.5 up to rounding
+    }

@@ -6,15 +6,12 @@ import scipy.linalg as sla
 from scipy.linalg.lapack import dgetrf
 
 from pwlnewton import (
-    AsymmetricMatrixError,
     DimensionError,
     SingularMatrixError,
     inv_spectral_norm,
     lu_factor,
-    lu_inverse,
     lu_solve,
     spectral_norm,
-    sym_eig,
 )
 from pwlnewton import linalg
 from pwlnewton.linalg import as_vector
@@ -59,7 +56,8 @@ def test_lu_zero_matrix_is_singular():
 def test_lu_kernels_match_scipy_bit_for_bit():
     # getrf/getrs are called directly; scipy's lu_factor/lu_solve wrap the
     # same LAPACK routines, so factors and solutions agree bit for bit
-    # same for C- and F-ordered input and for a strided submatrix view
+    # same for C- and F-ordered input and for a strided submatrix view, and
+    # for the identity right-hand side that forms M^-1
     rng = np.random.default_rng(41)
     for n in (1, 2, 7, 50):
         for grading in (np.ones(n), np.logspace(-4, 4, n)):
@@ -76,7 +74,7 @@ def test_lu_kernels_match_scipy_bit_for_bit():
                     x = lu_solve(f, rhs)
                     assert x.shape == rhs.shape
                     assert np.array_equal(x, sla.lu_solve((lu, piv), rhs))
-                assert np.array_equal(lu_inverse(f), sla.lu_solve((lu, piv), np.eye(n)))
+                assert np.array_equal(lu_solve(f, np.eye(n)), sla.lu_solve((lu, piv), np.eye(n)))
 
 
 def test_lu_exactly_singular_matches_scipy():
@@ -194,11 +192,6 @@ def test_lu_solve_rejects_rhs_of_wrong_rank():
             lu_solve(f, rhs)
 
 
-def test_lu_inverse():
-    m = np.array([[2.0, 1.0], [1.0, 3.0]])
-    np.testing.assert_allclose(lu_inverse(lu_factor(m)) @ m, np.eye(2), atol=1e-14)
-
-
 # ------------------------------------------------------- spectral norm
 
 
@@ -261,44 +254,5 @@ def test_inv_spectral_norm_matches_smallest_singular_value():
     rng = np.random.default_rng(15)
     for n in (3, 8, 20):
         m = rng.standard_normal((n, n)) + 2.0 * np.eye(n)
-        eigenvalues, _ = sym_eig(m.T @ m)
-        sigma_min = math.sqrt(eigenvalues[-1])
+        sigma_min = math.sqrt(np.linalg.eigvalsh(m.T @ m)[0])
         assert inv_spectral_norm(m) * sigma_min == pytest.approx(1.0, rel=1e-12)
-
-
-# ------------------------------------------------------------ sym_eig
-
-
-def test_sym_eig_identity():
-    eigenvalues, w = sym_eig(np.eye(3))
-    np.testing.assert_allclose(eigenvalues, [1.0, 1.0, 1.0])
-    np.testing.assert_allclose(np.abs(w @ w.T), np.eye(3), atol=1e-12)
-
-
-def test_sym_eig_diagonal_sorted_descending():
-    eigenvalues, w = sym_eig(np.diag([4.0, 1.0]))
-    np.testing.assert_allclose(eigenvalues, [4.0, 1.0])
-    # eigenvectors are the coordinate axes up to sign
-    np.testing.assert_allclose(np.abs(w), np.eye(2), atol=1e-12)
-
-
-def test_sym_eig_reconstruction():
-    rng = np.random.default_rng(23)
-    b = rng.standard_normal((10, 10))
-    s = b.T @ b
-    eigenvalues, w = sym_eig(s)
-    assert np.all(np.diff(eigenvalues) <= 0)
-    reconstruction = (w * eigenvalues[np.newaxis, :]) @ w.T
-    assert np.abs(reconstruction - s).max() <= 1e-8 * np.abs(s).max()
-    assert np.abs(w.T @ w - np.eye(10)).max() <= 1e-9
-
-
-def test_sym_eig_rejects_asymmetric():
-    with pytest.raises(AsymmetricMatrixError):
-        sym_eig([[1.0, 2.0], [0.0, 1.0]])
-
-
-def test_sym_eig_accepts_roundoff_asymmetry():
-    s = np.array([[2.0, 1.0], [1.0 + 1e-15, 2.0]])
-    eigenvalues, _ = sym_eig(s)
-    np.testing.assert_allclose(eigenvalues, [3.0, 1.0], rtol=1e-12)

@@ -16,8 +16,6 @@ from pwlnewton import (
     definite_sign_rows,
     enumerate_solutions,
     fixed_point_solve,
-    lu_factor,
-    lu_inverse,
     newton_solve,
     residual,
     sign_pattern,
@@ -205,6 +203,7 @@ def test_final_residual_norm_is_residual_of_last_iterate(problem, x0, opts, stat
     report = newton_solve(problem, x0, opts)
     assert report.status is status
     assert report.final_residual_norm == float(np.abs(residual(problem, report.last_iterate)).max())
+    assert report.solution is (report.last_iterate if report.converged else None)
 
 
 def test_stopping_rule_boundaries():
@@ -330,6 +329,7 @@ def test_fixed_point_diagonal():
     p = PwlsProblem(T=3.0 * np.eye(2), b=[4.0, -3.0])
     report = fixed_point_solve(p, np.zeros(2))
     assert report.status is SolveStatus.CONVERGED
+    assert report.solution is report.last_iterate
     np.testing.assert_allclose(report.solution, [1.0, -1.0], atol=1e-9)
 
 
@@ -345,6 +345,7 @@ def test_fixed_point_max_iterations():
     p = PwlsProblem(T=t, b=np.ones(4) * 5.0)
     report = fixed_point_solve(p, 100.0 * np.ones(4), SolverOptions(max_iter=2))
     assert report.status is SolveStatus.MAX_ITERATIONS
+    assert report.solution is None
 
 
 def test_fixed_point_agrees_with_newton():
@@ -557,7 +558,7 @@ def test_monotone_trajectories_under_hypothesis():
         trace = report.iterate_trace
         for k in range(1, len(trace) - 1):
             step_matrix = np.diag(np.asarray(report.pattern_trace[k], float)) + t
-            cls = definite_sign_rows(lu_inverse(lu_factor(step_matrix)))
+            cls = definite_sign_rows(np.linalg.inv(step_matrix))
             scale = 1e-9 * (1.0 + np.abs(trace[k]).max())
             for i in cls.i_plus:
                 assert trace[k + 1][i] <= trace[k][i] + scale

@@ -245,6 +245,7 @@ def test_final_residual_norm_is_residual_of_last_iterate(q, x0, opts, status):
     assert report.status is status
     assert report.final_residual_norm == float(np.abs(qp_residual(q, report.last_iterate)).max())
     assert report.final_residual_norm > 0.0
+    assert report.solution is (report.last_iterate if report.converged else None)
 
 
 def test_qp_stopping_rule_boundaries():
