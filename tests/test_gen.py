@@ -11,7 +11,6 @@ from pwlnewton import (
     qp_newton_solve,
     spectral_norm,
 )
-from pwlnewton.gen import sym_eig
 
 
 def planted_residual_ok(inst):
@@ -49,24 +48,6 @@ def test_spd_matrix_eigenvalues_in_band():
     eigenvalues = np.linalg.eigvalsh(q)
     assert eigenvalues[0] >= 1.0 - 1e-9
     assert eigenvalues[-1] <= 1.0 + beta + 1e-9
-
-
-def test_sym_eig_descending_orthonormal_and_reconstructs():
-    eigenvalues, w = sym_eig(np.eye(3))
-    np.testing.assert_allclose(eigenvalues, [1.0, 1.0, 1.0])
-    np.testing.assert_allclose(np.abs(w @ w.T), np.eye(3), atol=1e-12)
-    eigenvalues, w = sym_eig(np.diag([1.0, 4.0]))
-    np.testing.assert_allclose(eigenvalues, [4.0, 1.0])
-    # eigenvectors are the coordinate axes up to sign, in descending order
-    np.testing.assert_allclose(np.abs(w), [[0.0, 1.0], [1.0, 0.0]], atol=1e-12)
-    b = np.random.default_rng(23).standard_normal((10, 10))
-    s = b.T @ b
-    eigenvalues, w = sym_eig(s)
-    assert np.all(np.diff(eigenvalues) <= 0)
-    np.testing.assert_allclose(eigenvalues, np.linalg.eigvalsh(s)[::-1], rtol=1e-12)
-    reconstruction = (w * eigenvalues[np.newaxis, :]) @ w.T
-    assert np.abs(reconstruction - s).max() <= 1e-8 * np.abs(s).max()
-    assert np.abs(w.T @ w - np.eye(10)).max() <= 1e-9
 
 
 def test_spd_matrix_generator_error_on_degenerate_rng():

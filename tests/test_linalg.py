@@ -14,6 +14,7 @@ from pwlnewton import (
     spectral_norm,
 )
 from pwlnewton import linalg
+from pwlnewton.gen import sym_eig
 from pwlnewton.linalg import as_vector
 
 
@@ -192,6 +193,12 @@ def test_lu_solve_rejects_rhs_of_wrong_rank():
             lu_solve(f, rhs)
 
 
+def test_lu_inverse():
+    # qp_to_pwls forms Q^-1 as lu_solve(f, I)
+    m = np.array([[2.0, 1.0], [1.0, 3.0]])
+    np.testing.assert_allclose(lu_solve(lu_factor(m), np.eye(2)) @ m, np.eye(2), atol=1e-14)
+
+
 # ------------------------------------------------------- spectral norm
 
 
@@ -256,3 +263,31 @@ def test_inv_spectral_norm_matches_smallest_singular_value():
         m = rng.standard_normal((n, n)) + 2.0 * np.eye(n)
         sigma_min = math.sqrt(np.linalg.eigvalsh(m.T @ m)[0])
         assert inv_spectral_norm(m) * sigma_min == pytest.approx(1.0, rel=1e-12)
+
+
+# ------------------------------------------------------------ sym_eig
+
+
+def test_sym_eig_identity():
+    eigenvalues, w = sym_eig(np.eye(3))
+    np.testing.assert_allclose(eigenvalues, [1.0, 1.0, 1.0])
+    np.testing.assert_allclose(np.abs(w @ w.T), np.eye(3), atol=1e-12)
+
+
+def test_sym_eig_diagonal_sorted_descending():
+    eigenvalues, w = sym_eig(np.diag([1.0, 4.0]))
+    np.testing.assert_allclose(eigenvalues, [4.0, 1.0])
+    # eigenvectors are the coordinate axes up to sign, in descending order
+    np.testing.assert_allclose(np.abs(w), [[0.0, 1.0], [1.0, 0.0]], atol=1e-12)
+
+
+def test_sym_eig_reconstruction():
+    rng = np.random.default_rng(23)
+    b = rng.standard_normal((10, 10))
+    s = b.T @ b
+    eigenvalues, w = sym_eig(s)
+    assert np.all(np.diff(eigenvalues) <= 0)
+    np.testing.assert_allclose(eigenvalues, np.linalg.eigvalsh(s)[::-1], rtol=1e-12)
+    reconstruction = (w * eigenvalues[np.newaxis, :]) @ w.T
+    assert np.abs(reconstruction - s).max() <= 1e-8 * np.abs(s).max()
+    assert np.abs(w.T @ w - np.eye(10)).max() <= 1e-9
