@@ -59,7 +59,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # an overflow reaches the user as an inf residual or error, not as a warning
+        with np.errstate(over="ignore"):
+            return args.func(args)
     except (OSError, ValueError, PwlNewtonError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

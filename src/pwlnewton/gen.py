@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
+import scipy.linalg as sla
 
 from .errors import GeneratorError
 from .linalg import lu_factor
@@ -52,23 +53,20 @@ class GeneratedInstance:
     beta_used: float
 
 
-def sym_eig(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of the symmetric matrix s, descending, and matching eigenvectors.
-
-    The only caller passes B^T B, which numpy forms with syrk, so s is
-    exactly symmetric and needs no symmetrizing pass.
-    """
-    eigvals, eigvecs = np.linalg.eigh(s)
-    return eigvals[::-1].copy(), eigvecs[:, ::-1].copy()
+def sym_eig(s: np.ndarray) -> float:
+    """Largest eigenvalue of s, which must be exactly symmetric (B^T B from syrk is)."""
+    n = len(s)
+    return sla.eigh(s, eigvals_only=True, subset_by_index=[n - 1, n - 1], check_finite=False)[0]
 
 
 def make_spd_matrix(n: int, beta: float, rng: np.random.Generator) -> np.ndarray:
     """Symmetric positive definite Q with ||Q - I|| = beta.
 
-    Draws a nonsingular B with uniform entries, eigendecomposes B^T B as
-    U diag(sig) U^T, and returns U diag(1 + beta * sig / sig_max) U^T.
-    The eigenvalues of Q lie in (1, 1 + beta] and the top one makes the
-    distance from the identity exactly beta.
+    Draws a nonsingular B with uniform entries and returns
+    I + (beta / sig_max) B^T B, where sig_max is the largest eigenvalue of
+    B^T B: that is U diag(1 + beta * sig / sig_max) U^T without the
+    eigenvectors U.  The eigenvalues of Q lie in (1, 1 + beta], the top one
+    makes ||Q - I|| exactly beta, and Q is exactly symmetric.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -81,10 +79,10 @@ def make_spd_matrix(n: int, beta: float, rng: np.random.Generator) -> np.ndarray
             break
     else:
         raise GeneratorError(f"{MAX_SINGULAR_DRAWS} consecutive singular draws of B")
-    sig, u = sym_eig(b.T @ b)
-    scaled = 1.0 + (beta / sig[0]) * sig
-    q = (u * scaled[np.newaxis, :]) @ u.T
-    return 0.5 * (q + q.T)
+    q = b.T @ b
+    q *= beta / sym_eig(q)
+    q[np.diag_indices(n)] += 1.0
+    return q
 
 
 def make_instance(cfg: GeneratorConfig, rng: np.random.Generator | None = None) -> GeneratedInstance:

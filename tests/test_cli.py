@@ -412,3 +412,15 @@ def test_console_entry_csv_matches_out_file(diagonal_file, tmp_path):
     assert refused.returncode == 1
     assert refused.stdout == ""
     assert refused.stderr == "error: 'project' expects a cone problem file\n"
+
+
+def test_overflowing_residual_leaves_stderr_empty(tmp_path):
+    # the residual T x - b overflows from this start; the user sees an inf
+    # residual on stdout and exit 4, not numpy's RuntimeWarning
+    problem = write_json(tmp_path / "huge.json",
+                         {"kind": "pwls", "T": [[1e300, 1e300], [1e300, 1e300]], "b": [1.0, 1.0]})
+    x0 = write_json(tmp_path / "x0.json", [1e10, 1e10])
+    run = run_module("solve", problem, "--x0", x0)
+    assert run.returncode == 4
+    assert run.stderr == ""
+    assert "final residual (max-norm): inf" in run.stdout

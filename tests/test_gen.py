@@ -50,6 +50,26 @@ def test_spd_matrix_eigenvalues_in_band():
     assert eigenvalues[-1] <= 1.0 + beta + 1e-9
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 50, 257])
+def test_spd_matrix_is_exactly_symmetric(n):
+    q = make_spd_matrix(n, 0.3, np.random.default_rng(n))
+    assert np.array_equal(q, q.T)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 50, 257])
+@pytest.mark.parametrize("beta", [1e-9, 0.3, 1e3])
+def test_spd_matrix_matches_eigenvector_construction(n, beta):
+    # the same draws of B, so Q must equal U diag(1 + beta sig / sig_max) U^T
+    # for the eigendecomposition B^T B = U diag(sig) U^T
+    seed = 1000 * n + 7
+    q = make_spd_matrix(n, beta, np.random.default_rng(seed))
+    b = np.random.default_rng(seed).uniform(-GeneratorConfig.value_bound,
+                                            GeneratorConfig.value_bound, (n, n))
+    sig, u = np.linalg.eigh(b.T @ b)
+    expected = (u * (1.0 + beta * sig / sig[-1])) @ u.T
+    assert np.abs(q - expected).max() <= 1e-14 * (1.0 + beta)
+
+
 def test_spd_matrix_generator_error_on_degenerate_rng():
     class ZeroRng:
         def uniform(self, low, high, size=None):

@@ -56,3 +56,15 @@ def test_traced_solves_record_lu_spans(tracer):
         assert calls["linalg.lu_factor"] == calls["linalg.lu_solve"] == factored
         assert calls["pwls.sign_pattern"] == report.iterations + 1
         assert (calls["pwls.residual"] > 0) is not qp_path
+
+
+def test_traced_batch_records_one_spectrum_span_per_instance(tracer):
+    # set-up time splits into gen.make_instance and, inside it, the generator's
+    # spectrum layer gen.sym_eig; each instance calls each exactly once
+    k = 4
+    t = tracer.Tracer()
+    with t.installed(solve=False):
+        batch = tracer.gen.make_batch(tracer.gen.GeneratorConfig(n=6, beta_low=0.1, beta_high=0.5), k)
+    assert len(batch) == k
+    calls = Counter(name for _, name, _, _, _, _ in t.spans)
+    assert calls == {"gen.make_instance": k, "gen.sym_eig": k}
