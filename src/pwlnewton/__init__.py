@@ -54,7 +54,6 @@ from .qp import (
     kkt_residual,
     qp_newton_solve,
     qp_objective,
-    qp_residual,
     qp_to_pwls,
 )
 from .gen import GeneratedInstance, GeneratorConfig, make_batch, make_instance, make_spd_matrix

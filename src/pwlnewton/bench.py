@@ -40,6 +40,8 @@ CSV_COLUMNS = (
 # sub-stream tags so the three experiments never share random draws
 _DIM_TAG, _STARTS_TAG, _BETA_TAG = 1, 2, 3
 
+BETA_RANGE = (1e-12, 0.5)  # the paper's beta range for bench-dim and bench-starts
+
 
 @dataclass
 class BenchRecord:
@@ -67,16 +69,20 @@ def _cell(value) -> str:
     return str(value)
 
 
-def write_csv(records: Sequence[BenchRecord], destination: Union[str, TextIO]) -> None:
+def write_csv(records: Sequence[BenchRecord], handle: TextIO) -> None:
     """Write the fixed-schema CSV (header always present, even when empty)."""
-    if isinstance(destination, str):
-        with open(destination, "w", newline="") as handle:
-            write_csv(records, handle)
-        return
-    writer = csv.writer(destination, lineterminator="\n")
+    writer = csv.writer(handle, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for record in records:
         writer.writerow(record.to_row())
+
+
+def _check_settings(tolxs: Sequence[float], max_iter: int, repeats: int) -> None:
+    """Refuse an out-of-range tolx, max_iter or repeats before any instance is drawn."""
+    for tolx in tolxs:
+        SolverOptions(max_iter=max_iter, tol_x=tolx)
+    if repeats < 1:
+        raise ValueError("repeats must be at least 1")
 
 
 def _subseed(seed: int, *parts: int) -> int:
@@ -101,8 +107,6 @@ def _solve_row(experiment: str, inst: GeneratedInstance, tolx: float, index: str
     wall-clock time is reported; repeats run serially so the measurements
     are uncontended.
     """
-    if repeats < 1:
-        raise ValueError("repeats must be at least 1")
     opts = SolverOptions(max_iter=max_iter, known_solution=inst.known_solution, tol_x=tolx)
     start = inst.x0 if x0 is None else x0
     times = []
@@ -122,8 +126,8 @@ def run_bench_dim(
     tolxs: Sequence[float],
     seed: int = 0,
     *,
-    beta_low: float = 1e-12,
-    beta_high: float = 0.5,
+    beta_low: float = BETA_RANGE[0],
+    beta_high: float = BETA_RANGE[1],
     max_iter: int = 100,
     repeats: int = 10,
 ) -> list[BenchRecord]:
@@ -133,6 +137,7 @@ def run_bench_dim(
     comparable between accuracy levels.  Summary records per (n, tolx):
     total-iterations and total-runtime.
     """
+    _check_settings(tolxs, max_iter, repeats)
     records: list[BenchRecord] = []
     for n in sizes:
         batch = _batch(seed, _DIM_TAG, n, n, beta_low, beta_high, count)
@@ -158,21 +163,20 @@ def run_bench_starts(
     tolxs: Sequence[float],
     seed: int = 0,
     *,
-    beta_low: float = 1e-12,
-    beta_high: float = 0.5,
     max_iter: int = 100,
     repeats: int = 1,
 ) -> list[BenchRecord]:
     """Start-point sweep: each problem solved from ``starts`` random x0.
 
-    Starts are drawn from the generator's value range.  Per problem and
-    tolx, summary records iterations-mean and iterations-std (sample std;
-    0 for a single start) are emitted, then the grand statistics
-    mean-of-means and mean-of-stds over problems.
+    Problems are drawn with beta in BETA_RANGE, starts from the generator's
+    value range.  Per problem and tolx, summary records iterations-mean and
+    iterations-std (sample std; 0 for a single start) are emitted, then the
+    grand statistics mean-of-means and mean-of-stds over problems.
     """
     if starts < 1:
         raise ValueError("starts must be at least 1")
-    batch = _batch(seed, _STARTS_TAG, n, n, beta_low, beta_high, problems)
+    _check_settings(tolxs, max_iter, repeats)
+    batch = _batch(seed, _STARTS_TAG, n, n, *BETA_RANGE, problems)
     bound = GeneratorConfig.value_bound
     records: list[BenchRecord] = []
     for tolx in tolxs:
@@ -221,6 +225,7 @@ def run_bench_beta(
     The mean is taken over solved instances only and emitted as "-" when
     nothing solved, matching how such cells are usually tabulated.
     """
+    _check_settings(tolxs, max_iter, repeats)
     records: list[BenchRecord] = []
     for r, (lb, ub) in enumerate(ranges):
         batch = _batch(seed, _BETA_TAG, r, n, lb, ub, count)

@@ -21,9 +21,10 @@ from typing import Optional
 
 import numpy as np
 
-from .bench import run_bench_beta, run_bench_dim, run_bench_starts, write_csv
+from .bench import BETA_RANGE, run_bench_beta, run_bench_dim, run_bench_starts, write_csv
 from .errors import ProblemFormatError, PwlNewtonError
 from .formats import load_problem, load_vector_file, report_to_dict
+from .gen import GeneratorConfig
 from .pwls import (
     ConditionReport,
     PwlsProblem,
@@ -51,8 +52,6 @@ EXIT_BY_STATUS = {
     SolveStatus.MAX_ITERATIONS: 3,
     SolveStatus.SINGULAR_JACOBIAN: 4,
 }
-
-DEFAULT_X0_BOUND = 1e6
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -91,8 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="problem dimension, repeatable (default 50 100 200)")
     dim.add_argument("--count", type=int, default=100, help="instances per dimension")
     _add_bench_flags(dim, default_repeats=10)
-    dim.add_argument("--beta-low", type=float, default=1e-12)
-    dim.add_argument("--beta-high", type=float, default=0.5)
+    dim.add_argument("--beta-low", type=float, default=BETA_RANGE[0])
+    dim.add_argument("--beta-high", type=float, default=BETA_RANGE[1])
     dim.set_defaults(func=cmd_bench_dim)
 
     starts = sub.add_parser("bench-starts", help="sensitivity to the starting point")
@@ -142,7 +141,7 @@ def _resolve_x0(args, n: int) -> np.ndarray:
         return np.zeros(n)
     if args.x0 == "random":
         rng = np.random.default_rng(args.seed)
-        return rng.uniform(-DEFAULT_X0_BOUND, DEFAULT_X0_BOUND, n)
+        return rng.uniform(-GeneratorConfig.value_bound, GeneratorConfig.value_bound, n)
     return load_vector_file(args.x0)
 
 
@@ -233,7 +232,8 @@ def cmd_project(args) -> int:
 
 def _emit_records(args, records) -> None:
     if args.out:
-        write_csv(records, args.out)
+        with open(args.out, "w", newline="") as handle:
+            write_csv(records, handle)
         summaries = [r for r in records if r.index == "all"]
         for r in summaries:
             beta = f" beta={r.beta}" if r.beta is not None else ""
@@ -269,16 +269,11 @@ def cmd_bench_starts(args) -> int:
 
 
 def cmd_bench_beta(args) -> int:
-    lows = args.beta_low
-    highs = args.beta_high
-    if lows is None and highs is None:
-        ranges = [(0.5, 1e3), (1e3, 1e4), (1e4, 1e5), (1e5, 1e6), (1e6, 1e7), (1e7, 1e8)]
-    else:
-        lows = lows or []
-        highs = highs or []
-        if len(lows) != len(highs):
-            raise ValueError("--beta-low and --beta-high must come in pairs")
-        ranges = list(zip(lows, highs))
+    lows, highs = args.beta_low or [], args.beta_high or []
+    if len(lows) != len(highs):
+        raise ValueError("--beta-low and --beta-high must come in pairs")
+    ranges = list(zip(lows, highs)) or [
+        (0.5, 1e3), (1e3, 1e4), (1e4, 1e5), (1e5, 1e6), (1e6, 1e7), (1e7, 1e8)]
     records = run_bench_beta(
         ranges, args.n, args.count, _tolxs(args), args.seed,
         max_iter=args.max_iter, repeats=args.repeats,

@@ -122,7 +122,8 @@ class SolveReport:
     bool array (length iterations + 1); ``iterate_trace`` holds the
     iterates themselves only when the run was started with keep_iterates.
     ``cycle`` is (start index, period) when status is Cycled.
-    ``last_iterate`` is the final iterate regardless of status.
+    ``last_iterate`` is the final iterate regardless of status; with
+    keep_iterates it is the very array ``iterate_trace[-1]``, not a copy.
     """
 
     status: SolveStatus
@@ -226,8 +227,9 @@ def _iterate_patterns(
     """Driver shared by the piecewise-linear and QP Newton iterations.
 
     Every iterate is x_next = step(pattern), where pattern is the current
-    iterate's sign pattern; step returns None when the pattern's step
-    matrix is singular, which ends the run as SingularJacobian.  A
+    iterate's sign pattern.  step returns a fresh array, which the trace
+    keeps uncopied, or None to end the run as SingularJacobian when the
+    pattern's step matrix is singular.  A
     formulation may solve a reduced system inside step and map its
     solution back to R^n, n = rhs.size; max|rhs| scales the residual
     rule.  In residual mode, termination per iterate checks, in order:
@@ -255,7 +257,7 @@ def _iterate_patterns(
         met = math.sqrt(d @ d) < bound
 
     patterns: list[SignPattern] = [pat]
-    trace: Optional[list[np.ndarray]] = [x.copy()] if opts.keep_iterates else None
+    trace: Optional[list[np.ndarray]] = [x] if opts.keep_iterates else None
     # index of the iterate each pattern was first seen at, keyed by its bytes
     seen: dict[bytes, int] = {pat.tobytes(): 0}
     cycle: Optional[tuple[int, int]] = None
@@ -281,7 +283,7 @@ def _iterate_patterns(
         pat = sign_pattern(x_new)
         patterns.append(pat)
         if trace is not None:
-            trace.append(x_new.copy())
+            trace.append(x_new)
         key = pat.tobytes()
         previous = seen.get(key)
         if u is not None:
@@ -343,7 +345,7 @@ def fixed_point_solve(p: PwlsProblem, x0, opts: Optional[SolverOptions] = None) 
     f = lu_factor(p.T)
 
     patterns = [sign_pattern(x)]
-    trace: Optional[list[np.ndarray]] = [x.copy()] if opts.keep_iterates else None
+    trace: Optional[list[np.ndarray]] = [x] if opts.keep_iterates else None
 
     def report(status: SolveStatus, iterations: int, last: np.ndarray) -> SolveReport:
         return SolveReport(
@@ -359,7 +361,7 @@ def fixed_point_solve(p: PwlsProblem, x0, opts: Optional[SolverOptions] = None) 
         x_new = lu_solve(f, p.b - np.maximum(x, 0.0))
         patterns.append(sign_pattern(x_new))
         if trace is not None:
-            trace.append(x_new.copy())
+            trace.append(x_new)
         if float(np.linalg.norm(x_new - x)) <= opts.tol_step:
             return report(SolveStatus.CONVERGED, k, x_new)
         x = x_new

@@ -34,12 +34,14 @@ from .pwls import (
 
 @dataclass
 class QpProblem:
-    """QP data (Q, b_tilde, c); Q is symmetrized to (Q + Q^T)/2 on ingestion.
+    """QP data (Q, b_tilde, c); an asymmetric Q is replaced by (Q + Q^T)/2.
 
     Symmetrizing loses nothing (the quadratic form is unchanged) and makes
-    downstream symmetry assumptions unconditional.  Positive definiteness
-    is deliberately not checked here; call is_positive_definite when the
-    guarantee matters (it costs one Cholesky factorization of Q).
+    downstream symmetry assumptions unconditional.  An exactly symmetric Q
+    is copied bit for bit instead (halving could round a subnormal entry).
+    Positive definiteness is deliberately not checked here; call
+    is_positive_definite when the guarantee matters (it costs one Cholesky
+    factorization of Q).
     """
 
     Q: np.ndarray
@@ -49,7 +51,7 @@ class QpProblem:
     def __post_init__(self):
         q = as_square_matrix(self.Q, "Q")
         # halving each term first cannot overflow on finite input
-        self.Q = 0.5 * q + 0.5 * q.T
+        self.Q = q.copy() if np.array_equal(q, q.T) else 0.5 * q + 0.5 * q.T
         self.b_tilde = as_vector(self.b_tilde, "b_tilde", self.Q.shape[0])
         self.c = float(self.c)
 
@@ -99,13 +101,8 @@ class ConeProjectionResult(NamedTuple):
     report: SolveReport
 
 
-def qp_residual(q: QpProblem, x) -> np.ndarray:
-    """Residual [Q - I] x+ + x + b_tilde of the underlying equation, x checked first."""
-    return _qp_residual(q, as_vector(x, "x", q.n))
-
-
 def _qp_residual(q: QpProblem, x: np.ndarray) -> np.ndarray:
-    """qp_residual of an x already checked, as the Newton solve's iterates are."""
+    """Residual [Q - I] x+ + x + b_tilde of the QP equation at a checked x."""
     xp = np.maximum(x, 0.0)
     r = q.Q @ xp  # then in place, in the left-to-right order of Q xp - xp + x + b_tilde
     r -= xp
@@ -139,9 +136,8 @@ def qp_newton_solve(q: QpProblem, x0, opts: Optional[SolverOptions] = None) -> S
     def step(bits: SignPattern) -> Optional[np.ndarray]:
         a = bits.nonzero()[0]
         rows = q.Q.take(a, axis=0)
-        # take gathers a small Q_AA faster; fancy indexing a large one, and in
-        # the column-major order getrf would otherwise copy it into
-        q_aa = rows.take(a, axis=1) if a.size <= 48 else rows[:, a]
+        # Q_AA is exactly symmetric: its transpose is the column-major copy getrf wants
+        q_aa = rows.take(a, axis=1).T
         x_a = _solve_or_none(q_aa, minus_b.take(a)) if a.size else minus_b[a]
         if x_a is None:
             return None

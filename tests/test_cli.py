@@ -343,6 +343,21 @@ def test_nonpositive_tolerance_is_an_error(diagonal_file, capsys):
         assert "MaxIterations" not in captured.out
 
 
+@pytest.mark.parametrize("command", ["bench-dim", "bench-starts", "bench-beta"])
+@pytest.mark.parametrize("flag, value, message", [
+    ("--max-iter", "0", "max_iter"),
+    ("--tolx", "0", "tol_x"),
+    ("--tolx", "nan", "tol_x"),
+    ("--repeats", "0", "repeats"),
+])
+def test_bench_flag_is_checked_before_any_instance(command, flag, value, message, capsys):
+    # --count 0 draws no instance and runs no solve, so nothing else would refuse the flag
+    assert main([command, "--count", "0", flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.out == ""
+
+
 def test_bench_starts_rejects_zero_starts(capsys):
     # a sweep with no starts has no mean to report
     assert main(["bench-starts", "--n", "3", "--count", "1", "--starts", "0"]) == 1

@@ -21,10 +21,10 @@ from pwlnewton import (
     newton_solve,
     qp_newton_solve,
     qp_objective,
-    qp_residual,
     qp_to_pwls,
     sign_pattern,
 )
+from pwlnewton.qp import _qp_residual
 
 
 def scalar_problem():
@@ -66,6 +66,17 @@ def test_qp_problem_symmetrization_is_exact_average():
         np.testing.assert_array_equal(QpProblem(Q=m, b_tilde=np.ones(7)).Q, 0.5 * (m + m.T))
 
 
+def test_qp_problem_keeps_symmetric_q_bits():
+    # halving would round the smallest subnormal to zero; a symmetric Q is copied as it is
+    rng = np.random.default_rng(27)
+    m = rng.standard_normal((6, 6))
+    symmetric = np.triu(m) + np.triu(m, 1).T
+    symmetric[0, 1] = symmetric[1, 0] = 5e-324
+    q = QpProblem(Q=symmetric, b_tilde=np.ones(6))
+    assert q.Q.tobytes() == symmetric.tobytes() and not np.shares_memory(q.Q, symmetric)
+    np.testing.assert_array_equal(QpProblem(Q=m, b_tilde=np.ones(6)).Q, 0.5 * (m + m.T))
+
+
 def test_qp_problem_not_positive_definite():
     q = QpProblem(Q=[[1.0, 0.0], [0.0, -1.0]], b_tilde=[0.0, 0.0])
     assert not q.is_positive_definite()
@@ -101,7 +112,6 @@ TWO_BY_TWO = QpProblem(Q=np.eye(2), b_tilde=[1.0, -1.0])
     pytest.param(lambda: QpProblem(Q=np.eye(2), b_tilde=[1.0, 2.0, 3.0]), "b_tilde",
                  id="QpProblem"),
     pytest.param(lambda: ConeInstance(A=np.eye(2), z=[1.0]), "z", id="ConeInstance"),
-    pytest.param(lambda: qp_residual(TWO_BY_TWO, [1.0, 2.0, 3.0]), "x", id="qp_residual"),
     pytest.param(lambda: kkt_residual(TWO_BY_TWO, [1.0]), "x", id="kkt_residual"),
     pytest.param(lambda: qp_objective(TWO_BY_TWO, [1.0, 2.0, 3.0]), "x", id="qp_objective"),
 ])
@@ -153,7 +163,7 @@ def test_qp_residual_matches_definition():
     q, _ = planted_qp(4, 0.3, rng)
     x = rng.standard_normal(4)
     expected = (q.Q - np.eye(4)) @ np.maximum(x, 0.0) + x + q.b_tilde
-    np.testing.assert_allclose(qp_residual(q, x), expected, atol=1e-15)
+    np.testing.assert_allclose(_qp_residual(q, x), expected, atol=1e-15)
 
 
 def test_step_matrix_nonsingular_for_spd_q():
@@ -243,7 +253,7 @@ Q_CYCLE = QpProblem(Q=[[33.0, -12.0, 15.0], [-12.0, 26.0, -12.0], [15.0, -12.0, 
 def test_final_residual_norm_is_residual_of_last_iterate(q, x0, opts, status):
     report = qp_newton_solve(q, x0, opts)
     assert report.status is status
-    assert report.final_residual_norm == float(np.abs(qp_residual(q, report.last_iterate)).max())
+    assert report.final_residual_norm == float(np.abs(_qp_residual(q, report.last_iterate)).max())
     assert report.final_residual_norm > 0.0
     assert report.solution is (report.last_iterate if report.converged else None)
 
