@@ -19,8 +19,12 @@ from typing import NamedTuple, Optional
 import numpy as np
 from scipy.linalg.lapack import dpotrf
 
+# the Newton step's kernels are pwls.lu_factor and pwls.lu_solve, looked up
+# at call time as in the T/b step, so that one wrapper on pwls (such as
+# perfbench/tracer.py's) sees every step's factor and solve
+from . import pwls
 from .errors import EquivalenceUnavailableError, SingularMatrixError
-from .linalg import as_square_matrix, as_vector, lu_factor, lu_solve, spectral_norm
+from .linalg import LuFactors, as_square_matrix, as_vector, lu_factor, lu_solve, spectral_norm
 from .pwls import (
     ConditionReport,
     PwlsProblem,
@@ -30,6 +34,12 @@ from .pwls import (
     _iterate_patterns,
     _solve_or_none,
 )
+
+# A step reuses the held LU factors of Q_PP only when |P| >= REUSE_MIN_SIZE
+# and at most |P| / REUSE_RATIO indices joined or left the active set; below
+# either limit a fresh factor of Q_AA ran faster (one BLAS thread).
+REUSE_MIN_SIZE = 64
+REUSE_RATIO = 8
 
 
 @dataclass
@@ -111,6 +121,54 @@ def _qp_residual(q: QpProblem, x: np.ndarray) -> np.ndarray:
     return r
 
 
+def _bordered_solve(
+    q: QpProblem,
+    minus_b: np.ndarray,
+    bits: SignPattern,
+    a: np.ndarray,
+    rows: np.ndarray,
+    held: tuple[SignPattern, np.ndarray, LuFactors],
+) -> Optional[np.ndarray]:
+    """x_A solving Q_AA x_A = -b_A from the held LU factors of M = Q_PP.
+
+    With D = P - A and E = A - P, x_A is read off the bordered system
+    [[M, B], [B^T, G]] [x_P; z] = [f; g], where B = [Q_PE | unit columns at
+    D], G = diag(Q_EE, 0), f is -b_P with its D rows set to 0 and g is
+    (-b_E, 0): the unit rows pin x_D = 0 and the unit columns free the D
+    equations, so x_P off D and z_E = x_E solve the step.  One solve with M
+    against [B | f] leaves the k x k capacitance system
+    (G - B^T M^-1 B) z = g - B^T M^-1 f, k = |D| + |E|, and then
+    x_P = M^-1 f - M^-1 B z.  None when lu_factor flags the capacitance
+    matrix singular.  ``rows`` is Q[A], and ``held`` is P's pattern, P and
+    the LU factors of M.
+    """
+    held_bits, p, f = held
+    joined = ~held_bits.take(a)
+    e = a[joined]
+    d = (~bits.take(p)).nonzero()[0]  # positions of D in P
+    ne = e.size
+    k = ne + d.size
+    q_e = rows.compress(joined, axis=0)
+    q_ep = q_e.take(p, axis=1)
+    border = np.zeros((p.size, k + 1), order="F")
+    border[:, :ne] = q_ep.T  # Q is exactly symmetric
+    border[d, np.arange(ne, k)] = 1.0
+    border[:, k] = minus_b.take(p)
+    border[d, k] = 0.0
+    solved = pwls.lu_solve(f, border)
+    # [G | g] - B^T [M^-1 B | M^-1 f]
+    cap = -np.vstack((q_ep @ solved, solved[d]))
+    cap[:ne, :ne] += q_e.take(e, axis=1)
+    cap[:ne, k] += minus_b.take(e)
+    z = _solve_or_none(cap[:, :k], cap[:, k])
+    if z is None:
+        return None
+    x = np.empty(bits.size)
+    x[p] = solved[:, k] - solved[:, :k] @ z
+    x[e] = z[:ne]
+    return x.take(a)
+
+
 def qp_newton_solve(q: QpProblem, x0, opts: Optional[SolverOptions] = None) -> SolveReport:
     """Newton iteration x_{k+1} = -([Q - I] diag(s_k) + I)^-1 b_tilde.
 
@@ -121,24 +179,54 @@ def qp_newton_solve(q: QpProblem, x0, opts: Optional[SolverOptions] = None) -> S
     mat-vec, and x_{k+1} = -b_tilde with nothing factored when A is empty.
     This is the primal-dual active-set form of the semi-smooth Newton step.
 
+    The solve holds the LU factors of the last freshly factored Q_PP, and
+    nothing else, between steps.  A later step whose active set A differs
+    from P in few indices reuses them: with D = P - A (indices that left)
+    and E = A - P (indices that joined), it solves once with the held
+    factors against k + 1 right-hand sides and then a k x k capacitance
+    (Schur-complement) system, k = |D| + |E|.  A step factors Q_AA afresh
+    instead when no factor is held, when |P| < REUSE_MIN_SIZE (64), when
+    REUSE_RATIO * k > |P| (8 k > |P|), or when lu_factor flags the
+    capacitance matrix singular.  A reused step's iterate equals a fresh
+    factor's up to rounding.
+
     Shares all termination and cycle machinery with the T/b solver.  The
     determinant of the step matrix equals det Q_AA, so for symmetric
     positive definite Q the step is provably nonsingular and a
     SingularJacobian outcome on SPD input indicates a numerical defect
-    rather than an expected failure mode.  The singular flag is judged on
-    Q_AA, at the scale max|Q_AA|.  On convergence the report's solution
-    solves the piecewise linear equation, and its positive part is the
-    QP minimizer.
+    rather than an expected failure mode.  The singular flag is judged
+    only on a fresh factor of Q_AA, at the scale max|Q_AA|.  On convergence
+    the report's solution solves the piecewise linear equation, and its
+    positive part is the QP minimizer.
     """
     opts = opts if opts is not None else SolverOptions()
     minus_b = -q.b_tilde
+    # (pattern, active set and LU factors) of the last fresh Q_AA factor, when
+    # |A| >= REUSE_MIN_SIZE; None otherwise
+    held: Optional[tuple[SignPattern, np.ndarray, LuFactors]] = None
+
+    def solve_active(bits: SignPattern, a: np.ndarray, rows: np.ndarray) -> Optional[np.ndarray]:
+        nonlocal held
+        if held is not None:
+            # k = |D| + |E| >= 1: the driver never steps twice from one pattern
+            k = np.count_nonzero(bits != held[0])
+            if REUSE_RATIO * k <= held[1].size:
+                x_a = _bordered_solve(q, minus_b, bits, a, rows, held)
+                if x_a is not None:
+                    return x_a
+        held = None  # never two factors alive at once
+        # Q_AA is exactly symmetric: its transpose is the column-major copy getrf wants
+        f = pwls.lu_factor(rows.take(a, axis=1).T)
+        if f.singular:
+            return None
+        if a.size >= REUSE_MIN_SIZE:
+            held = (bits, a, f)
+        return pwls.lu_solve(f, minus_b.take(a))
 
     def step(bits: SignPattern) -> Optional[np.ndarray]:
         a = bits.nonzero()[0]
         rows = q.Q.take(a, axis=0)
-        # Q_AA is exactly symmetric: its transpose is the column-major copy getrf wants
-        q_aa = rows.take(a, axis=1).T
-        x_a = _solve_or_none(q_aa, minus_b.take(a)) if a.size else minus_b[a]
+        x_a = solve_active(bits, a, rows) if a.size else minus_b[a]
         if x_a is None:
             return None
         # Q is exactly symmetric, so x_A @ Q[A] is Q[:, A] x_A

@@ -24,7 +24,8 @@ from pwlnewton import (
     qp_to_pwls,
     sign_pattern,
 )
-from pwlnewton.qp import _qp_residual
+from pwlnewton import pwls, qp
+from pwlnewton.qp import REUSE_MIN_SIZE, _qp_residual
 
 
 def scalar_problem():
@@ -196,33 +197,124 @@ def dense_step(q, bits):
     return np.linalg.solve(m, -q.b_tilde)
 
 
+def assert_matches_dense_iteration(q, x0):
+    """Each iterate equals the n x n step from the previous pattern, and the
+    run stops where the dense iteration first repeats its pattern."""
+    # tol_f is the smallest positive double, so in effect only a pattern repeat stops
+    opts = SolverOptions(tol_f=5e-324, max_iter=50, keep_iterates=True)
+    report = qp_newton_solve(q, x0, opts)
+    assert np.array_equal(report.pattern_trace[0], sign_pattern(x0))
+    for k in range(1, report.iterations + 1):
+        expected = dense_step(q, report.pattern_trace[k - 1])
+        scale = 1.0 + np.abs(expected).max()
+        np.testing.assert_allclose(report.iterate_trace[k], expected, rtol=0, atol=1e-10 * scale)
+        assert np.array_equal(report.pattern_trace[k], sign_pattern(expected))
+    # the dense iteration repeats its pattern after as many steps
+    patterns = [sign_pattern(x0)]
+    for _ in range(opts.max_iter):
+        patterns.append(sign_pattern(dense_step(q, patterns[-1])))
+        if np.array_equal(patterns[-1], patterns[-2]):
+            break
+    assert report.status is SolveStatus.CONVERGED_EXACT
+    assert report.iterations == len(patterns) - 1
+    assert np.array_equal(report.pattern_trace, patterns)
+
+
 @pytest.mark.parametrize("beta", [0.3, 5.0, 1e3])
 @pytest.mark.parametrize("n", [1, 2, 7, 30, 60])
 def test_reduced_step_matches_dense_step(n, beta):
-    # each iterate of the active-set step equals the n x n step from the
-    # previous pattern; the starts give the empty and the full active set,
-    # which at n = 60 is past the size where Q_AA is gathered another way
+    # the starts give the empty and the full active set, and a random one
     rng = np.random.default_rng(int(1000 * beta) + n)
     q = QpProblem(Q=spd_with_beta(n, beta, rng), b_tilde=rng.standard_normal(n))
     for x0 in (-np.ones(n), np.ones(n), rng.standard_normal(n)):
-        # tol_f is the smallest positive double, so in effect only a pattern repeat stops
-        opts = SolverOptions(tol_f=5e-324, max_iter=50, keep_iterates=True)
-        report = qp_newton_solve(q, x0, opts)
-        assert np.array_equal(report.pattern_trace[0], sign_pattern(x0))
-        for k in range(1, report.iterations + 1):
-            expected = dense_step(q, report.pattern_trace[k - 1])
-            scale = 1.0 + np.abs(expected).max()
-            np.testing.assert_allclose(report.iterate_trace[k], expected, rtol=0, atol=1e-10 * scale)
-            assert np.array_equal(report.pattern_trace[k], sign_pattern(expected))
-        # the dense iteration repeats its pattern after as many steps
-        patterns = [sign_pattern(x0)]
-        for _ in range(opts.max_iter):
-            patterns.append(sign_pattern(dense_step(q, patterns[-1])))
-            if np.array_equal(patterns[-1], patterns[-2]):
-                break
-        assert report.status is SolveStatus.CONVERGED_EXACT
-        assert report.iterations == len(patterns) - 1
-        assert np.array_equal(report.pattern_trace, patterns)
+        assert_matches_dense_iteration(q, x0)
+
+
+def spy_on(monkeypatch, name):
+    """Record the arguments and results of the pwls kernel ``name`` in a list."""
+    calls = []
+    kernel = getattr(pwls, name)
+
+    def spy(*args):
+        result = kernel(*args)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(pwls, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("beta", [0.3, 5.0])
+def test_bordered_step_matches_dense_step(beta, monkeypatch):
+    # from the solution with two or three signs flipped, the first step
+    # factors an active set of at least REUSE_MIN_SIZE afresh, and the next
+    # one changes only a few indices, so it reuses that factor
+    n = 160
+    rng = np.random.default_rng(int(10 * beta))
+    # most of the solution is positive, so the active sets hold over 64 indices
+    q = QpProblem(Q=spd_with_beta(n, beta, rng), b_tilde=rng.standard_normal(n) - 1.0)
+    u = qp_newton_solve(q, np.zeros(n)).solution
+    solves = spy_on(monkeypatch, "lu_solve")
+    for flips in (2, 3, 3):
+        x0 = u.copy()
+        flipped = rng.choice(n, flips, replace=False)
+        x0[flipped] = -x0[flipped]
+        assert np.count_nonzero(x0 > 0) >= REUSE_MIN_SIZE
+        del solves[:]
+        assert_matches_dense_iteration(q, x0)
+        # the reused factor solves against the border and the right-hand side at once
+        assert any(np.ndim(args[1]) == 2 for args, _ in solves)
+
+
+def test_singular_jacobian_only_from_a_fresh_factor(monkeypatch):
+    # Q_PP is nonsingular with P = {0, ..., 63}; the first step adds index 69,
+    # whose column in Q equals column 0's, so the next Q_AA is exactly
+    # singular.  The capacitance matrix is then exactly 0 and flagged, and the
+    # fresh factor of Q_AA that follows ends the run as SingularJacobian, as
+    # with a fresh factor at every step.
+    n, j, k = 70, 0, 69
+    q_matrix = np.eye(n)
+    q_matrix[np.ix_([j, k], [j, k])] = 2.0
+    b_tilde = np.where(np.arange(n) < 64, -1.0, 1.0)
+    b_tilde[k] = -2.0
+    q = QpProblem(Q=q_matrix, b_tilde=b_tilde)
+    x0 = np.where(np.arange(n) < 64, 1.0, -1.0)
+    factors = spy_on(monkeypatch, "lu_factor")
+    report = qp_newton_solve(q, x0)
+    assert [(args[0].shape[0], f.singular) for args, f in factors] == [
+        (64, False), (1, True), (65, True)]
+    monkeypatch.setattr(qp, "REUSE_MIN_SIZE", n + 1)
+    fresh = qp_newton_solve(q, x0)
+    assert report.status is fresh.status is SolveStatus.SINGULAR_JACOBIAN
+    assert report.iterations == fresh.iterations == 1
+
+
+def test_singular_capacitance_falls_back_to_a_fresh_factor(monkeypatch):
+    # Q is SPD and Q_PP (P = {0, ..., 63}) holds the block [[1, 1], [1, 1 + 1e-10]]
+    # on {0, 1}, so (Q_PP^-1)_00 is about 1e10.  The first step drops index 0 and
+    # adds index 69, whose Q_69,69 = 1e-3; the capacitance matrix is then about
+    # diag(1e-3, -1e10), flagged singular at the scale of its largest entry,
+    # while the new Q_AA is diagonal and far from singular.  The step factors
+    # Q_AA afresh and the run goes on.
+    n, delta = 70, 1e-10
+    q_matrix = np.eye(n)
+    q_matrix[np.ix_([0, 1], [0, 1])] = [[1.0, 1.0], [1.0, 1.0 + delta]]
+    q_matrix[69, 69] = 1e-3
+    b_tilde = np.where(np.arange(n) < 64, -1.0, 1.0)
+    b_tilde[[0, 1, 69]] = 1.0, 1.0 - delta / 2, -1.0
+    q = QpProblem(Q=q_matrix, b_tilde=b_tilde)
+    x0 = np.where(np.arange(n) < 64, 1.0, -1.0)
+    factors = spy_on(monkeypatch, "lu_factor")
+    report = qp_newton_solve(q, x0)
+    # the third step reuses the fresh factor of the second through a 1 x 1 system
+    assert [(args[0].shape[0], f.singular) for args, f in factors] == [
+        (64, False), (2, True), (64, False), (1, False)]
+    monkeypatch.setattr(qp, "REUSE_MIN_SIZE", n + 1)
+    fresh = qp_newton_solve(q, x0)
+    assert report.status is fresh.status is SolveStatus.CONVERGED_EXACT
+    assert report.iterations == fresh.iterations
+    assert np.array_equal(report.pattern_trace, fresh.pattern_trace)
+    np.testing.assert_allclose(report.solution, fresh.solution, rtol=0, atol=1e-12)
 
 
 def test_qp_singular_jacobian_status():

@@ -68,3 +68,48 @@ def test_traced_batch_records_one_spectrum_span_per_instance(tracer):
     assert len(batch) == k
     calls = Counter(name for _, name, _, _, _, _ in t.spans)
     assert calls == {"gen.make_instance": k, "gen.sym_eig": k}
+
+
+def test_traced_bordered_steps_feed_layer_metrics(tracer):
+    # from the planted solution with three signs flipped, the first step
+    # factors Q_AA afresh and later ones that change few indices reuse it:
+    # a reused step factors only its capacitance matrix and solves twice,
+    # once against the border with the held factor and once with the
+    # capacitance factor.  Set-up is traced too, as in a benchmark run.
+    t = tracer.Tracer()
+    with t.installed(solve=False):
+        cfg = tracer.gen.GeneratorConfig(n=160, beta_low=0.1, beta_high=0.5)
+        inst = tracer.gen.make_instance(cfg)
+    x0 = inst.known_solution.copy()
+    x0[[0, 1, 2]] *= -1.0
+    opts = tracer.pwls.SolverOptions(known_solution=inst.known_solution, tol_x=1e-8)
+    with t.installed(solve=True):
+        report = tracer.qp.qp_newton_solve(inst.q, x0, opts)
+    assert report.converged
+    calls = Counter(name for _, name, _, _, _, solve_id in t.spans if solve_id == 0)
+
+    # replay the reuse rule over the steps' patterns; no factor is held at first
+    held, fresh, reused = np.zeros(inst.q.n, dtype=bool), 0, 0
+    for bits in report.pattern_trace[: report.iterations]:
+        if not bits.any():
+            continue
+        size, changed = held.sum(), np.count_nonzero(bits != held)
+        if size >= tracer.qp.REUSE_MIN_SIZE and tracer.qp.REUSE_RATIO * changed <= size:
+            reused += 1
+        else:
+            fresh += 1
+            held = bits
+    assert fresh > 0 and reused > 0
+    assert calls["linalg.lu_factor"] == fresh + reused
+    assert calls["linalg.lu_solve"] == fresh + 2 * reused
+
+    patterns = np.asarray(report.pattern_trace, dtype=np.int8)
+    traced = {"time": 1.0, "solves": 1, "iterations": report.iterations,
+              "flips": int(np.abs(np.diff(patterns, axis=0)).sum()),
+              "active": float(patterns[:-1].sum()) / inst.q.n}
+    metrics, _, _ = tracer.layer_metrics(t.spans, n=inst.q.n, traced=traced,
+                                         untraced_s_per_solve=1.0,
+                                         untraced_ms_per_iteration=1.0, bare_ms=1.0)
+    assert metrics["linalg.lu_factor.calls"]["value"] == fresh + reused
+    assert metrics["linalg.lu_solve.calls"]["value"] == fresh + 2 * reused
+    assert all(np.isfinite(m["value"]) for m in metrics.values())
