@@ -208,7 +208,7 @@ def qp_newton_solve(q: QpProblem, x0, opts: Optional[SolverOptions] = None) -> S
     def solve_active(bits: SignPattern, a: np.ndarray, rows: np.ndarray) -> Optional[np.ndarray]:
         nonlocal held
         if held is not None:
-            # k = |D| + |E| >= 1: the driver never steps twice from one pattern
+            # k = |D| + |E| >= 1: the iteration never steps twice from one pattern
             k = np.count_nonzero(bits != held[0])
             if REUSE_RATIO * k <= held[1].size:
                 x_a = _bordered_solve(q, minus_b, bits, a, rows, held)
