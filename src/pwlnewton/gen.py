@@ -15,11 +15,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import GeneratorError
-from .linalg import lu_factor
 from .qp import QpProblem
-
-# consecutive singular draws of B before giving up (probability ~ 0)
-MAX_SINGULAR_DRAWS = 10
 
 
 @dataclass
@@ -39,8 +35,8 @@ class GeneratorConfig:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be at least 1")
-        if not 0.0 < self.beta_low < self.beta_high:
-            raise ValueError("need 0 < beta_low < beta_high")
+        if not 0.0 < self.beta_low < self.beta_high < np.inf:
+            raise ValueError("need 0 < beta_low < beta_high < inf")
 
 
 @dataclass
@@ -62,25 +58,26 @@ def sym_eig(s: np.ndarray) -> float:
 def make_spd_matrix(n: int, beta: float, rng: np.random.Generator) -> np.ndarray:
     """Symmetric positive definite Q with ||Q - I|| = beta.
 
-    Draws a nonsingular B with uniform entries and returns
-    I + (beta / sig_max) B^T B, where sig_max is the largest eigenvalue of
-    B^T B: that is U diag(1 + beta * sig / sig_max) U^T without the
-    eigenvectors U.  The eigenvalues of Q lie in (1, 1 + beta], the top one
-    makes ||Q - I|| exactly beta, and Q is exactly symmetric.
+    Draws B with uniform entries and returns I + (beta / sig_max) B^T B,
+    where sig_max is the largest eigenvalue of B^T B: that is
+    U diag(1 + beta * sig / sig_max) U^T without the eigenvectors U.  The
+    eigenvalues of Q lie in [1, 1 + beta], the top one makes ||Q - I||
+    exactly beta, and Q is exactly symmetric, so Q is SPD for every nonzero
+    B.  A near-singular B leaves Q - I numerically singular, which
+    qp_to_pwls refuses.  GeneratorError when sig_max is not positive, as
+    for B = 0.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if beta <= 0.0:
-        raise ValueError("beta must be positive")
+    if not 0.0 < beta < np.inf:
+        raise ValueError("need 0 < beta < inf")
     bound = GeneratorConfig.value_bound
-    for _ in range(MAX_SINGULAR_DRAWS):
-        b = rng.uniform(-bound, bound, (n, n))
-        if not lu_factor(b).singular:
-            break
-    else:
-        raise GeneratorError(f"{MAX_SINGULAR_DRAWS} consecutive singular draws of B")
+    b = rng.uniform(-bound, bound, (n, n))
     q = b.T @ b
-    q *= beta / sym_eig(q)
+    sig_max = sym_eig(q)
+    if not sig_max > 0.0:
+        raise GeneratorError(f"top eigenvalue of B^T B is {sig_max}, not positive")
+    q *= beta / sig_max
     q[np.diag_indices(n)] += 1.0
     return q
 

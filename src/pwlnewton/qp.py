@@ -122,7 +122,6 @@ def _qp_residual(q: QpProblem, x: np.ndarray) -> np.ndarray:
 
 
 def _bordered_solve(
-    q: QpProblem,
     minus_b: np.ndarray,
     bits: SignPattern,
     a: np.ndarray,
@@ -211,7 +210,7 @@ def qp_newton_solve(q: QpProblem, x0, opts: Optional[SolverOptions] = None) -> S
             # k = |D| + |E| >= 1: the iteration never steps twice from one pattern
             k = np.count_nonzero(bits != held[0])
             if REUSE_RATIO * k <= held[1].size:
-                x_a = _bordered_solve(q, minus_b, bits, a, rows, held)
+                x_a = _bordered_solve(minus_b, bits, a, rows, held)
                 if x_a is not None:
                     return x_a
         held = None  # never two factors alive at once

@@ -358,6 +358,15 @@ def test_bench_flag_is_checked_before_any_instance(command, flag, value, message
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["bench-dim", "bench-beta"])
+def test_infinite_beta_is_checked_before_any_instance(command, capsys):
+    # with --count 1 this was a numpy OverflowError traceback, with --count 0 exit 0
+    assert main([command, "--count", "0", "--beta-low", "1", "--beta-high", "inf"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "beta_high < inf" in captured.err
+    assert captured.out == ""
+
+
 def test_bench_starts_rejects_zero_starts(capsys):
     # a sweep with no starts has no mean to report
     assert main(["bench-starts", "--n", "3", "--count", "1", "--starts", "0"]) == 1

@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 
 from pwlnewton import (
+    EquivalenceUnavailableError,
     GeneratorConfig,
     GeneratorError,
+    QpProblem,
     SolverOptions,
     make_batch,
     make_instance,
     make_spd_matrix,
     qp_newton_solve,
+    qp_to_pwls,
     spectral_norm,
 )
 
@@ -27,6 +30,17 @@ def test_config_validation():
         GeneratorConfig(n=3, beta_low=0.0, beta_high=0.2)
     with pytest.raises(ValueError):
         GeneratorConfig(n=3, beta_low=0.3, beta_high=0.2)
+    # rng.uniform overflows on an infinite range, so the bounds must be finite
+    for low, high in ((1.0, np.inf), (np.inf, np.inf), (1.0, np.nan), (np.nan, 2.0)):
+        with pytest.raises(ValueError):
+            GeneratorConfig(n=3, beta_low=low, beta_high=high)
+
+
+@pytest.mark.parametrize("beta", [0.0, -1.0, np.nan, np.inf])
+def test_spd_matrix_refuses_beta_outside_open_range(beta):
+    # a nan or inf beta would scale Q to all nan or all inf
+    with pytest.raises(ValueError):
+        make_spd_matrix(3, beta, np.random.default_rng(0))
 
 
 def test_spd_matrix_norm_identity():
@@ -77,6 +91,23 @@ def test_spd_matrix_generator_error_on_degenerate_rng():
 
     with pytest.raises(GeneratorError):
         make_spd_matrix(3, 0.2, ZeroRng())
+
+
+def test_spd_matrix_from_rank_one_b():
+    # B = u v^T is nonzero but singular: Q is still SPD with ||Q - I|| = beta,
+    # and only the T/b form, which needs [Q - I]^-1, is refused
+    class RankOneRng:
+        def uniform(self, low, high, size=None):
+            return np.outer([1.0, -2.0, 3.0], [4.0, 5.0, -6.0])
+
+    beta = 0.7
+    q = make_spd_matrix(3, beta, RankOneRng())
+    assert np.array_equal(q, q.T)
+    problem = QpProblem(Q=q, b_tilde=np.ones(3), c=0.0)
+    assert problem.is_positive_definite()
+    assert abs(spectral_norm(q - np.eye(3)) - beta) <= 1e-11 * beta
+    with pytest.raises(EquivalenceUnavailableError):
+        qp_to_pwls(problem)
 
 
 def test_instance_determinism():
