@@ -77,12 +77,18 @@ def write_csv(records: Sequence[BenchRecord], handle: TextIO) -> None:
         writer.writerow(record.to_row())
 
 
-def _check_settings(tolxs: Sequence[float], max_iter: int, repeats: int) -> None:
-    """Refuse an out-of-range tolx, max_iter or repeats before any instance is drawn."""
+def _check_settings(tolxs: Sequence[float], max_iter: int, repeats: int, seed: int,
+                    sizes: Sequence[int]) -> None:
+    """Refuse an out-of-range tolx, max_iter, repeats, seed or n before any instance is drawn."""
     for tolx in tolxs:
         SolverOptions(max_iter=max_iter, tol_x=tolx)
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    for n in sizes:
+        if n < 1:
+            raise ValueError(f"n must be at least 1, got {n}")
 
 
 def _subseed(seed: int, *parts: int) -> int:
@@ -137,7 +143,7 @@ def run_bench_dim(
     comparable between accuracy levels.  Summary records per (n, tolx):
     total-iterations and total-runtime.
     """
-    _check_settings(tolxs, max_iter, repeats)
+    _check_settings(tolxs, max_iter, repeats, seed, sizes)
     records: list[BenchRecord] = []
     for n in sizes:
         batch = _batch(seed, _DIM_TAG, n, n, beta_low, beta_high, count)
@@ -175,7 +181,7 @@ def run_bench_starts(
     """
     if starts < 1:
         raise ValueError("starts must be at least 1")
-    _check_settings(tolxs, max_iter, repeats)
+    _check_settings(tolxs, max_iter, repeats, seed, [n])
     batch = _batch(seed, _STARTS_TAG, n, n, *BETA_RANGE, problems)
     bound = GeneratorConfig.value_bound
     records: list[BenchRecord] = []
@@ -225,7 +231,7 @@ def run_bench_beta(
     The mean is taken over solved instances only and emitted as "-" when
     nothing solved, matching how such cells are usually tabulated.
     """
-    _check_settings(tolxs, max_iter, repeats)
+    _check_settings(tolxs, max_iter, repeats, seed, [n])
     records: list[BenchRecord] = []
     for r, (lb, ub) in enumerate(ranges):
         batch = _batch(seed, _BETA_TAG, r, n, lb, ub, count)

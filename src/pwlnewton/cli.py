@@ -140,6 +140,8 @@ def _resolve_x0(args, n: int) -> np.ndarray:
     if args.x0 == "zero":
         return np.zeros(n)
     if args.x0 == "random":
+        if args.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {args.seed}")
         rng = np.random.default_rng(args.seed)
         return rng.uniform(-GeneratorConfig.value_bound, GeneratorConfig.value_bound, n)
     return load_vector_file(args.x0)

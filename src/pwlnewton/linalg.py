@@ -76,18 +76,22 @@ class LuFactors:
         return self.lu.shape[0]
 
 
-def lu_factor(m) -> LuFactors:
+def lu_factor(m, scale: Optional[float] = None) -> LuFactors:
     """Factor a square matrix as PM = LU with partial pivoting.
 
     The singular flag is set when any pivot falls below
     PIVOT_RTOL * max|M|, which catches the exactly singular sign-pattern
-    matrices produced by the enumerator without tripping on scale.  The
-    finite check on M and the scale max|M| come from one pass over M.
-    The pivot test is one fmin over |diag U|; fmin skips NaN as a per-pivot
-    < would, so a NaN pivot neither sets the flag nor hides a tiny one.
+    matrices produced by the enumerator without tripping on scale.  A
+    caller whose M is a difference of larger terms passes their size as
+    ``scale``, and pivots are then judged against the larger of the two,
+    so that a cancellation to rounding level is flagged too.  The finite
+    check on M and max|M| come from one pass over M.  The pivot test is
+    one fmin over |diag U|; fmin skips NaN as a per-pivot < would, so a
+    NaN pivot neither sets the flag nor hides a tiny one.
     """
-    m, scale = finite_matrix(m)
+    m, size = finite_matrix(m)
     _require_square(m, "matrix")
+    scale = size if scale is None else max(size, scale)
     # getrf completes on singular input (info > 0) and leaves a zero pivot in U
     lu, piv, info = dgetrf(m)
     if info < 0:

@@ -3,10 +3,14 @@
 The system is linear on each orthant of R^n, and the active orthant is
 encoded by the iterate's sign pattern, a bool array that is True where
 the iterate is positive.  The Newton step's matrix depends only on that
-pattern, so each iterate is a deterministic function of its
+pattern, so in exact arithmetic each iterate is a function of its
 predecessor's pattern.  This gives exact termination tests for free: a
 new iterate whose pattern equals its predecessor's is an exact solution,
-and a pattern that recurs non-consecutively proves a cycle.
+and a pattern that recurs non-consecutively proves a cycle.  In floating
+point a step may also reuse the LU factor held from an earlier step's
+pattern (see newton_solve), so the computed iterate depends on that
+factor too: the claims above hold in exact arithmetic, and a revisited
+pattern's iterate matches the earlier one up to rounding.
 
 Besides the Newton driver the module provides a fixed-point solver (valid
 when ||T^-1|| < 1, useful as an independent cross-check), a brute-force
@@ -27,6 +31,7 @@ import numpy as np
 
 from .errors import ContractionHypothesisError, SingularMatrixError, SizeGuardError
 from .linalg import (
+    LuFactors,
     as_square_matrix,
     as_vector,
     finite_matrix,
@@ -43,6 +48,13 @@ ENUMERATION_LIMIT = 20
 
 # entries within ZERO_RTOL * max|M| of zero count as zero for both signs
 ZERO_RTOL = 1e-14
+
+# A Newton step reuses the held LU factors of a size-m step matrix only when
+# m >= REUSE_MIN_SIZE and at most m / REUSE_RATIO indices changed; below
+# either limit a fresh factor ran faster (one BLAS thread).  Both the T/b
+# and the QP step read them at call time.
+REUSE_MIN_SIZE = 64
+REUSE_RATIO = 8
 
 
 def sign_pattern(x) -> SignPattern:
@@ -217,6 +229,43 @@ def _solve_or_none(matrix: np.ndarray, rhs: np.ndarray) -> Optional[np.ndarray]:
     return None if f.singular else lu_solve(f, rhs)
 
 
+def _bordered_solve(
+    f: LuFactors,
+    y: np.ndarray,
+    dense: np.ndarray,
+    d: np.ndarray,
+    G: np.ndarray,
+    g: np.ndarray | float,
+) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """(x, z) solving [[M, B], [B^T, G]] [x; z] = [r; g] from LU factors f of M.
+
+    ``y`` is M^-1 r, which the caller holds from the step that factored M.
+    B = [dense^T | unit columns at the positions d] has k columns, G is
+    k x k and g has length k (or is a scalar).  One solve with M against B
+    leaves the k x k capacitance (Schur-complement) system
+    (B^T M^-1 B - G) z = B^T y - g, and then x = y - M^-1 B z.  None when
+    lu_factor flags the capacitance matrix singular, judged at the size of
+    B^T M^-1 B too: where [[M, B], [B^T, G]] is exactly singular, the
+    capacitance matrix cancels to rounding level, which its own scale
+    would not flag (a nonzero 1 x 1 matrix never is).
+    """
+    ne = dense.shape[0]
+    k = ne + d.size
+    border = np.zeros((y.size, k), order="F")
+    if ne:
+        border[:, :ne] = dense.T
+    border[d, np.arange(ne, k)] = 1.0
+    solved = lu_solve(f, border)
+    cap = border.T @ solved
+    size = float(np.abs(cap).max())
+    cap -= G
+    f_cap = lu_factor(cap, size)
+    if f_cap.singular:
+        return None
+    z = lu_solve(f_cap, border.T @ y - g)
+    return y - solved @ z, z
+
+
 def _iterate_patterns(
     x0,
     rhs: np.ndarray,
@@ -229,19 +278,25 @@ def _iterate_patterns(
     Every iterate is x_next = step(pattern), where pattern is the current
     iterate's sign pattern.  step returns a fresh array, which the trace
     keeps uncopied, or None to end the run as SingularJacobian when the
-    pattern's step matrix is singular.  A
+    pattern's step matrix is singular.  step may keep state, such as a
+    held LU factor, so x_next is a function of the pattern in exact
+    arithmetic and up to rounding in floating point; it is never called
+    twice with one pattern, since a recurrence ends the run first.  A
     formulation may solve a reduced system inside step and map its
     solution back to R^n, n = rhs.size; max|rhs| scales the residual
     rule.  In residual mode, termination per iterate checks, in order:
     consecutive pattern repeat (exact solution), the residual rule,
     non-consecutive pattern recurrence (cycle), and the iteration cap.
+    ConvergedExact and Cycled are exact-arithmetic claims: the final
+    pattern's step reproduces the final iterate, or the cycle's iterates,
+    up to rounding.
 
     In known-solution mode the distance rule is what defines success, so
     it is checked first.  A consecutive pattern repeat then means the
-    iteration has become stationary (the next iterate would be bit-for-bit
-    identical), so a stationary iterate that misses the distance rule is
-    declared MaxIterations immediately: running out the cap could never
-    change the outcome, only repeat the same solve.
+    iteration has become stationary (a further step from the same pattern
+    reproduces the iterate), so a stationary iterate that misses the
+    distance rule is declared MaxIterations immediately: running out the
+    cap could never change the outcome, only repeat the same solve.
     """
     x = as_vector(x0, "x0", rhs.size).copy()
     u = opts.known_solution
@@ -314,17 +369,50 @@ def _iterate_patterns(
 def newton_solve(p: PwlsProblem, x0, opts: Optional[SolverOptions] = None) -> SolveReport:
     """Run the Newton iteration [diag(s_k) + T] x_{k+1} = b from x0.
 
+    The solve holds the LU factors of the last freshly factored step
+    matrix M = T + diag(p), and that step's iterate Y_b = M^-1 b, and
+    nothing else, between steps.  A later step with pattern s that differs
+    from p at the k indices D reuses them: with delta = s_D - p_D (each +1
+    or -1), T + diag(s) = M + diag(delta) on D, so it solves once with the
+    held factors against the unit columns at D, giving Y_D, then the k x k
+    capacitance system (diag(delta) + Y_DD) z = Y_b[D], and takes
+    x = Y_b - Y_D z.  A step factors T + diag(s) afresh instead when no
+    factor is held, when n < REUSE_MIN_SIZE (64), when REUSE_RATIO * k > n
+    (8 k > n), or when lu_factor flags the capacitance matrix singular.  A
+    reused step's iterate equals a fresh factor's up to rounding.
+
     A singular step matrix yields status SingularJacobian rather than an
-    exception, so callers can treat all outcomes uniformly.
+    exception, so callers can treat all outcomes uniformly.  The singular
+    flag is judged only on a fresh factor of T + diag(s).
     """
     opts = opts if opts is not None else SolverOptions()
-    return _iterate_patterns(
-        x0,
-        p.b,
-        opts,
-        step=lambda bits: _solve_or_none(_pattern_matrix(p.T, bits), p.b),
-        residual_of=lambda x: residual(p, x),
-    )
+    # (pattern, LU factors of M = T + diag(pattern), M^-1 b) of the last fresh
+    # factor, when n >= REUSE_MIN_SIZE; None otherwise
+    held: Optional[tuple[SignPattern, LuFactors, np.ndarray]] = None
+    no_dense = np.empty((0, p.n))
+
+    def step(bits: SignPattern) -> Optional[np.ndarray]:
+        nonlocal held
+        if held is not None:
+            # k >= 1: the iteration never steps twice from one pattern
+            d = (bits != held[0]).nonzero()[0]
+            if REUSE_RATIO * d.size <= p.n:
+                # G = -diag(delta) and g = 0: the border's rows z = delta x_D
+                # put diag(delta) on D's diagonal of M
+                minus_delta = np.diag(np.where(bits.take(d), -1.0, 1.0))
+                solved = _bordered_solve(held[1], held[2], no_dense, d, minus_delta, 0.0)
+                if solved is not None:
+                    return solved[0]
+        held = None  # never two factors alive at once
+        f = lu_factor(_pattern_matrix(p.T, bits))
+        if f.singular:
+            return None
+        x = lu_solve(f, p.b)
+        if p.n >= REUSE_MIN_SIZE:
+            held = (bits, f, x)
+        return x
+
+    return _iterate_patterns(x0, p.b, opts, step=step, residual_of=lambda x: residual(p, x))
 
 
 def fixed_point_solve(p: PwlsProblem, x0, opts: Optional[SolverOptions] = None) -> SolveReport:

@@ -19,8 +19,9 @@ from typing import NamedTuple, Optional
 import numpy as np
 from scipy.linalg.lapack import dpotrf
 
-# the Newton step's kernels are pwls.lu_factor and pwls.lu_solve, looked up
-# at call time as in the T/b step, so that one wrapper on pwls (such as
+# the Newton step's kernels are pwls.lu_factor and pwls.lu_solve, and its
+# reuse limits pwls.REUSE_MIN_SIZE and pwls.REUSE_RATIO, looked up at call
+# time as in the T/b step, so that one wrapper on pwls (such as
 # perfbench/tracer.py's) sees every step's factor and solve
 from . import pwls
 from .errors import EquivalenceUnavailableError, SingularMatrixError
@@ -32,15 +33,7 @@ from .pwls import (
     SolveReport,
     SolverOptions,
     _iterate_patterns,
-    _solve_or_none,
 )
-
-# A step reuses the held LU factors of Q_PP only when |P| >= REUSE_MIN_SIZE
-# and at most |P| / REUSE_RATIO indices joined or left the active set; below
-# either limit a fresh factor of Q_AA ran faster (one BLAS thread).
-REUSE_MIN_SIZE = 64
-REUSE_RATIO = 8
-
 
 @dataclass
 class QpProblem:
@@ -121,49 +114,43 @@ def _qp_residual(q: QpProblem, x: np.ndarray) -> np.ndarray:
     return r
 
 
-def _bordered_solve(
+def _bordered_step(
     minus_b: np.ndarray,
     bits: SignPattern,
     a: np.ndarray,
     rows: np.ndarray,
-    held: tuple[SignPattern, np.ndarray, LuFactors],
+    held: tuple[SignPattern, np.ndarray, LuFactors, np.ndarray],
 ) -> Optional[np.ndarray]:
     """x_A solving Q_AA x_A = -b_A from the held LU factors of M = Q_PP.
 
     With D = P - A and E = A - P, x_A is read off the bordered system
-    [[M, B], [B^T, G]] [x_P; z] = [f; g], where B = [Q_PE | unit columns at
-    D], G = diag(Q_EE, 0), f is -b_P with its D rows set to 0 and g is
-    (-b_E, 0): the unit rows pin x_D = 0 and the unit columns free the D
-    equations, so x_P off D and z_E = x_E solve the step.  One solve with M
-    against [B | f] leaves the k x k capacitance system
-    (G - B^T M^-1 B) z = g - B^T M^-1 f, k = |D| + |E|, and then
-    x_P = M^-1 f - M^-1 B z.  None when lu_factor flags the capacitance
-    matrix singular.  ``rows`` is Q[A], and ``held`` is P's pattern, P and
-    the LU factors of M.
+    [[M, B], [B^T, G]] [x_P; z] = [-b_P; g], where B = [Q_PE | unit columns
+    at D], G = diag(Q_EE, 0) and g = (-b_E, 0): the unit rows pin x_D = 0
+    and the unit columns free the D equations, whose right-hand side then
+    moves only z_D, so x_P off D and z_E = x_E solve the step.
+    pwls._bordered_solve solves it through a k x k capacitance system,
+    k = |D| + |E|, from M^-1 (-b_P), the held step's x_P.  None when
+    lu_factor flags the capacitance matrix singular.  ``rows`` is Q[A],
+    and ``held`` is P's pattern, P, the LU factors of M and x_P.
     """
-    held_bits, p, f = held
+    held_bits, p, f, y = held
     joined = ~held_bits.take(a)
     e = a[joined]
     d = (~bits.take(p)).nonzero()[0]  # positions of D in P
     ne = e.size
     k = ne + d.size
     q_e = rows.compress(joined, axis=0)
-    q_ep = q_e.take(p, axis=1)
-    border = np.zeros((p.size, k + 1), order="F")
-    border[:, :ne] = q_ep.T  # Q is exactly symmetric
-    border[d, np.arange(ne, k)] = 1.0
-    border[:, k] = minus_b.take(p)
-    border[d, k] = 0.0
-    solved = pwls.lu_solve(f, border)
-    # [G | g] - B^T [M^-1 B | M^-1 f]
-    cap = -np.vstack((q_ep @ solved, solved[d]))
-    cap[:ne, :ne] += q_e.take(e, axis=1)
-    cap[:ne, k] += minus_b.take(e)
-    z = _solve_or_none(cap[:, :k], cap[:, k])
-    if z is None:
+    G = np.zeros((k, k))
+    G[:ne, :ne] = q_e.take(e, axis=1)
+    g = np.zeros(k)
+    g[:ne] = minus_b.take(e)
+    # Q is exactly symmetric, so Q_EP is the dense border's transpose
+    solved = pwls._bordered_solve(f, y, q_e.take(p, axis=1), d, G, g)
+    if solved is None:
         return None
+    x_p, z = solved
     x = np.empty(bits.size)
-    x[p] = solved[:, k] - solved[:, :k] @ z
+    x[p] = x_p
     x[e] = z[:ne]
     return x.take(a)
 
@@ -179,13 +166,13 @@ def qp_newton_solve(q: QpProblem, x0, opts: Optional[SolverOptions] = None) -> S
     This is the primal-dual active-set form of the semi-smooth Newton step.
 
     The solve holds the LU factors of the last freshly factored Q_PP, and
-    nothing else, between steps.  A later step whose active set A differs
+    that step's x_P, and nothing else, between steps.  A later step whose active set A differs
     from P in few indices reuses them: with D = P - A (indices that left)
     and E = A - P (indices that joined), it solves once with the held
-    factors against k + 1 right-hand sides and then a k x k capacitance
+    factors against k right-hand sides and then a k x k capacitance
     (Schur-complement) system, k = |D| + |E|.  A step factors Q_AA afresh
-    instead when no factor is held, when |P| < REUSE_MIN_SIZE (64), when
-    REUSE_RATIO * k > |P| (8 k > |P|), or when lu_factor flags the
+    instead when no factor is held, when |P| < pwls.REUSE_MIN_SIZE (64),
+    when pwls.REUSE_RATIO * k > |P| (8 k > |P|), or when lu_factor flags the
     capacitance matrix singular.  A reused step's iterate equals a fresh
     factor's up to rounding.
 
@@ -200,17 +187,17 @@ def qp_newton_solve(q: QpProblem, x0, opts: Optional[SolverOptions] = None) -> S
     """
     opts = opts if opts is not None else SolverOptions()
     minus_b = -q.b_tilde
-    # (pattern, active set and LU factors) of the last fresh Q_AA factor, when
-    # |A| >= REUSE_MIN_SIZE; None otherwise
-    held: Optional[tuple[SignPattern, np.ndarray, LuFactors]] = None
+    # (pattern, active set, LU factors and solution x_A) of the last fresh
+    # Q_AA factor, when |A| >= pwls.REUSE_MIN_SIZE; None otherwise
+    held: Optional[tuple[SignPattern, np.ndarray, LuFactors, np.ndarray]] = None
 
     def solve_active(bits: SignPattern, a: np.ndarray, rows: np.ndarray) -> Optional[np.ndarray]:
         nonlocal held
         if held is not None:
             # k = |D| + |E| >= 1: the iteration never steps twice from one pattern
             k = np.count_nonzero(bits != held[0])
-            if REUSE_RATIO * k <= held[1].size:
-                x_a = _bordered_solve(minus_b, bits, a, rows, held)
+            if pwls.REUSE_RATIO * k <= held[1].size:
+                x_a = _bordered_step(minus_b, bits, a, rows, held)
                 if x_a is not None:
                     return x_a
         held = None  # never two factors alive at once
@@ -218,9 +205,10 @@ def qp_newton_solve(q: QpProblem, x0, opts: Optional[SolverOptions] = None) -> S
         f = pwls.lu_factor(rows.take(a, axis=1).T)
         if f.singular:
             return None
-        if a.size >= REUSE_MIN_SIZE:
-            held = (bits, a, f)
-        return pwls.lu_solve(f, minus_b.take(a))
+        x_a = pwls.lu_solve(f, minus_b.take(a))
+        if a.size >= pwls.REUSE_MIN_SIZE:
+            held = (bits, a, f, x_a)
+        return x_a
 
     def step(bits: SignPattern) -> Optional[np.ndarray]:
         a = bits.nonzero()[0]

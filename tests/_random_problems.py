@@ -1,6 +1,8 @@
-"""Shared random-problem constructions used by the test suite."""
+"""Shared random-problem constructions and kernel spies used by the test suite."""
 
 import numpy as np
+
+from pwlnewton import pwls
 
 
 def matrix_with_inv_norm(n: int, lam: float, rng: np.random.Generator) -> np.ndarray:
@@ -42,3 +44,17 @@ def spd_near_identity(n: int, beta: float, rng: np.random.Generator) -> np.ndarr
 def qp_scale(q) -> float:
     """Relative scale 1 + ||b_tilde||_inf + max absolute row sum of Q."""
     return 1.0 + float(np.abs(q.b_tilde).max()) + float(np.abs(q.Q).sum(axis=1).max())
+
+
+def spy_on(monkeypatch, name):
+    """Record the arguments and results of the pwls kernel ``name`` in a list."""
+    calls = []
+    kernel = getattr(pwls, name)
+
+    def spy(*args):
+        result = kernel(*args)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(pwls, name, spy)
+    return calls

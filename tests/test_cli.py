@@ -367,6 +367,27 @@ def test_infinite_beta_is_checked_before_any_instance(command, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "{pwls}", "--x0", "random", "--seed", "-1"], "seed must be nonnegative, got -1"),
+    (["project", "{cone}", "--x0", "random", "--seed", "-1"], "seed must be nonnegative, got -1"),
+    (["bench-dim", "--seed", "-1"], "seed must be nonnegative, got -1"),
+    (["bench-starts", "--seed", "-1"], "seed must be nonnegative, got -1"),
+    (["bench-beta", "--seed", "-1"], "seed must be nonnegative, got -1"),
+    (["bench-dim", "--n", "-3", "--count", "0"], "n must be at least 1, got -3"),
+    (["bench-starts", "--n", "-3"], "n must be at least 1, got -3"),
+    (["bench-beta", "--n", "-3"], "n must be at least 1, got -3"),
+], ids=["solve", "project", "bench-dim", "bench-starts", "bench-beta",
+        "bench-dim-n", "bench-starts-n", "bench-beta-n"])
+def test_negative_seed_or_n_is_named(argv, message, diagonal_file, tmp_path, capsys):
+    # these were numpy's "expected non-negative integer", from the seed stream
+    files = {"pwls": diagonal_file,
+             "cone": write_json(tmp_path / "cone.json", {"kind": "cone", "A": [[1.0]], "z": [1.0]})}
+    assert main([arg.format(**files) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
 def test_bench_starts_rejects_zero_starts(capsys):
     # a sweep with no starts has no mean to report
     assert main(["bench-starts", "--n", "3", "--count", "1", "--starts", "0"]) == 1

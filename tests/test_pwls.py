@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from _random_problems import m_matrix, matrix_with_inv_norm, planted_pwls
+from _random_problems import m_matrix, matrix_with_inv_norm, planted_pwls, spy_on
 
 from pwlnewton import (
     ContractionHypothesisError,
     DimensionError,
+    GeneratorConfig,
     PwlsProblem,
     SizeGuardError,
     SolveStatus,
@@ -16,11 +17,14 @@ from pwlnewton import (
     definite_sign_rows,
     enumerate_solutions,
     fixed_point_solve,
+    make_batch,
     newton_solve,
+    qp_to_pwls,
     residual,
     sign_pattern,
 )
-from pwlnewton.pwls import _pattern_matrix
+from pwlnewton import pwls
+from pwlnewton.pwls import REUSE_MIN_SIZE, _pattern_matrix
 
 # golden 2x2 data: a unique zero at [2,-1] but a 2-cycle for the iteration
 T_CYCLE = np.array([[-2.0, 3.0], [-1.0, 1.0]])
@@ -240,6 +244,117 @@ def test_newton_solve_matches_enumeration():
         solutions, _ = enumerate_solutions(p)
         assert len(solutions) == 1
         assert np.abs(report.solution - solutions[0]).max() <= 1e-8
+
+
+# ------------------------------------------------- held-factor steps
+
+
+def generated_pwls(n, seed, count=3):
+    """T/b forms of generated instances with beta in (0.5, 1e3), with their starts."""
+    cfg = GeneratorConfig(n=n, beta_low=0.5, beta_high=1e3, seed=seed)
+    return [(qp_to_pwls(inst.q), inst.x0) for inst in make_batch(cfg, count)]
+
+
+def backward_error(p, x):
+    """||x+ + Tx - b||_inf / (||T||_inf ||x||_inf + ||b||_inf)."""
+    scale = np.abs(p.T).sum(axis=1).max() * np.abs(x).max() + np.abs(p.b).max()
+    return np.abs(residual(p, x)).max() / scale
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_held_factor_step_matches_fresh_step(seed, monkeypatch):
+    # the reference factors T + diag(s) afresh at every step; a reused step
+    # must take the same patterns to the same status, and each iterate may
+    # differ from the fresh one only within the forward-error bound
+    # n cond(T + diag(s)) eps of a backward-stable solve
+    n, eps = 100, np.finfo(float).eps
+    opts = SolverOptions(keep_iterates=True)
+    cases = generated_pwls(n, seed)
+    solves = spy_on(monkeypatch, "lu_solve")
+    reports = [newton_solve(p, x0, opts) for p, x0 in cases]
+    assert any(np.ndim(args[1]) == 2 for args, _ in solves)
+    monkeypatch.setattr(pwls, "REUSE_MIN_SIZE", n + 1)
+    for (p, x0), report in zip(cases, reports):
+        fresh = newton_solve(p, x0, opts)
+        assert report.status is fresh.status
+        assert report.iterations == fresh.iterations
+        assert np.array_equal(report.pattern_trace, fresh.pattern_trace)
+        for k in range(1, report.iterations + 1):
+            cond = np.linalg.cond(_pattern_matrix(p.T, report.pattern_trace[k - 1]))
+            x, expected = report.iterate_trace[k], fresh.iterate_trace[k]
+            assert np.abs(x - expected).max() <= n * cond * eps * np.abs(expected).max()
+        if report.status is SolveStatus.CONVERGED_EXACT:
+            assert backward_error(p, report.solution) <= n * eps
+
+
+def test_flagged_capacitance_falls_back_to_a_fresh_factor(monkeypatch):
+    # T is diagonal.  From x0, M = T + diag(p) has M_00 = -1e-10, so
+    # (M^-1)_00 = -1e10; the first step leaves index 0 and enters index 2,
+    # where T_22 = -1/0.999.  The capacitance matrix is then diag(1e10, 1e-3)
+    # up to sign, flagged singular at the scale of its largest entry, while
+    # T + diag(s) is diagonal with entries of at least 1e-3 in size.  The
+    # step factors it afresh and the run goes on to the solution.
+    n = 64
+    t = np.full(n, 2.0)
+    t[0], t[2] = -1.0 - 1e-10, -1.0 / 0.999
+    b = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    b[0], b[2] = 0.5e-10, -1.0
+    x0 = b.copy()
+    x0[0], x0[2] = 1.0, -1.0
+    p = PwlsProblem(T=np.diag(t), b=b)
+    factors = spy_on(monkeypatch, "lu_factor")
+    report = newton_solve(p, x0)
+    assert [(args[0].shape[0], f.singular) for args, f in factors] == [
+        (n, False), (2, True), (n, False)]
+    monkeypatch.setattr(pwls, "REUSE_MIN_SIZE", n + 1)
+    fresh = newton_solve(p, x0)
+    assert report.status is fresh.status is SolveStatus.CONVERGED_EXACT
+    assert report.iterations == fresh.iterations == 2
+    assert np.array_equal(report.pattern_trace, fresh.pattern_trace)
+    np.testing.assert_array_equal(report.solution, fresh.solution)
+
+
+def test_singular_pattern_matrix_ends_singular_jacobian_as_fresh(monkeypatch):
+    # rows 0 and 1 of T + diag(s) are bitwise equal when s_0 = 1 and s_1 = 0.
+    # The start's pattern p has s_0 = 0 and the first step's iterate is built
+    # to have pattern s, so the second step differs from the held pattern in
+    # index 0 alone.  Its 1 x 1 capacitance matrix 1 + (M^-1)_00 is zero in
+    # exact arithmetic and rounding-level in floating point; judged at the
+    # size of its terms it is flagged, and the fresh factor of the exactly
+    # singular T + diag(s) ends the run, as with a fresh factor at every step.
+    n = 64
+    rng = np.random.default_rng(0)
+    t = 4.0 * np.eye(n) + 0.3 * rng.standard_normal((n, n))
+    t[1] = t[0]
+    t[1, 0] = t[0, 0] + 1.0
+    held = rng.random(n) < 0.5
+    held[:2] = False
+    s = held.copy()
+    s[0] = True
+    b = _pattern_matrix(t, held) @ (np.where(s, 1.0, -1.0) * rng.uniform(0.5, 1.5, n))
+    x0 = np.where(held, 1.0, -1.0)
+    p = PwlsProblem(T=t, b=b)
+    factors = spy_on(monkeypatch, "lu_factor")
+    report = newton_solve(p, x0)
+    assert [(args[0].shape[0], f.singular) for args, f in factors] == [
+        (n, False), (1, True), (n, True)]
+    monkeypatch.setattr(pwls, "REUSE_MIN_SIZE", n + 1)
+    fresh = newton_solve(p, x0)
+    assert report.status is fresh.status is SolveStatus.SINGULAR_JACOBIAN
+    assert report.iterations == fresh.iterations == 1
+    assert np.array_equal(report.pattern_trace, fresh.pattern_trace)
+
+
+def test_no_reuse_below_min_size(monkeypatch):
+    # below REUSE_MIN_SIZE every step factors the n x n step matrix, once
+    n = REUSE_MIN_SIZE - 1
+    cases = generated_pwls(n, seed=3)
+    factors = spy_on(monkeypatch, "lu_factor")
+    solves = spy_on(monkeypatch, "lu_solve")
+    steps = sum(newton_solve(p, x0).iterations for p, x0 in cases)
+    assert steps > len(cases)
+    assert [args[0].shape for args, _ in factors] == [(n, n)] * steps
+    assert [np.shape(args[1]) for args, _ in solves] == [(n,)] * steps
 
 
 def test_solver_options_validation():

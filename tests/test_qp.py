@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import cholesky, solve_triangular
 from scipy.optimize import nnls
-from _random_problems import qp_scale, spd_near_identity
+from _random_problems import qp_scale, spd_near_identity, spy_on
 
 from pwlnewton import (
     ConeInstance,
@@ -24,8 +24,9 @@ from pwlnewton import (
     qp_to_pwls,
     sign_pattern,
 )
-from pwlnewton import pwls, qp
-from pwlnewton.qp import REUSE_MIN_SIZE, _qp_residual
+from pwlnewton import pwls
+from pwlnewton.pwls import REUSE_MIN_SIZE
+from pwlnewton.qp import _qp_residual
 
 
 def scalar_problem():
@@ -230,20 +231,6 @@ def test_reduced_step_matches_dense_step(n, beta):
         assert_matches_dense_iteration(q, x0)
 
 
-def spy_on(monkeypatch, name):
-    """Record the arguments and results of the pwls kernel ``name`` in a list."""
-    calls = []
-    kernel = getattr(pwls, name)
-
-    def spy(*args):
-        result = kernel(*args)
-        calls.append((args, result))
-        return result
-
-    monkeypatch.setattr(pwls, name, spy)
-    return calls
-
-
 @pytest.mark.parametrize("beta", [0.3, 5.0])
 def test_bordered_step_matches_dense_step(beta, monkeypatch):
     # from the solution with two or three signs flipped, the first step
@@ -283,7 +270,7 @@ def test_singular_jacobian_only_from_a_fresh_factor(monkeypatch):
     report = qp_newton_solve(q, x0)
     assert [(args[0].shape[0], f.singular) for args, f in factors] == [
         (64, False), (1, True), (65, True)]
-    monkeypatch.setattr(qp, "REUSE_MIN_SIZE", n + 1)
+    monkeypatch.setattr(pwls, "REUSE_MIN_SIZE", n + 1)
     fresh = qp_newton_solve(q, x0)
     assert report.status is fresh.status is SolveStatus.SINGULAR_JACOBIAN
     assert report.iterations == fresh.iterations == 1
@@ -309,7 +296,7 @@ def test_singular_capacitance_falls_back_to_a_fresh_factor(monkeypatch):
     # the third step reuses the fresh factor of the second through a 1 x 1 system
     assert [(args[0].shape[0], f.singular) for args, f in factors] == [
         (64, False), (2, True), (64, False), (1, False)]
-    monkeypatch.setattr(qp, "REUSE_MIN_SIZE", n + 1)
+    monkeypatch.setattr(pwls, "REUSE_MIN_SIZE", n + 1)
     fresh = qp_newton_solve(q, x0)
     assert report.status is fresh.status is SolveStatus.CONVERGED_EXACT
     assert report.iterations == fresh.iterations

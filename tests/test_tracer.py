@@ -40,9 +40,10 @@ def traced_solve(tracer, solve):
 
 def test_traced_solves_record_lu_spans(tracer):
     # a QP step factors and solves once when its active set is non-empty and
-    # not at all otherwise (from -1 the first one is empty); a T/b step always
-    # does, and the T/b solve runs the residual rule, the only caller of
-    # pwls.residual.  Every iterate, x0 included, has its pattern taken once.
+    # not at all otherwise (from -1 the first one is empty); a T/b step with
+    # n below REUSE_MIN_SIZE always does, and the T/b solve runs the residual
+    # rule, the only caller of pwls.residual.  Every iterate, x0 included, has
+    # its pattern taken once.
     rng = np.random.default_rng(3)
     q = tracer.qp.QpProblem(Q=spd_near_identity(8, 0.3, rng), b_tilde=rng.standard_normal(8))
     p = tracer.pwls.PwlsProblem(T=[[3.0, 1.0], [0.5, 2.0]], b=[1.0, -1.0])
@@ -94,7 +95,7 @@ def test_traced_bordered_steps_feed_layer_metrics(tracer):
         if not bits.any():
             continue
         size, changed = held.sum(), np.count_nonzero(bits != held)
-        if size >= tracer.qp.REUSE_MIN_SIZE and tracer.qp.REUSE_RATIO * changed <= size:
+        if size >= tracer.pwls.REUSE_MIN_SIZE and tracer.pwls.REUSE_RATIO * changed <= size:
             reused += 1
         else:
             fresh += 1
@@ -113,3 +114,28 @@ def test_traced_bordered_steps_feed_layer_metrics(tracer):
     assert metrics["linalg.lu_factor.calls"]["value"] == fresh + reused
     assert metrics["linalg.lu_solve.calls"]["value"] == fresh + 2 * reused
     assert all(np.isfinite(m["value"]) for m in metrics.values())
+
+
+def test_traced_tb_held_factor_steps(tracer):
+    # a T/b solve at n >= REUSE_MIN_SIZE factors T + diag(s) afresh at its
+    # first step and reuses that factor at later steps that change few
+    # indices: a reused step factors only its capacitance matrix and solves
+    # twice, as a bordered QP step does
+    n = 100
+    assert n >= tracer.pwls.REUSE_MIN_SIZE
+    cfg = tracer.gen.GeneratorConfig(n=n, beta_low=0.5, beta_high=1e3)
+    inst = tracer.gen.make_instance(cfg)
+    p = tracer.qp.qp_to_pwls(inst.q)
+    report, calls = traced_solve(tracer, lambda: tracer.pwls.newton_solve(p, inst.x0))
+
+    # replay the reuse rule over the steps' patterns; no factor is held at first
+    held, fresh, reused = None, 0, 0
+    for bits in report.pattern_trace[: report.iterations]:
+        if held is not None and tracer.pwls.REUSE_RATIO * np.count_nonzero(bits != held) <= n:
+            reused += 1
+        else:
+            fresh += 1
+            held = bits
+    assert fresh > 0 and reused > 0
+    assert calls["linalg.lu_factor"] == fresh + reused
+    assert calls["linalg.lu_solve"] == fresh + 2 * reused
