@@ -9,7 +9,6 @@ experiments behind the CLI.
 """
 
 from .errors import (
-    ContractionHypothesisError,
     DimensionError,
     EquivalenceUnavailableError,
     GeneratorError,
@@ -28,17 +27,12 @@ from .linalg import (
 from .pwls import (
     CONVERGED_STATUSES,
     ConditionReport,
-    DefiniteSignClassification,
     PwlsProblem,
     SignPattern,
     SolveReport,
     SolveStatus,
     SolverOptions,
     check_conditions,
-    check_finite_termination_hypothesis,
-    definite_sign_rows,
-    enumerate_solutions,
-    fixed_point_solve,
     newton_solve,
     residual,
     sign_pattern,

@@ -13,12 +13,8 @@ class SingularMatrixError(PwlNewtonError):
     """A factorization or solve hit a (numerically) singular matrix."""
 
 
-class ContractionHypothesisError(PwlNewtonError):
-    """The fixed-point map is not a contraction (||T^-1|| >= 1)."""
-
-
 class SizeGuardError(PwlNewtonError, ValueError):
-    """An exhaustive routine was called above its dimension guard."""
+    """An input is larger than its size limit, such as a problem file above MAX_JSON_BYTES."""
 
 
 class GeneratorError(PwlNewtonError):

@@ -80,8 +80,10 @@ def lu_factor(m, scale: Optional[float] = None) -> LuFactors:
     """Factor a square matrix as PM = LU with partial pivoting.
 
     The singular flag is set when any pivot falls below
-    PIVOT_RTOL * max|M|, which catches the exactly singular sign-pattern
-    matrices produced by the enumerator without tripping on scale.  A
+    PIVOT_RTOL * max|M|.  The rule must flag the exactly singular pattern
+    matrices that the Newton path meets, which rounding can leave slightly
+    nonsingular, without tripping on scale (pinned by
+    test_singular_pattern_matrix_ends_singular_jacobian_as_fresh).  A
     caller whose M is a difference of larger terms passes their size as
     ``scale``, and pivots are then judged against the larger of the two,
     so that a cancellation to rounding level is flagged too.  The finite

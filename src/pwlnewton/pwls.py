@@ -12,29 +12,25 @@ pattern (see newton_solve), so the computed iterate depends on that
 factor too: the claims above hold in exact arithmetic, and a revisited
 pattern's iterate matches the earlier one up to rounding.
 
-Besides the Newton driver the module provides a fixed-point solver (valid
-when ||T^-1|| < 1, useful as an independent cross-check), a brute-force
-enumerator over all 2^n sign patterns, and checkers for the hypotheses
-that guarantee convergence.
+Besides newton_solve the module evaluates the conditions on ||T^-1||
+that guarantee a unique solution and a Q-linear rate (check_conditions).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ContractionHypothesisError, SingularMatrixError, SizeGuardError
+from .errors import SingularMatrixError
 from .linalg import (
     LuFactors,
     as_square_matrix,
     as_vector,
-    finite_matrix,
     inv_spectral_norm,
     lu_factor,
     lu_solve,
@@ -42,12 +38,6 @@ from .linalg import (
 
 # sign pattern of x: a bool array, True at i iff x_i > 0 (0 counts as not positive)
 SignPattern = np.ndarray
-
-# guard for routines that sweep all 2^n sign patterns
-ENUMERATION_LIMIT = 20
-
-# entries within ZERO_RTOL * max|M| of zero count as zero for both signs
-ZERO_RTOL = 1e-14
 
 # A Newton step reuses the held LU factors of a size-m step matrix only when
 # m >= REUSE_MIN_SIZE and at most m / REUSE_RATIO indices changed; below
@@ -99,16 +89,12 @@ class SolverOptions:
     (the benchmark rule; norms Euclidean).  Otherwise the residual rule
     applies: stop when the max-norm residual falls below
     tol_f * (1 + max-norm of the right-hand side).
-
-    ``tol_step`` is only used by the fixed-point solver, which stops on
-    the Euclidean length of its update step.
     """
 
     max_iter: int = 100
     tol_f: float = 1e-10
     tol_x: float = 1e-6
     known_solution: Optional[np.ndarray] = None
-    tol_step: float = 1e-10
     keep_iterates: bool = False
 
     def __post_init__(self):
@@ -118,7 +104,7 @@ class SolverOptions:
             raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}") from None
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        for name in ("tol_f", "tol_x", "tol_step"):
+        for name in ("tol_f", "tol_x"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
@@ -195,21 +181,6 @@ class ConditionReport:
         return m / (1.0 - m) if self.existence_ok else None
 
 
-@dataclass
-class DefiniteSignClassification:
-    """Row-sign classification of a matrix.
-
-    A row has definite sign when all its entries are >= 0 or all <= 0
-    (entries below the zero threshold count as zero for both signs).
-    Index sets are 0-based; all-zero rows land in i_plus by convention,
-    and mixed-sign rows land in neither set.
-    """
-
-    has_definite_sign_rows: bool
-    i_plus: tuple[int, ...]
-    i_minus: tuple[int, ...]
-
-
 def residual(p: PwlsProblem, x) -> np.ndarray:
     """F(x) = x+ + T x - b."""
     x = as_vector(x, "x", p.n)
@@ -221,12 +192,6 @@ def _pattern_matrix(T: np.ndarray, bits: SignPattern) -> np.ndarray:
     # m is a fresh C-ordered copy, so this strided slice is a view of its diagonal
     m.ravel()[:: T.shape[0] + 1] += bits
     return m
-
-
-def _solve_or_none(matrix: np.ndarray, rhs: np.ndarray) -> Optional[np.ndarray]:
-    """matrix^-1 rhs, or None when lu_factor flags matrix singular."""
-    f = lu_factor(matrix)
-    return None if f.singular else lu_solve(f, rhs)
 
 
 def _bordered_solve(
@@ -415,69 +380,6 @@ def newton_solve(p: PwlsProblem, x0, opts: Optional[SolverOptions] = None) -> So
     return _iterate_patterns(x0, p.b, opts, step=step, residual_of=lambda x: residual(p, x))
 
 
-def fixed_point_solve(p: PwlsProblem, x0, opts: Optional[SolverOptions] = None) -> SolveReport:
-    """Iterate the contraction x <- T^-1 (b - x+) until the step is tiny.
-
-    Requires ||T^-1|| < 1 (checked; ContractionHypothesisError otherwise).
-    Converges to the same unique solution as the Newton iteration, which
-    makes it a useful independent oracle.
-    """
-    opts = opts if opts is not None else SolverOptions()
-    x = as_vector(x0, "x0", p.n).copy()
-    try:
-        lam = inv_spectral_norm(p.T)
-    except SingularMatrixError as exc:
-        raise ContractionHypothesisError("T is singular, so ||T^-1|| is not below 1") from exc
-    if lam >= 1.0:
-        raise ContractionHypothesisError(f"||T^-1|| = {lam!r} >= 1; the map is not a contraction")
-    f = lu_factor(p.T)
-
-    patterns = [sign_pattern(x)]
-    trace: Optional[list[np.ndarray]] = [x] if opts.keep_iterates else None
-
-    def report(status: SolveStatus, iterations: int, last: np.ndarray) -> SolveReport:
-        return SolveReport(
-            status=status,
-            iterations=iterations,
-            final_residual_norm=float(np.abs(residual(p, last)).max()),
-            pattern_trace=patterns,
-            last_iterate=last,
-            iterate_trace=trace,
-        )
-
-    for k in range(1, opts.max_iter + 1):
-        x_new = lu_solve(f, p.b - np.maximum(x, 0.0))
-        patterns.append(sign_pattern(x_new))
-        if trace is not None:
-            trace.append(x_new)
-        if float(np.linalg.norm(x_new - x)) <= opts.tol_step:
-            return report(SolveStatus.CONVERGED, k, x_new)
-        x = x_new
-    return report(SolveStatus.MAX_ITERATIONS, opts.max_iter, x)
-
-
-def enumerate_solutions(p: PwlsProblem) -> tuple[list[np.ndarray], list[SignPattern]]:
-    """Brute-force all 2^n sign patterns.
-
-    For each pattern s, solve [diag(s) + T] x = b when nonsingular and
-    accept x iff its signs are consistent with s (x_i > 0 exactly where
-    s_i = 1; x_i = 0 is only consistent with s_i = 0).  Singular patterns
-    are collected and reported, not searched: such a pattern can hide an
-    affine family of solutions, which has no finite representation here.
-    """
-    if p.n > ENUMERATION_LIMIT:
-        raise SizeGuardError(f"enumeration is limited to n <= {ENUMERATION_LIMIT}, got n = {p.n}")
-    solutions: list[np.ndarray] = []
-    singular_patterns: list[SignPattern] = []
-    for s in map(np.array, itertools.product((False, True), repeat=p.n)):
-        x = _solve_or_none(_pattern_matrix(p.T, s), p.b)
-        if x is None:
-            singular_patterns.append(s)
-        elif np.array_equal(x > 0.0, s):
-            solutions.append(x)
-    return solutions, singular_patterns
-
-
 def check_conditions(p: PwlsProblem) -> ConditionReport:
     """Evaluate the solvability/rate conditions on ||T^-1||."""
     try:
@@ -485,47 +387,3 @@ def check_conditions(p: PwlsProblem) -> ConditionReport:
     except SingularMatrixError:
         inv_norm = float("inf")
     return ConditionReport(inv_norm)
-
-
-def definite_sign_rows(m) -> DefiniteSignClassification:
-    """Classify each row of m as nonnegative, nonpositive, or mixed."""
-    m, scale = finite_matrix(m)
-    threshold = ZERO_RTOL * scale
-    has_pos = (m > threshold).any(axis=1)
-    has_neg = (m < -threshold).any(axis=1)
-    mixed = has_pos & has_neg
-    i_plus = tuple(int(i) for i in np.flatnonzero(~mixed & ~has_neg))
-    i_minus = tuple(int(i) for i in np.flatnonzero(~mixed & has_neg))
-    return DefiniteSignClassification(
-        has_definite_sign_rows=not bool(mixed.any()),
-        i_plus=i_plus,
-        i_minus=i_minus,
-    )
-
-
-def check_finite_termination_hypothesis(
-    p: PwlsProblem, patterns: Optional[Iterable[SignPattern]] = None
-) -> bool:
-    """True iff [diag(s) + T] is nonsingular with a definite-sign inverse.
-
-    With patterns=None all 2^n patterns are checked (n <= 20 guard); a
-    caller may instead supply a sample of patterns for large n.  When the
-    exhaustive check passes, the Newton iteration terminates in finitely
-    many steps at the unique solution, with per-coordinate monotone
-    trajectories.  Each supplied pattern must have length n and 0/1 or
-    bool entries (DimensionError or ValueError otherwise).
-    """
-    if patterns is None:
-        if p.n > ENUMERATION_LIMIT:
-            raise SizeGuardError(
-                f"exhaustive check is limited to n <= {ENUMERATION_LIMIT}, got n = {p.n}"
-            )
-        patterns = itertools.product((0, 1), repeat=p.n)
-    for bits in patterns:
-        s = as_vector(bits, "pattern", p.n)
-        if not ((s == 0.0) | (s == 1.0)).all():
-            raise ValueError(f"pattern entries must be 0 or 1, got {bits!r}")
-        inverse = _solve_or_none(_pattern_matrix(p.T, s), np.eye(p.n))
-        if inverse is None or not definite_sign_rows(inverse).has_definite_sign_rows:
-            return False
-    return True

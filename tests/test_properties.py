@@ -1,24 +1,21 @@
 """Property tests drawn by hypothesis, checked against oracles that share no
-code with the Newton path: brute-force enumeration, the fixed-point map and
-scipy.optimize.nnls.
+code with the Newton path: the brute-force enumerator and the fixed-point
+map of _oracles, and scipy.optimize.nnls.
 
 The draws are derandomized, so every run checks the same examples.
 """
-
-import itertools
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cholesky, solve_triangular
 from scipy.optimize import nnls
+from _oracles import enumerate_solutions, fixed_point
 from _random_problems import matrix_with_inv_norm, qp_scale
 
 from pwlnewton import (
     PwlsProblem,
     QpProblem,
-    SolverOptions,
-    fixed_point_solve,
     kkt_residual,
     make_spd_matrix,
     newton_solve,
@@ -28,22 +25,6 @@ from pwlnewton import (
 
 DETERMINISTIC = settings(database=None, derandomize=True, deadline=None)
 SEEDS = st.integers(0, 2**32 - 1)
-
-
-def enumerate_by_orthant(t, b):
-    """Solutions of x+ + Tx = b, one np.linalg.solve per sign pattern s: the
-    solution of [diag(s) + T] x = b counts when x > 0 exactly where s = 1.
-    Also returns the number of exactly singular pattern matrices."""
-    solutions, singular = [], 0
-    for s in itertools.product((0.0, 1.0), repeat=len(b)):
-        try:
-            x = np.linalg.solve(t + np.diag(s), b)
-        except np.linalg.LinAlgError:
-            singular += 1
-            continue
-        if np.array_equal(x > 0.0, np.array(s) > 0.0):
-            solutions.append(x)
-    return solutions, singular
 
 
 @DETERMINISTIC
@@ -57,13 +38,13 @@ def test_pwls_newton_matches_enumeration_and_fixed_point(n, inv_norm, seed):
     x0 = rng.standard_normal(n)
     report = newton_solve(p, x0)
     assert report.converged
-    solutions, singular = enumerate_by_orthant(p.T, p.b)
+    solutions, singular = enumerate_solutions(p.T, p.b)
     assert len(solutions) == 1 and not singular
     scale = 1.0 + float(np.abs(solutions[0]).max())
     assert np.abs(report.solution - solutions[0]).max() <= 1e-12 * scale
-    fixed = fixed_point_solve(p, x0, SolverOptions(tol_step=1e-13))
-    assert fixed.converged
-    assert np.abs(report.solution - fixed.solution).max() <= 1e-10 * scale
+    fixed = fixed_point(p.T, p.b, x0, 1e-13, 100)
+    assert fixed is not None
+    assert np.abs(report.solution - fixed).max() <= 1e-10 * scale
 
 
 @DETERMINISTIC

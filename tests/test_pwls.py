@@ -2,21 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from _oracles import definite_sign_rows, enumerate_solutions, finite_termination_holds, fixed_point
 from _random_problems import m_matrix, matrix_with_inv_norm, planted_pwls, spy_on
 
 from pwlnewton import (
-    ContractionHypothesisError,
     DimensionError,
     GeneratorConfig,
     PwlsProblem,
-    SizeGuardError,
     SolveStatus,
     SolverOptions,
     check_conditions,
-    check_finite_termination_hypothesis,
-    definite_sign_rows,
-    enumerate_solutions,
-    fixed_point_solve,
     make_batch,
     newton_solve,
     qp_to_pwls,
@@ -65,8 +60,9 @@ def test_residual_at_zero_is_minus_b():
 
 
 def test_pattern_matrix_is_t_plus_diag_bitwise():
-    # bool patterns come from the driver, 0/1 floats from
-    # check_finite_termination_hypothesis; -0.0 + 0.0 is +0.0 on both sides
+    # the Newton step passes bool patterns; 0/1 float patterns must give the
+    # same bits too, so the diagonal add cannot depend on the pattern's dtype;
+    # -0.0 + 0.0 is +0.0 on both sides
     rng = np.random.default_rng(3)
     for n in (1, 2, 7):
         t = rng.standard_normal((n, n))
@@ -241,7 +237,7 @@ def test_newton_solve_matches_enumeration():
         p = PwlsProblem(T=t, b=b)
         report = newton_solve(p, rng.standard_normal(n))
         assert report.converged
-        solutions, _ = enumerate_solutions(p)
+        solutions, _ = enumerate_solutions(t, b)
         assert len(solutions) == 1
         assert np.abs(report.solution - solutions[0]).max() <= 1e-8
 
@@ -366,7 +362,7 @@ def test_solver_options_validation():
             SolverOptions(max_iter=max_iter)
 
 
-@pytest.mark.parametrize("name", ["tol_f", "tol_x", "tol_step"])
+@pytest.mark.parametrize("name", ["tol_f", "tol_x"])
 @pytest.mark.parametrize("value", [-1.0, 0.0, math.inf, math.nan])
 def test_solver_options_reject_nonpositive_or_nonfinite_tolerance(name, value):
     # a tolerance no distance or residual can undercut would report an
@@ -441,26 +437,21 @@ def test_cycle_detection_soundness():
 
 
 def test_fixed_point_diagonal():
-    p = PwlsProblem(T=3.0 * np.eye(2), b=[4.0, -3.0])
-    report = fixed_point_solve(p, np.zeros(2))
-    assert report.status is SolveStatus.CONVERGED
-    assert report.solution is report.last_iterate
-    np.testing.assert_allclose(report.solution, [1.0, -1.0], atol=1e-9)
+    x = fixed_point(3.0 * np.eye(2), np.array([4.0, -3.0]), np.zeros(2), 1e-10, 100)
+    assert x is not None
+    np.testing.assert_allclose(x, [1.0, -1.0], atol=1e-9)
 
 
 def test_fixed_point_rejects_non_contraction():
-    with pytest.raises(ContractionHypothesisError):
-        fixed_point_solve(cycle_problem(), np.zeros(2))
-    with pytest.raises(ContractionHypothesisError):
-        fixed_point_solve(PwlsProblem(T=np.diag([0.0, 1.0]), b=[1.0, 1.0]), np.zeros(2))
+    with pytest.raises(ValueError, match=r"T\^-1"):
+        fixed_point(T_CYCLE, B_CYCLE, np.zeros(2), 1e-10, 100)
+    with pytest.raises(ValueError, match=r"= inf is not below 1"):
+        fixed_point(np.diag([0.0, 1.0]), np.ones(2), np.zeros(2), 1e-10, 100)
 
 
 def test_fixed_point_max_iterations():
     t = matrix_with_inv_norm(4, 0.95, np.random.default_rng(14))
-    p = PwlsProblem(T=t, b=np.ones(4) * 5.0)
-    report = fixed_point_solve(p, 100.0 * np.ones(4), SolverOptions(max_iter=2))
-    assert report.status is SolveStatus.MAX_ITERATIONS
-    assert report.solution is None
+    assert fixed_point(t, np.ones(4) * 5.0, 100.0 * np.ones(4), 1e-10, 2) is None
 
 
 def test_fixed_point_agrees_with_newton():
@@ -469,18 +460,17 @@ def test_fixed_point_agrees_with_newton():
         n = int(rng.integers(2, 7))
         t = matrix_with_inv_norm(n, float(rng.uniform(0.1, 0.4)), rng)
         b = rng.standard_normal(n)
-        p = PwlsProblem(T=t, b=b)
-        newton = newton_solve(p, rng.standard_normal(n))
-        fixed = fixed_point_solve(p, np.zeros(n), SolverOptions(tol_step=1e-12, max_iter=200))
-        assert newton.converged and fixed.converged
-        assert np.abs(newton.solution - fixed.solution).max() <= 1e-8
+        newton = newton_solve(PwlsProblem(T=t, b=b), rng.standard_normal(n))
+        fixed = fixed_point(t, b, np.zeros(n), 1e-12, 200)
+        assert newton.converged and fixed is not None
+        assert np.abs(newton.solution - fixed).max() <= 1e-8
 
 
 # -------------------------------------------------------- enumerator
 
 
 def test_enumerate_two_zero_example():
-    solutions, singular = enumerate_solutions(PwlsProblem(T=T_TWO_ZEROS, b=B_TWO_ZEROS))
+    solutions, singular = enumerate_solutions(T_TWO_ZEROS, B_TWO_ZEROS)
     assert len(solutions) == 1
     np.testing.assert_array_equal(solutions[0], [0.0, 1.0])
     assert np.array_equal(singular, [[True, False], [True, True]])
@@ -488,23 +478,17 @@ def test_enumerate_two_zero_example():
 
 
 def test_enumerate_cycle_problem_unique_zero():
-    solutions, singular = enumerate_solutions(cycle_problem())
+    solutions, singular = enumerate_solutions(T_CYCLE, B_CYCLE)
     assert singular == []
     assert len(solutions) == 1
     np.testing.assert_array_equal(solutions[0], [2.0, -1.0])
 
 
 def test_enumerate_diagonal():
-    solutions, singular = enumerate_solutions(PwlsProblem(T=3.0 * np.eye(2), b=[4.0, -3.0]))
+    solutions, singular = enumerate_solutions(3.0 * np.eye(2), np.array([4.0, -3.0]))
     assert singular == []
     assert len(solutions) == 1
     np.testing.assert_allclose(solutions[0], [1.0, -1.0], atol=1e-15)
-
-
-def test_enumerate_size_guard():
-    p = PwlsProblem(T=np.eye(21), b=np.zeros(21) + 1.0)
-    with pytest.raises(SizeGuardError):
-        enumerate_solutions(p)
 
 
 def test_enumerate_solutions_sign_consistent():
@@ -513,7 +497,7 @@ def test_enumerate_solutions_sign_consistent():
         n = int(rng.integers(1, 7))
         t = rng.standard_normal((n, n))
         b = rng.standard_normal(n)
-        solutions, _ = enumerate_solutions(PwlsProblem(T=t, b=b))
+        solutions, _ = enumerate_solutions(t, b)
         for x in solutions:
             assert np.abs(residual(PwlsProblem(T=t, b=b), x)).max() <= 1e-8 * (1 + np.abs(b).max())
 
@@ -550,8 +534,8 @@ def test_near_tied_inverse_norm_just_above_one():
     report = check_conditions(p)
     assert report.inv_norm == pytest.approx(1.0 + eps, rel=1e-12)
     assert not report.existence_ok
-    with pytest.raises(ContractionHypothesisError, match=r"1\.0000001"):
-        fixed_point_solve(p, np.zeros(2))
+    with pytest.raises(ValueError, match=r"\|\|T\^-1\|\| = 1\.0000001 "):
+        fixed_point(t, p.b, np.zeros(2), 1e-10, 100)
 
 
 def test_check_conditions_singular():
@@ -584,25 +568,19 @@ def test_definite_sign_rows_examples():
         [[-2.0, -3.0, -1.0], [-1.0, -1.0, -2.0], [-5.0, -2.0, -1.0]],
     ]
     for m in examples:
-        assert definite_sign_rows(m).has_definite_sign_rows
+        assert definite_sign_rows(m)
 
 
 def test_definite_sign_rows_mixed():
-    assert not definite_sign_rows([[1.0, -1.0], [0.0, 1.0]]).has_definite_sign_rows
+    assert not definite_sign_rows([[1.0, -1.0], [0.0, 1.0]])
 
 
 def test_definite_sign_rows_index_sets():
-    cls = definite_sign_rows(np.diag([-2.0, 5.0]))
-    assert cls.has_definite_sign_rows
-    assert cls.i_minus == (0,)
-    assert cls.i_plus == (1,)
+    assert definite_sign_rows(np.diag([-2.0, 5.0])) == ((1,), (0,))
 
 
 def test_definite_sign_rows_zero_row_goes_to_plus():
-    cls = definite_sign_rows([[0.0, 0.0], [-1.0, -1.0]])
-    assert cls.has_definite_sign_rows
-    assert cls.i_plus == (0,)
-    assert cls.i_minus == (1,)
+    assert definite_sign_rows([[0.0, 0.0], [-1.0, -1.0]]) == ((0,), (1,))
 
 
 def test_definite_sign_rows_partition_when_definite():
@@ -611,54 +589,29 @@ def test_definite_sign_rows_partition_when_definite():
         n = int(rng.integers(1, 6))
         signs = rng.choice([-1.0, 1.0], n)
         m = signs[:, np.newaxis] * rng.uniform(0.0, 1.0, (n, n))
-        cls = definite_sign_rows(m)
-        assert cls.has_definite_sign_rows
-        assert set(cls.i_plus) | set(cls.i_minus) == set(range(n))
-        assert set(cls.i_plus) & set(cls.i_minus) == set()
+        i_plus, i_minus = definite_sign_rows(m)
+        assert set(i_plus) | set(i_minus) == set(range(n))
+        assert set(i_plus) & set(i_minus) == set()
 
 
 # ------------------------------------- finite termination hypothesis
 
 
 def test_hypothesis_diagonal_true():
-    assert check_finite_termination_hypothesis(PwlsProblem(T=3.0 * np.eye(2), b=[1.0, 1.0]))
+    assert finite_termination_holds(3.0 * np.eye(2))
 
 
 def test_hypothesis_cycle_matrix_false():
-    assert not check_finite_termination_hypothesis(cycle_problem())
+    assert not finite_termination_holds(T_CYCLE)
 
 
 def test_hypothesis_singular_pattern_false():
-    assert not check_finite_termination_hypothesis(PwlsProblem(T=T_TWO_ZEROS, b=B_TWO_ZEROS))
+    assert not finite_termination_holds(T_TWO_ZEROS)
 
 
 def test_hypothesis_m_matrix_true():
     rng = np.random.default_rng(19)
-    t = m_matrix(5, rng)
-    assert check_finite_termination_hypothesis(PwlsProblem(T=t, b=rng.standard_normal(5)))
-
-
-def test_hypothesis_sampled_patterns_for_large_n():
-    n = 25
-    p = PwlsProblem(T=3.0 * np.eye(n), b=np.ones(n))
-    patterns = [tuple([0] * n), tuple([1] * n), tuple([1, 0] * 12 + [1]), np.ones(n, dtype=bool)]
-    assert check_finite_termination_hypothesis(p, patterns)
-    with pytest.raises(SizeGuardError):
-        check_finite_termination_hypothesis(p)
-
-
-@pytest.mark.parametrize("pattern, error", [
-    ([1], DimensionError),
-    ([1, 1, 0], DimensionError),
-    ([2, 0], ValueError),
-    ([0.5, 1], ValueError),
-    ([-1, 0], ValueError),
-], ids=["short", "long", "two", "half", "minus-one"])
-def test_hypothesis_rejects_malformed_patterns(pattern, error):
-    p = PwlsProblem(T=np.diag([-1.0, 3.0]), b=[1.0, 1.0])
-    with pytest.raises(error) as info:
-        check_finite_termination_hypothesis(p, [pattern])
-    assert info.type is error
+    assert finite_termination_holds(m_matrix(5, rng))
 
 
 def test_monotone_trajectories_under_hypothesis():
@@ -667,17 +620,17 @@ def test_monotone_trajectories_under_hypothesis():
         n = int(rng.integers(2, 6))
         t = m_matrix(n, rng)
         p = PwlsProblem(T=t, b=rng.standard_normal(n) * 3.0)
-        assert check_finite_termination_hypothesis(p)
+        assert finite_termination_holds(t)
         report = newton_solve(p, rng.standard_normal(n) * 5.0, SolverOptions(keep_iterates=True))
         assert report.status is SolveStatus.CONVERGED_EXACT
         trace = report.iterate_trace
         for k in range(1, len(trace) - 1):
             step_matrix = np.diag(np.asarray(report.pattern_trace[k], float)) + t
-            cls = definite_sign_rows(np.linalg.inv(step_matrix))
+            i_plus, i_minus = definite_sign_rows(np.linalg.inv(step_matrix))
             scale = 1e-9 * (1.0 + np.abs(trace[k]).max())
-            for i in cls.i_plus:
+            for i in i_plus:
                 assert trace[k + 1][i] <= trace[k][i] + scale
-            for i in cls.i_minus:
+            for i in i_minus:
                 assert trace[k + 1][i] >= trace[k][i] - scale
 
 

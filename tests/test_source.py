@@ -1,11 +1,13 @@
-"""Static checks on the library source, standing in for a linter."""
+"""Static checks on the library and oracle source, standing in for a linter."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pwlnewton
 
 SOURCE_DIR = Path(pwlnewton.__file__).parent
+ORACLES = Path(__file__).with_name("_oracles.py")
 
 
 def unread_parameters(tree: ast.AST) -> list[str]:
@@ -35,3 +37,27 @@ def test_every_parameter_is_read():
     unread = {path.name: unread_parameters(ast.parse(path.read_text(), str(path)))
               for path in sorted(SOURCE_DIR.rglob("*.py"))}
     assert {name: found for name, found in unread.items() if found} == {}
+
+
+def imported_modules(tree: ast.AST) -> list[str]:
+    """Top-level name of every module an import in tree names, "." for a relative one."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            found.append("." if node.level else node.module.split(".")[0])
+    return found
+
+
+def test_imported_modules_are_found():
+    tree = ast.parse("import a.b, c\nfrom d.e import f\nfrom . import g\ndef h():\n    import i\n")
+    assert imported_modules(tree) == ["a", "c", "d", ".", "i"]
+
+
+def test_oracles_import_only_numpy_scipy_and_the_standard_library():
+    # the oracles must share no code with the Newton path they check
+    allowed = {"numpy", "scipy"} | sys.stdlib_module_names
+    modules = imported_modules(ast.parse(ORACLES.read_text(), str(ORACLES)))
+    assert "numpy" in modules
+    assert [m for m in modules if m not in allowed] == []
