@@ -91,17 +91,12 @@ def _check_settings(tolxs: Sequence[float], max_iter: int, repeats: int, seed: i
             raise ValueError(f"n must be at least 1, got {n}")
 
 
-def _subseed(seed: int, *parts: int) -> int:
-    entropy = [int(seed)] + [int(p) for p in parts]
-    return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
-
-
-def _batch(seed: int, tag: int, key: int, n: int, beta_low: float, beta_high: float,
-           count: int) -> list[GeneratedInstance]:
-    """``count`` instances of size n from the sub-stream (seed, tag, key)."""
-    cfg = GeneratorConfig(n=n, beta_low=beta_low, beta_high=beta_high,
-                          seed=_subseed(seed, tag, key))
-    return make_batch(cfg, count)
+def _config(seed: int, tag: int, key: int, n: int, beta_low: float,
+            beta_high: float) -> GeneratorConfig:
+    """Generator settings for the sub-stream (seed, tag, key); refuses a bad n or beta range."""
+    entropy = [int(seed), int(tag), int(key)]
+    subseed = int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
+    return GeneratorConfig(n=n, beta_low=beta_low, beta_high=beta_high, seed=subseed)
 
 
 def _solve_row(experiment: str, inst: GeneratedInstance, tolx: float, index: str,
@@ -146,7 +141,7 @@ def run_bench_dim(
     _check_settings(tolxs, max_iter, repeats, seed, sizes)
     records: list[BenchRecord] = []
     for n in sizes:
-        batch = _batch(seed, _DIM_TAG, n, n, beta_low, beta_high, count)
+        batch = make_batch(_config(seed, _DIM_TAG, n, n, beta_low, beta_high), count)
         for tolx in tolxs:
             rows = [_solve_row("bench-dim", inst, tolx, str(i), max_iter, repeats)
                     for i, inst in enumerate(batch)]
@@ -182,7 +177,7 @@ def run_bench_starts(
     if starts < 1:
         raise ValueError("starts must be at least 1")
     _check_settings(tolxs, max_iter, repeats, seed, [n])
-    batch = _batch(seed, _STARTS_TAG, n, n, *BETA_RANGE, problems)
+    batch = make_batch(_config(seed, _STARTS_TAG, n, n, *BETA_RANGE), problems)
     bound = GeneratorConfig.value_bound
     records: list[BenchRecord] = []
     for tolx in tolxs:
@@ -232,10 +227,12 @@ def run_bench_beta(
     nothing solved, matching how such cells are usually tabulated.
     """
     _check_settings(tolxs, max_iter, repeats, seed, [n])
+    # every range is checked before the first one is drawn
+    configs = [_config(seed, _BETA_TAG, r, n, lb, ub) for r, (lb, ub) in enumerate(ranges)]
     records: list[BenchRecord] = []
-    for r, (lb, ub) in enumerate(ranges):
-        batch = _batch(seed, _BETA_TAG, r, n, lb, ub, count)
-        label = f"[{lb:g},{ub:g})"
+    for cfg in configs:
+        batch = make_batch(cfg, count)
+        label = f"[{cfg.beta_low:g},{cfg.beta_high:g})"
         for tolx in tolxs:
             rows = [_solve_row("bench-beta", inst, tolx, str(i), max_iter, repeats)
                     for i, inst in enumerate(batch)]

@@ -7,7 +7,8 @@ experiments and emit CSV (to --out, or to stdout when --out is omitted).
 Exit codes for solve/project follow the solver status: 0 converged,
 2 cycled, 3 iteration cap reached, 4 singular step matrix; malformed
 input, and on any command an out-of-range numeric flag, exits 1 with
-``error: <message>``.  A qp file whose Q is not positive definite
+``error: <message>``, as does a solve whose Newton step overflows to a
+non-finite iterate.  A qp file whose Q is not positive definite
 counts as malformed: the Newton iteration would stop at a KKT point that
 need not minimize the QP, so ``solve`` refuses it before solving.
 """

@@ -36,7 +36,8 @@ class GeneratorConfig:
         if self.n < 1:
             raise ValueError("n must be at least 1")
         if not 0.0 < self.beta_low < self.beta_high < np.inf:
-            raise ValueError("need 0 < beta_low < beta_high < inf")
+            raise ValueError("need 0 < beta_low < beta_high < inf, "
+                             f"got beta_low={self.beta_low!r}, beta_high={self.beta_high!r}")
 
 
 @dataclass

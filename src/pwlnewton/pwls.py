@@ -8,7 +8,7 @@ predecessor's pattern.  This gives exact termination tests for free: a
 new iterate whose pattern equals its predecessor's is an exact solution,
 and a pattern that recurs non-consecutively proves a cycle.  In floating
 point a step may also reuse the LU factor held from an earlier step's
-pattern (see newton_solve), so the computed iterate depends on that
+pattern (see _iterate_patterns), so the computed iterate depends on that
 factor too: the claims above hold in exact arithmetic, and a revisited
 pattern's iterate matches the earlier one up to rounding.
 
@@ -38,11 +38,10 @@ from .linalg import (
 
 # sign pattern of x: a bool array, True at i iff x_i > 0 (0 counts as not positive)
 SignPattern = np.ndarray
+# (pattern, LU factors, solution of the factored system) of a fresh Newton step
+Held = tuple[SignPattern, LuFactors, np.ndarray]
 
-# A Newton step reuses the held LU factors of a size-m step matrix only when
-# m >= REUSE_MIN_SIZE and at most m / REUSE_RATIO indices changed; below
-# either limit a fresh factor ran faster (one BLAS thread).  Both the T/b
-# and the QP step read them at call time.
+# the factor-reuse limits of the Newton driver; see _iterate_patterns
 REUSE_MIN_SIZE = 64
 REUSE_RATIO = 8
 
@@ -235,26 +234,43 @@ def _iterate_patterns(
     x0,
     rhs: np.ndarray,
     opts: SolverOptions,
-    step: Callable[[SignPattern], Optional[np.ndarray]],
+    fresh: Callable[[SignPattern], Optional[tuple[np.ndarray, Optional[LuFactors], np.ndarray]]],
+    bordered: Callable[[SignPattern, Held], Optional[np.ndarray]],
     residual_of: Callable[[np.ndarray], np.ndarray],
 ) -> SolveReport:
     """Driver shared by the piecewise-linear and QP Newton iterations.
 
-    Every iterate is x_next = step(pattern), where pattern is the current
-    iterate's sign pattern.  step returns a fresh array, which the trace
-    keeps uncopied, or None to end the run as SingularJacobian when the
-    pattern's step matrix is singular.  step may keep state, such as a
-    held LU factor, so x_next is a function of the pattern in exact
-    arithmetic and up to rounding in floating point; it is never called
-    twice with one pattern, since a recurrence ends the run first.  A
-    formulation may solve a reduced system inside step and map its
-    solution back to R^n, n = rhs.size; max|rhs| scales the residual
-    rule.  In residual mode, termination per iterate checks, in order:
-    consecutive pattern repeat (exact solution), the residual rule,
-    non-consecutive pattern recurrence (cycle), and the iteration cap.
-    ConvergedExact and Cycled are exact-arithmetic claims: the final
-    pattern's step reproduces the final iterate, or the cycle's iterates,
-    up to rounding.
+    Each iterate is the Newton step from its predecessor's sign pattern,
+    taken by one of two callbacks; both return a fresh array, which the
+    trace keeps uncopied.  fresh(pattern) factors the step matrix, or the
+    reduced system a formulation solves in its place, and returns
+    (x_next, the LU factors or None when nothing was factored, the
+    factored system's solution), or None to end the run as
+    SingularJacobian when lu_factor flags that matrix singular.
+    bordered(pattern, held) takes the step through a bordered
+    (capacitance) system from held = (pattern, LU factors, solution) of an
+    earlier fresh step, or returns None when lu_factor flags the
+    capacitance matrix singular.
+
+    The factor-reuse rule is stated here only.  The driver holds the
+    triple of the last fresh step whose factor has order m >=
+    REUSE_MIN_SIZE (64), and nothing else.  A step whose pattern differs
+    from the held one in k indices is bordered when REUSE_RATIO * k <= m
+    (8 k <= m).  Otherwise, or when bordered returns None, the driver
+    drops the held factor (never two factors alive at once) and steps
+    fresh.  Below either limit a fresh factor ran faster (one BLAS
+    thread).  A bordered step's iterate equals a fresh factor's up to
+    rounding, so x_next is a function of the pattern in exact arithmetic
+    only; no pattern is stepped from twice, since a recurrence ends the
+    run first.
+
+    A formulation may solve a reduced system and map its solution back to
+    R^n, n = rhs.size; max|rhs| scales the residual rule.  In residual
+    mode, termination per iterate checks, in order: consecutive pattern
+    repeat (exact solution), the residual rule, non-consecutive pattern
+    recurrence (cycle), and the iteration cap.  ConvergedExact and Cycled
+    are exact-arithmetic claims: the final pattern's step reproduces the
+    final iterate, or the cycle's iterates, up to rounding.
 
     In known-solution mode the distance rule is what defines success, so
     it is checked first.  A consecutive pattern repeat then means the
@@ -262,6 +278,8 @@ def _iterate_patterns(
     reproduces the iterate), so a stationary iterate that misses the
     distance rule is declared MaxIterations immediately: running out the
     cap could never change the outcome, only repeat the same solve.
+
+    A step that overflows to a non-finite iterate raises ValueError.
     """
     x = as_vector(x0, "x0", rhs.size).copy()
     u = opts.known_solution
@@ -296,11 +314,32 @@ def _iterate_patterns(
     if met:
         return report(SolveStatus.CONVERGED, 0, x)
 
+    held: Optional[Held] = None
+
+    def step(bits: SignPattern) -> Optional[np.ndarray]:
+        nonlocal held
+        # k >= 1: the iteration never steps twice from one pattern
+        if held is not None and REUSE_RATIO * np.count_nonzero(bits != held[0]) <= held[1].n:
+            x_next = bordered(bits, held)
+            if x_next is not None:
+                return x_next
+        held = None  # never two factors alive at once
+        solved = fresh(bits)
+        if solved is None:
+            return None
+        x_next, f, solution = solved
+        if f is not None and f.n >= REUSE_MIN_SIZE:
+            held = (bits, f, solution)
+        return x_next
+
     for k in range(1, opts.max_iter + 1):
         x_new = step(pat)
         if x_new is None:
             return report(SolveStatus.SINGULAR_JACOBIAN, k - 1, x)
-        pat = sign_pattern(x_new)
+        try:
+            pat = sign_pattern(x_new)
+        except ValueError:
+            raise ValueError(f"Newton iterate {k} is not finite (the step overflowed)") from None
         patterns.append(pat)
         if trace is not None:
             trace.append(x_new)
@@ -334,50 +373,37 @@ def _iterate_patterns(
 def newton_solve(p: PwlsProblem, x0, opts: Optional[SolverOptions] = None) -> SolveReport:
     """Run the Newton iteration [diag(s_k) + T] x_{k+1} = b from x0.
 
-    The solve holds the LU factors of the last freshly factored step
-    matrix M = T + diag(p), and that step's iterate Y_b = M^-1 b, and
-    nothing else, between steps.  A later step with pattern s that differs
-    from p at the k indices D reuses them: with delta = s_D - p_D (each +1
-    or -1), T + diag(s) = M + diag(delta) on D, so it solves once with the
-    held factors against the unit columns at D, giving Y_D, then the k x k
-    capacitance system (diag(delta) + Y_DD) z = Y_b[D], and takes
-    x = Y_b - Y_D z.  A step factors T + diag(s) afresh instead when no
-    factor is held, when n < REUSE_MIN_SIZE (64), when REUSE_RATIO * k > n
-    (8 k > n), or when lu_factor flags the capacitance matrix singular.  A
-    reused step's iterate equals a fresh factor's up to rounding.
+    A fresh step factors M = T + diag(s), of order n, and its solution is
+    the iterate Y_b = M^-1 b.  A bordered step from the held pattern p,
+    with D the k indices where s differs and delta = s_D - p_D (each +1
+    or -1), uses T + diag(s) = M + diag(delta) on D: one solve with the
+    held factors against the unit columns at D gives Y_D, then the k x k
+    capacitance system (diag(delta) + Y_DD) z = Y_b[D] gives
+    x = Y_b - Y_D z.  _iterate_patterns decides which step to take.
 
     A singular step matrix yields status SingularJacobian rather than an
-    exception, so callers can treat all outcomes uniformly.  The singular
-    flag is judged only on a fresh factor of T + diag(s).
+    exception, so callers can treat all outcomes uniformly.
     """
     opts = opts if opts is not None else SolverOptions()
-    # (pattern, LU factors of M = T + diag(pattern), M^-1 b) of the last fresh
-    # factor, when n >= REUSE_MIN_SIZE; None otherwise
-    held: Optional[tuple[SignPattern, LuFactors, np.ndarray]] = None
     no_dense = np.empty((0, p.n))
 
-    def step(bits: SignPattern) -> Optional[np.ndarray]:
-        nonlocal held
-        if held is not None:
-            # k >= 1: the iteration never steps twice from one pattern
-            d = (bits != held[0]).nonzero()[0]
-            if REUSE_RATIO * d.size <= p.n:
-                # G = -diag(delta) and g = 0: the border's rows z = delta x_D
-                # put diag(delta) on D's diagonal of M
-                minus_delta = np.diag(np.where(bits.take(d), -1.0, 1.0))
-                solved = _bordered_solve(held[1], held[2], no_dense, d, minus_delta, 0.0)
-                if solved is not None:
-                    return solved[0]
-        held = None  # never two factors alive at once
+    def fresh(bits: SignPattern) -> Optional[tuple[np.ndarray, LuFactors, np.ndarray]]:
         f = lu_factor(_pattern_matrix(p.T, bits))
         if f.singular:
             return None
         x = lu_solve(f, p.b)
-        if p.n >= REUSE_MIN_SIZE:
-            held = (bits, f, x)
-        return x
+        return x, f, x
 
-    return _iterate_patterns(x0, p.b, opts, step=step, residual_of=lambda x: residual(p, x))
+    def bordered(bits: SignPattern, held: Held) -> Optional[np.ndarray]:
+        held_bits, f, y = held
+        d = (bits != held_bits).nonzero()[0]
+        # G = -diag(delta) and g = 0: the border's rows z = delta x_D
+        # put diag(delta) on D's diagonal of M
+        minus_delta = np.diag(np.where(bits.take(d), -1.0, 1.0))
+        solved = _bordered_solve(f, y, no_dense, d, minus_delta, 0.0)
+        return None if solved is None else solved[0]
+
+    return _iterate_patterns(x0, p.b, opts, fresh, bordered, residual_of=lambda x: residual(p, x))
 
 
 def check_conditions(p: PwlsProblem) -> ConditionReport:

@@ -19,15 +19,15 @@ from typing import NamedTuple, Optional
 import numpy as np
 from scipy.linalg.lapack import dpotrf
 
-# the Newton step's kernels are pwls.lu_factor and pwls.lu_solve, and its
-# reuse limits pwls.REUSE_MIN_SIZE and pwls.REUSE_RATIO, looked up at call
-# time as in the T/b step, so that one wrapper on pwls (such as
+# the Newton step's kernels are pwls.lu_factor and pwls.lu_solve, looked up
+# at call time as in the T/b step, so that one wrapper on pwls (such as
 # perfbench/tracer.py's) sees every step's factor and solve
 from . import pwls
 from .errors import EquivalenceUnavailableError, SingularMatrixError
 from .linalg import LuFactors, as_square_matrix, as_vector, lu_factor, lu_solve, spectral_norm
 from .pwls import (
     ConditionReport,
+    Held,
     PwlsProblem,
     SignPattern,
     SolveReport,
@@ -114,47 +114,6 @@ def _qp_residual(q: QpProblem, x: np.ndarray) -> np.ndarray:
     return r
 
 
-def _bordered_step(
-    minus_b: np.ndarray,
-    bits: SignPattern,
-    a: np.ndarray,
-    rows: np.ndarray,
-    held: tuple[SignPattern, np.ndarray, LuFactors, np.ndarray],
-) -> Optional[np.ndarray]:
-    """x_A solving Q_AA x_A = -b_A from the held LU factors of M = Q_PP.
-
-    With D = P - A and E = A - P, x_A is read off the bordered system
-    [[M, B], [B^T, G]] [x_P; z] = [-b_P; g], where B = [Q_PE | unit columns
-    at D], G = diag(Q_EE, 0) and g = (-b_E, 0): the unit rows pin x_D = 0
-    and the unit columns free the D equations, whose right-hand side then
-    moves only z_D, so x_P off D and z_E = x_E solve the step.
-    pwls._bordered_solve solves it through a k x k capacitance system,
-    k = |D| + |E|, from M^-1 (-b_P), the held step's x_P.  None when
-    lu_factor flags the capacitance matrix singular.  ``rows`` is Q[A],
-    and ``held`` is P's pattern, P, the LU factors of M and x_P.
-    """
-    held_bits, p, f, y = held
-    joined = ~held_bits.take(a)
-    e = a[joined]
-    d = (~bits.take(p)).nonzero()[0]  # positions of D in P
-    ne = e.size
-    k = ne + d.size
-    q_e = rows.compress(joined, axis=0)
-    G = np.zeros((k, k))
-    G[:ne, :ne] = q_e.take(e, axis=1)
-    g = np.zeros(k)
-    g[:ne] = minus_b.take(e)
-    # Q is exactly symmetric, so Q_EP is the dense border's transpose
-    solved = pwls._bordered_solve(f, y, q_e.take(p, axis=1), d, G, g)
-    if solved is None:
-        return None
-    x_p, z = solved
-    x = np.empty(bits.size)
-    x[p] = x_p
-    x[e] = z[:ne]
-    return x.take(a)
-
-
 def qp_newton_solve(q: QpProblem, x0, opts: Optional[SolverOptions] = None) -> SolveReport:
     """Newton iteration x_{k+1} = -([Q - I] diag(s_k) + I)^-1 b_tilde.
 
@@ -165,16 +124,16 @@ def qp_newton_solve(q: QpProblem, x0, opts: Optional[SolverOptions] = None) -> S
     mat-vec, and x_{k+1} = -b_tilde with nothing factored when A is empty.
     This is the primal-dual active-set form of the semi-smooth Newton step.
 
-    The solve holds the LU factors of the last freshly factored Q_PP, and
-    that step's x_P, and nothing else, between steps.  A later step whose active set A differs
-    from P in few indices reuses them: with D = P - A (indices that left)
-    and E = A - P (indices that joined), it solves once with the held
-    factors against k right-hand sides and then a k x k capacitance
-    (Schur-complement) system, k = |D| + |E|.  A step factors Q_AA afresh
-    instead when no factor is held, when |P| < pwls.REUSE_MIN_SIZE (64),
-    when pwls.REUSE_RATIO * k > |P| (8 k > |P|), or when lu_factor flags the
-    capacitance matrix singular.  A reused step's iterate equals a fresh
-    factor's up to rounding.
+    A fresh step factors Q_AA, of order |A|, and its solution is x_A.  A
+    bordered step from the held active set P, with D = P - A (indices
+    that left) and E = A - P (indices that joined), reads x_A off
+    [[Q_PP, B], [B^T, G]] [x_P; z] = [-b_P; g], where B = [Q_PE | unit
+    columns at D], G = diag(Q_EE, 0) and g = (-b_E, 0): the unit rows pin
+    x_D = 0 and the unit columns free the D equations, whose right-hand
+    side then moves only z_D, so x_P off D and z_E = x_E solve the step.
+    pwls._bordered_solve solves it with the held factor of Q_PP through a
+    k x k capacitance system, k = |D| + |E|.  pwls._iterate_patterns
+    decides which step to take.
 
     Shares all termination and cycle machinery with the T/b solver.  The
     determinant of the step matrix equals det Q_AA, so for symmetric
@@ -187,45 +146,57 @@ def qp_newton_solve(q: QpProblem, x0, opts: Optional[SolverOptions] = None) -> S
     """
     opts = opts if opts is not None else SolverOptions()
     minus_b = -q.b_tilde
-    # (pattern, active set, LU factors and solution x_A) of the last fresh
-    # Q_AA factor, when |A| >= pwls.REUSE_MIN_SIZE; None otherwise
-    held: Optional[tuple[SignPattern, np.ndarray, LuFactors, np.ndarray]] = None
 
-    def solve_active(bits: SignPattern, a: np.ndarray, rows: np.ndarray) -> Optional[np.ndarray]:
-        nonlocal held
-        if held is not None:
-            # k = |D| + |E| >= 1: the iteration never steps twice from one pattern
-            k = np.count_nonzero(bits != held[0])
-            if pwls.REUSE_RATIO * k <= held[1].size:
-                x_a = _bordered_step(minus_b, bits, a, rows, held)
-                if x_a is not None:
-                    return x_a
-        held = None  # never two factors alive at once
-        # Q_AA is exactly symmetric: its transpose is the column-major copy getrf wants
-        f = pwls.lu_factor(rows.take(a, axis=1).T)
-        if f.singular:
-            return None
-        x_a = pwls.lu_solve(f, minus_b.take(a))
-        if a.size >= pwls.REUSE_MIN_SIZE:
-            held = (bits, a, f, x_a)
-        return x_a
-
-    def step(bits: SignPattern) -> Optional[np.ndarray]:
-        a = bits.nonzero()[0]
-        rows = q.Q.take(a, axis=0)
-        x_a = solve_active(bits, a, rows) if a.size else minus_b[a]
-        if x_a is None:
-            return None
+    def lift(a: np.ndarray, rows: np.ndarray, x_a: np.ndarray) -> np.ndarray:
         # Q is exactly symmetric, so x_A @ Q[A] is Q[:, A] x_A
         x = minus_b - x_a @ rows
         x[a] = x_a
         return x
 
+    def fresh(bits: SignPattern) -> Optional[tuple[np.ndarray, Optional[LuFactors], np.ndarray]]:
+        a = bits.nonzero()[0]
+        rows = q.Q.take(a, axis=0)
+        if not a.size:
+            x_a = minus_b[a]
+            return lift(a, rows, x_a), None, x_a
+        # Q_AA is exactly symmetric: its transpose is the column-major copy getrf wants
+        f = pwls.lu_factor(rows.take(a, axis=1).T)
+        if f.singular:
+            return None
+        x_a = pwls.lu_solve(f, minus_b.take(a))
+        return lift(a, rows, x_a), f, x_a
+
+    def bordered(bits: SignPattern, held: Held) -> Optional[np.ndarray]:
+        held_bits, f, y = held
+        a = bits.nonzero()[0]
+        rows = q.Q.take(a, axis=0)
+        p = held_bits.nonzero()[0]
+        joined = ~held_bits.take(a)
+        e = a[joined]
+        d = (~bits.take(p)).nonzero()[0]  # positions of D in P
+        ne = e.size
+        k = ne + d.size
+        q_e = rows.compress(joined, axis=0)
+        G = np.zeros((k, k))
+        G[:ne, :ne] = q_e.take(e, axis=1)
+        g = np.zeros(k)
+        g[:ne] = minus_b.take(e)
+        # Q is exactly symmetric, so Q_EP is the dense border's transpose
+        solved = pwls._bordered_solve(f, y, q_e.take(p, axis=1), d, G, g)
+        if solved is None:
+            return None
+        x_p, z = solved
+        x = np.empty(bits.size)
+        x[p] = x_p
+        x[e] = z[:ne]
+        return lift(a, rows, x.take(a))
+
     return _iterate_patterns(
         x0,
         q.b_tilde,
         opts,
-        step=step,
+        fresh,
+        bordered,
         residual_of=lambda x: _qp_residual(q, x),
     )
 

@@ -367,6 +367,20 @@ def test_infinite_beta_is_checked_before_any_instance(command, capsys):
     assert captured.out == ""
 
 
+def test_bench_beta_checks_every_range_before_any_batch(monkeypatch, capsys):
+    # the second range is empty; no batch of the first may be drawn before it is refused
+    drawn = []
+    monkeypatch.setattr(pwlnewton.bench, "make_batch", lambda *args: drawn.append(args))
+    argv = ["bench-beta", "--beta-low", "0.5", "--beta-high", "1e3",
+            "--beta-low", "5", "--beta-high", "1"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: need 0 < beta_low < beta_high < inf, "
+                            "got beta_low=5.0, beta_high=1.0\n")
+    assert captured.out == ""
+    assert drawn == []
+
+
 @pytest.mark.parametrize("argv, message", [
     (["solve", "{pwls}", "--x0", "random", "--seed", "-1"], "seed must be nonnegative, got -1"),
     (["project", "{cone}", "--x0", "random", "--seed", "-1"], "seed must be nonnegative, got -1"),
@@ -457,6 +471,18 @@ def test_console_entry_csv_matches_out_file(diagonal_file, tmp_path):
     assert refused.returncode == 1
     assert refused.stdout == ""
     assert refused.stderr == "error: 'project' expects a cone problem file\n"
+
+
+@pytest.mark.parametrize("problem, k", [
+    # Q is SPD and passes the pivot rule; the second step's x_2 = 1e311 overflows
+    ({"kind": "qp", "Q": [[1.0, 0.0], [0.0, 1e-11]], "b_tilde": [-1.0, -1e300]}, 2),
+    ({"kind": "pwls", "T": [[1e-11, 0.0], [0.0, 1.0]], "b": [1e300, 1.0]}, 1),
+], ids=["qp", "pwls"])
+def test_overflowing_iterate_is_named(problem, k, tmp_path, capsys):
+    assert main(["solve", write_json(tmp_path / "overflow.json", problem)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: Newton iterate {k} is not finite (the step overflowed)\n"
+    assert captured.out == ""
 
 
 def test_overflowing_residual_leaves_stderr_empty(tmp_path):

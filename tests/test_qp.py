@@ -304,6 +304,28 @@ def test_singular_capacitance_falls_back_to_a_fresh_factor(monkeypatch):
     np.testing.assert_allclose(report.solution, fresh.solution, rtol=0, atol=1e-12)
 
 
+def test_empty_active_set_drops_the_held_factor(monkeypatch):
+    # Q_PP (P = {0, ..., 63}) couples index 0 to the rest with -0.12, and
+    # b_tilde_0 = 10 outweighs the other -1s, so the first step gives an
+    # iterate with no positive entry.  The second step, from the empty active
+    # set, factors nothing and gives -b_tilde, positive on A = {1, ..., 63}:
+    # one index from the held P, yet a fresh step that factors nothing holds
+    # nothing, so the third step factors Q_AA afresh.
+    n = 70
+    q_matrix = np.eye(n)
+    q_matrix[0, 1:64] = q_matrix[1:64, 0] = -0.12
+    b_tilde = np.ones(n)
+    b_tilde[:64] = -1.0
+    b_tilde[0] = 10.0
+    q = QpProblem(Q=q_matrix, b_tilde=b_tilde)
+    x0 = np.where(np.arange(n) < 64, 1.0, -1.0)
+    factors = spy_on(monkeypatch, "lu_factor")
+    report = qp_newton_solve(q, x0)
+    assert [int(bits.sum()) for bits in report.pattern_trace] == [64, 0, 63, 63]
+    assert [args[0].shape[0] for args, _ in factors] == [64, 63]
+    assert report.status is SolveStatus.CONVERGED_EXACT
+
+
 def test_qp_singular_jacobian_status():
     # the full active set makes the step matrix Q itself, which is singular
     q = QpProblem(Q=[[1.0, 1.0], [1.0, 1.0]], b_tilde=[-1.0, -1.0])

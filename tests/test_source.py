@@ -61,3 +61,10 @@ def test_oracles_import_only_numpy_scipy_and_the_standard_library():
     modules = imported_modules(ast.parse(ORACLES.read_text(), str(ORACLES)))
     assert "numpy" in modules
     assert [m for m in modules if m not in allowed] == []
+
+
+def test_reuse_limits_are_named_only_by_the_newton_driver():
+    # the factor-reuse rule lives in pwls._iterate_patterns alone
+    naming = sorted(path.name for path in SOURCE_DIR.rglob("*.py")
+                    if "REUSE_MIN_SIZE" in path.read_text() or "REUSE_RATIO" in path.read_text())
+    assert naming == ["pwls.py"]

@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 from _random_problems import spd_near_identity
 
+from pwlnewton import pwls
+
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
@@ -71,6 +73,23 @@ def test_traced_batch_records_one_spectrum_span_per_instance(tracer):
     assert calls == {"gen.make_instance": k, "gen.sym_eig": k}
 
 
+def replay_reuse_rule(steps, order):
+    """(fresh factors, bordered steps) the Newton driver's reuse rule takes over steps.
+
+    order(bits) is the order of the matrix a fresh step from bits factors,
+    0 when it factors nothing; no factor is held at first.
+    """
+    held, fresh, bordered = None, 0, 0
+    for bits in steps:
+        if held is not None and pwls.REUSE_RATIO * np.count_nonzero(bits != held[0]) <= held[1]:
+            bordered += 1
+        else:
+            m = order(bits)
+            fresh += m > 0
+            held = (bits, m) if m >= pwls.REUSE_MIN_SIZE else None
+    return fresh, bordered
+
+
 def test_traced_bordered_steps_feed_layer_metrics(tracer):
     # from the planted solution with three signs flipped, the first step
     # factors Q_AA afresh and later ones that change few indices reuse it:
@@ -89,17 +108,8 @@ def test_traced_bordered_steps_feed_layer_metrics(tracer):
     assert report.converged
     calls = Counter(name for _, name, _, _, _, solve_id in t.spans if solve_id == 0)
 
-    # replay the reuse rule over the steps' patterns; no factor is held at first
-    held, fresh, reused = np.zeros(inst.q.n, dtype=bool), 0, 0
-    for bits in report.pattern_trace[: report.iterations]:
-        if not bits.any():
-            continue
-        size, changed = held.sum(), np.count_nonzero(bits != held)
-        if size >= tracer.pwls.REUSE_MIN_SIZE and tracer.pwls.REUSE_RATIO * changed <= size:
-            reused += 1
-        else:
-            fresh += 1
-            held = bits
+    # a QP step factors Q_AA, of order |A|
+    fresh, reused = replay_reuse_rule(report.pattern_trace[: report.iterations], np.count_nonzero)
     assert fresh > 0 and reused > 0
     assert calls["linalg.lu_factor"] == fresh + reused
     assert calls["linalg.lu_solve"] == fresh + 2 * reused
@@ -128,14 +138,8 @@ def test_traced_tb_held_factor_steps(tracer):
     p = tracer.qp.qp_to_pwls(inst.q)
     report, calls = traced_solve(tracer, lambda: tracer.pwls.newton_solve(p, inst.x0))
 
-    # replay the reuse rule over the steps' patterns; no factor is held at first
-    held, fresh, reused = None, 0, 0
-    for bits in report.pattern_trace[: report.iterations]:
-        if held is not None and tracer.pwls.REUSE_RATIO * np.count_nonzero(bits != held) <= n:
-            reused += 1
-        else:
-            fresh += 1
-            held = bits
+    # a T/b step factors T + diag(s), of order n
+    fresh, reused = replay_reuse_rule(report.pattern_trace[: report.iterations], lambda bits: n)
     assert fresh > 0 and reused > 0
     assert calls["linalg.lu_factor"] == fresh + reused
     assert calls["linalg.lu_solve"] == fresh + 2 * reused
