@@ -8,6 +8,7 @@ against the exact answer) and a random starting point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -15,7 +16,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import GeneratorError
-from .qp import QpProblem
+from .qp import QpProblem, _minus_identity
 
 
 @dataclass
@@ -24,6 +25,10 @@ class GeneratorConfig:
 
     beta is drawn uniformly from [beta_low, beta_high); all matrix and
     vector entries are drawn uniformly from [-value_bound, value_bound].
+    A range whose instances could overflow is refused: with ||Q - I|| =
+    beta and |u_i| <= value_bound, every entry of b_tilde = -([Q - I] u+ +
+    u), and every partial sum forming it, is at most
+    beta_high sqrt(n) value_bound + value_bound in magnitude.
     """
 
     n: int
@@ -38,6 +43,12 @@ class GeneratorConfig:
         if not 0.0 < self.beta_low < self.beta_high < np.inf:
             raise ValueError("need 0 < beta_low < beta_high < inf, "
                              f"got beta_low={self.beta_low!r}, beta_high={self.beta_high!r}")
+        # a Python float overflows to inf without the warning a numpy scalar gives
+        if not math.isfinite(float(self.beta_high) * math.sqrt(self.n) * self.value_bound
+                             + self.value_bound):
+            raise ValueError(f"beta_high={self.beta_high!r} overflows an instance of n={self.n}: "
+                             "need beta_high * sqrt(n) * value_bound + value_bound finite, "
+                             f"value_bound={self.value_bound!r}")
 
 
 @dataclass
@@ -94,7 +105,7 @@ def make_instance(cfg: GeneratorConfig, rng: np.random.Generator | None = None) 
     beta = float(rng.uniform(cfg.beta_low, cfg.beta_high))
     q_matrix = make_spd_matrix(cfg.n, beta, rng)
     u = rng.uniform(-cfg.value_bound, cfg.value_bound, cfg.n)
-    b_tilde = -((q_matrix - np.eye(cfg.n)) @ np.maximum(u, 0.0) + u)
+    b_tilde = -(_minus_identity(q_matrix) @ np.maximum(u, 0.0) + u)
     x0 = rng.uniform(-cfg.value_bound, cfg.value_bound, cfg.n)
     return GeneratedInstance(
         q=QpProblem(Q=q_matrix, b_tilde=b_tilde, c=0.0),

@@ -22,7 +22,7 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -38,8 +38,9 @@ from .linalg import (
 
 # sign pattern of x: a bool array, True at i iff x_i > 0 (0 counts as not positive)
 SignPattern = np.ndarray
-# (pattern, LU factors, solution of the factored system) of a fresh Newton step
-Held = tuple[SignPattern, LuFactors, np.ndarray]
+# (pattern, LU factors, formulation state) of a fresh Newton step; the driver
+# reads the first two, and passes the state back to the bordered step unread
+Held = tuple[SignPattern, LuFactors, Any]
 
 # the factor-reuse limits of the Newton driver; see _iterate_patterns
 REUSE_MIN_SIZE = 64
@@ -187,9 +188,10 @@ def residual(p: PwlsProblem, x) -> np.ndarray:
 
 
 def _pattern_matrix(T: np.ndarray, bits: SignPattern) -> np.ndarray:
-    m = T.copy()
-    # m is a fresh C-ordered copy, so this strided slice is a view of its diagonal
-    m.ravel()[:: T.shape[0] + 1] += bits
+    # a fresh column-major copy, the layout getrf factors, whatever T's layout;
+    # its memory-order ravel is a view, and this strided slice its diagonal
+    m = T.copy(order="F")
+    m.ravel(order="K")[:: T.shape[0] + 1] += bits
     return m
 
 
@@ -215,18 +217,24 @@ def _bordered_solve(
     """
     ne = dense.shape[0]
     k = ne + d.size
+
+    def border_t(v: np.ndarray) -> np.ndarray:
+        # B^T v: a gather on the unit rows, and a product on the dense rows only
+        unit = v.take(d, axis=0)
+        return np.concatenate((dense @ v, unit)) if ne else unit
+
     border = np.zeros((y.size, k), order="F")
     if ne:
         border[:, :ne] = dense.T
     border[d, np.arange(ne, k)] = 1.0
     solved = lu_solve(f, border)
-    cap = border.T @ solved
+    cap = border_t(solved)
     size = float(np.abs(cap).max())
     cap -= G
     f_cap = lu_factor(cap, size)
     if f_cap.singular:
         return None
-    z = lu_solve(f_cap, border.T @ y - g)
+    z = lu_solve(f_cap, border_t(y) - g)
     return y - solved @ z, z
 
 
@@ -234,7 +242,7 @@ def _iterate_patterns(
     x0,
     rhs: np.ndarray,
     opts: SolverOptions,
-    fresh: Callable[[SignPattern], Optional[tuple[np.ndarray, Optional[LuFactors], np.ndarray]]],
+    fresh: Callable[[SignPattern], Optional[tuple[np.ndarray, Optional[LuFactors], Any]]],
     bordered: Callable[[SignPattern, Held], Optional[np.ndarray]],
     residual_of: Callable[[np.ndarray], np.ndarray],
 ) -> SolveReport:
@@ -245,12 +253,14 @@ def _iterate_patterns(
     trace keeps uncopied.  fresh(pattern) factors the step matrix, or the
     reduced system a formulation solves in its place, and returns
     (x_next, the LU factors or None when nothing was factored, the
-    factored system's solution), or None to end the run as
-    SingularJacobian when lu_factor flags that matrix singular.
+    formulation's state for a later bordered step), or None to end the
+    run as SingularJacobian when lu_factor flags that matrix singular.
     bordered(pattern, held) takes the step through a bordered
-    (capacitance) system from held = (pattern, LU factors, solution) of an
+    (capacitance) system from held = (pattern, LU factors, state) of an
     earlier fresh step, or returns None when lu_factor flags the
-    capacitance matrix singular.
+    capacitance matrix singular.  The driver reads only the pattern and
+    the factor's order, and bordered must not write into the state, since
+    later steps border from it too.
 
     The factor-reuse rule is stated here only.  The driver holds the
     triple of the last fresh step whose factor has order m >=
@@ -327,9 +337,9 @@ def _iterate_patterns(
         solved = fresh(bits)
         if solved is None:
             return None
-        x_next, f, solution = solved
+        x_next, f, state = solved
         if f is not None and f.n >= REUSE_MIN_SIZE:
-            held = (bits, f, solution)
+            held = (bits, f, state)
         return x_next
 
     for k in range(1, opts.max_iter + 1):
@@ -373,13 +383,14 @@ def _iterate_patterns(
 def newton_solve(p: PwlsProblem, x0, opts: Optional[SolverOptions] = None) -> SolveReport:
     """Run the Newton iteration [diag(s_k) + T] x_{k+1} = b from x0.
 
-    A fresh step factors M = T + diag(s), of order n, and its solution is
-    the iterate Y_b = M^-1 b.  A bordered step from the held pattern p,
-    with D the k indices where s differs and delta = s_D - p_D (each +1
-    or -1), uses T + diag(s) = M + diag(delta) on D: one solve with the
-    held factors against the unit columns at D gives Y_D, then the k x k
-    capacitance system (diag(delta) + Y_DD) z = Y_b[D] gives
-    x = Y_b - Y_D z.  _iterate_patterns decides which step to take.
+    A fresh step factors M = T + diag(s), of order n, and its iterate
+    Y_b = M^-1 b is the state it holds for a bordered step.  A bordered
+    step from the held pattern p, with D the k indices where s differs and
+    delta = s_D - p_D (each +1 or -1), uses T + diag(s) = M + diag(delta)
+    on D: one solve with the held factors against the unit columns at D
+    gives Y_D, then the k x k capacitance system (diag(delta) + Y_DD) z =
+    Y_b[D] gives x = Y_b - Y_D z.  _iterate_patterns decides which step
+    to take.
 
     A singular step matrix yields status SingularJacobian rather than an
     exception, so callers can treat all outcomes uniformly.

@@ -104,6 +104,13 @@ class ConeProjectionResult(NamedTuple):
     report: SolveReport
 
 
+def _minus_identity(Q: np.ndarray) -> np.ndarray:
+    """Q - I, byte for byte Q - np.eye(n), as a copy of Q less 1 on its diagonal."""
+    m = Q.copy()
+    m.ravel()[:: m.shape[0] + 1] -= 1.0  # m is a fresh C-ordered copy, so this is its diagonal
+    return m
+
+
 def _qp_residual(q: QpProblem, x: np.ndarray) -> np.ndarray:
     """Residual [Q - I] x+ + x + b_tilde of the QP equation at a checked x."""
     xp = np.maximum(x, 0.0)
@@ -124,16 +131,19 @@ def qp_newton_solve(q: QpProblem, x0, opts: Optional[SolverOptions] = None) -> S
     mat-vec, and x_{k+1} = -b_tilde with nothing factored when A is empty.
     This is the primal-dual active-set form of the semi-smooth Newton step.
 
-    A fresh step factors Q_AA, of order |A|, and its solution is x_A.  A
-    bordered step from the held active set P, with D = P - A (indices
-    that left) and E = A - P (indices that joined), reads x_A off
+    A fresh step factors Q_AA, of order |A|, and holds its gathered rows
+    Q[A] and its solution x_A as the state of a bordered step.  A bordered
+    step from the held active set P, with D = P - A (indices that left)
+    and E = A - P (indices that joined), reads x_A off
     [[Q_PP, B], [B^T, G]] [x_P; z] = [-b_P; g], where B = [Q_PE | unit
     columns at D], G = diag(Q_EE, 0) and g = (-b_E, 0): the unit rows pin
     x_D = 0 and the unit columns free the D equations, whose right-hand
     side then moves only z_D, so x_P off D and z_E = x_E solve the step.
     pwls._bordered_solve solves it with the held factor of Q_PP through a
-    k x k capacitance system, k = |D| + |E|.  pwls._iterate_patterns
-    decides which step to take.
+    k x k capacitance system, k = |D| + |E|.  The lift then reads the held
+    rows Q[P], with x_D set to its exact 0, and gathers only Q[E]:
+    x = -b_tilde - x_P Q[P] - x_E Q[E].  pwls._iterate_patterns decides
+    which step to take.
 
     Shares all termination and cycle machinery with the T/b solver.  The
     determinant of the step matrix equals det Q_AA, so for symmetric
@@ -153,30 +163,27 @@ def qp_newton_solve(q: QpProblem, x0, opts: Optional[SolverOptions] = None) -> S
         x[a] = x_a
         return x
 
-    def fresh(bits: SignPattern) -> Optional[tuple[np.ndarray, Optional[LuFactors], np.ndarray]]:
+    def fresh(bits: SignPattern) -> Optional[tuple[np.ndarray, Optional[LuFactors], tuple]]:
         a = bits.nonzero()[0]
         rows = q.Q.take(a, axis=0)
         if not a.size:
             x_a = minus_b[a]
-            return lift(a, rows, x_a), None, x_a
+            return lift(a, rows, x_a), None, None
         # Q_AA is exactly symmetric: its transpose is the column-major copy getrf wants
         f = pwls.lu_factor(rows.take(a, axis=1).T)
         if f.singular:
             return None
         x_a = pwls.lu_solve(f, minus_b.take(a))
-        return lift(a, rows, x_a), f, x_a
+        return lift(a, rows, x_a), f, (a, rows, x_a)
 
     def bordered(bits: SignPattern, held: Held) -> Optional[np.ndarray]:
-        held_bits, f, y = held
-        a = bits.nonzero()[0]
-        rows = q.Q.take(a, axis=0)
-        p = held_bits.nonzero()[0]
-        joined = ~held_bits.take(a)
-        e = a[joined]
-        d = (~bits.take(p)).nonzero()[0]  # positions of D in P
+        held_bits, f, (p, rows, y) = held
+        e = (bits & ~held_bits).nonzero()[0]
+        kept = bits.take(p)
+        d = (~kept).nonzero()[0]  # positions of D in P
         ne = e.size
         k = ne + d.size
-        q_e = rows.compress(joined, axis=0)
+        q_e = q.Q.take(e, axis=0)
         G = np.zeros((k, k))
         G[:ne, :ne] = q_e.take(e, axis=1)
         g = np.zeros(k)
@@ -185,11 +192,13 @@ def qp_newton_solve(q: QpProblem, x0, opts: Optional[SolverOptions] = None) -> S
         solved = pwls._bordered_solve(f, y, q_e.take(p, axis=1), d, G, g)
         if solved is None:
             return None
-        x_p, z = solved
-        x = np.empty(bits.size)
-        x[p] = x_p
-        x[e] = z[:ne]
-        return lift(a, rows, x.take(a))
+        x_p, z = solved  # x_p is fresh, unlike the held rows and y
+        x_e = z[:ne]
+        x_p[d] = 0.0
+        x = minus_b - x_p @ rows - x_e @ q_e
+        x[p[kept]] = x_p[kept]
+        x[e] = x_e
+        return x
 
     return _iterate_patterns(
         x0,
@@ -223,7 +232,7 @@ def qp_to_pwls(q: QpProblem) -> PwlsProblem:
     otherwise EquivalenceUnavailableError is raised and callers should use
     qp_newton_solve directly, which needs no inverse.
     """
-    f = lu_factor(q.Q - np.eye(q.n))
+    f = lu_factor(_minus_identity(q.Q))
     if f.singular:
         raise EquivalenceUnavailableError("Q - I is singular; the T/b form does not exist")
     T = lu_solve(f, np.eye(q.n))
@@ -236,7 +245,7 @@ def check_qp_conditions(q: QpProblem) -> ConditionReport:
     Under the T = [Q - I]^-1 equivalence, ||T^-1|| equals ||Q - I||, so
     the report's fields keep their meaning.
     """
-    return ConditionReport(spectral_norm(q.Q - np.eye(q.n)))
+    return ConditionReport(spectral_norm(_minus_identity(q.Q)))
 
 
 def cone_instance_to_qp(ci: ConeInstance) -> QpProblem:

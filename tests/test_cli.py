@@ -381,6 +381,25 @@ def test_bench_beta_checks_every_range_before_any_batch(monkeypatch, capsys):
     assert drawn == []
 
 
+def test_bench_beta_refuses_an_overflowing_range_before_any_batch(monkeypatch, capsys):
+    # beta in [1e303, 1e304) at n = 3 gives an infinite b_tilde; the range is
+    # refused by name before any instance is drawn, while [1e301, 1e302) runs
+    drawn = []
+    make_batch = pwlnewton.bench.make_batch
+    monkeypatch.setattr(pwlnewton.bench, "make_batch",
+                        lambda *args: drawn.append(args) or make_batch(*args))
+    base = ["bench-beta", "--n", "3", "--count", "3", "--tolx", "1e-6"]
+    assert main(base + ["--beta-low", "1e301", "--beta-high", "1e302",
+                        "--beta-low", "1e303", "--beta-high", "1e304"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: beta_high=1e+304 overflows an instance of n=3: ")
+    assert captured.out == ""
+    assert drawn == []
+    assert main(base + ["--beta-low", "1e301", "--beta-high", "1e302"]) == 0
+    assert len(drawn) == 1
+    assert "bench-beta,3," in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("argv, message", [
     (["solve", "{pwls}", "--x0", "random", "--seed", "-1"], "seed must be nonnegative, got -1"),
     (["project", "{cone}", "--x0", "random", "--seed", "-1"], "seed must be nonnegative, got -1"),

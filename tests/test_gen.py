@@ -167,3 +167,26 @@ def test_batch_instances_differ():
     batch = make_batch(cfg, 3)
     assert not np.array_equal(batch[0].q.Q, batch[1].q.Q)
     assert not np.array_equal(batch[1].x0, batch[2].x0)
+
+
+@pytest.mark.parametrize("n", [1, 3, 50])
+def test_config_refuses_a_beta_range_whose_b_tilde_overflows(n):
+    # ||Q - I|| = beta and |u_i| <= value_bound put every entry of b_tilde
+    # within beta sqrt(n) value_bound + value_bound; a range whose bound is
+    # finite draws finite instances right up to it
+    edge = np.finfo(float).max / (np.sqrt(n) * GeneratorConfig.value_bound)
+    with pytest.raises(ValueError, match=rf"beta_high=.* overflows an instance of n={n}\b"):
+        GeneratorConfig(n=n, beta_low=edge / 2, beta_high=1.01 * edge)
+    cfg = GeneratorConfig(n=n, beta_low=edge / 2, beta_high=edge / 1.01)
+    for inst in make_batch(cfg, 3):
+        assert np.isfinite(inst.q.Q).all() and np.isfinite(inst.q.b_tilde).all()
+
+
+def test_b_tilde_is_formed_from_q_minus_eye_bytewise():
+    # Q - I is formed as a copy of Q less 1 on its diagonal; the instance
+    # must not move by a bit from the one Q - np.eye(n) gives
+    cfg = GeneratorConfig(n=100, beta_low=0.5, beta_high=1e3, seed=9)
+    for inst in make_batch(cfg, 3):
+        u = inst.known_solution
+        expected = -((inst.q.Q - np.eye(cfg.n)) @ np.maximum(u, 0.0) + u)
+        assert inst.q.b_tilde.tobytes() == expected.tobytes()

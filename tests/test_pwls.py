@@ -70,7 +70,10 @@ def test_pattern_matrix_is_t_plus_diag_bitwise():
         before = t.copy()
         draws = [np.zeros(n, bool), np.ones(n, bool), rng.random(n) < 0.5]
         for s in draws + [d.astype(float) for d in draws]:
-            assert _pattern_matrix(t, s).tobytes() == (t + np.diag(s)).tobytes()
+            for layout in (t, np.asfortranarray(t)):
+                m = _pattern_matrix(layout, s)
+                assert m.flags.f_contiguous
+                assert m.tobytes() == (t + np.diag(s)).tobytes()
         assert t.tobytes() == before.tobytes()
 
 
@@ -281,6 +284,31 @@ def test_held_factor_step_matches_fresh_step(seed, monkeypatch):
             assert np.abs(x - expected).max() <= n * cond * eps * np.abs(expected).max()
         if report.status is SolveStatus.CONVERGED_EXACT:
             assert backward_error(p, report.solution) <= n * eps
+
+
+def test_newton_solve_is_independent_of_the_layout_of_t(monkeypatch):
+    # qp_to_pwls gives a column-major T, a JSON file a row-major one; the
+    # step matrix is built column-major from either, so fresh and bordered
+    # steps see the same bits.  tol_f is the smallest positive double, so in
+    # effect only a pattern repeat stops the run, not the layout-dependent
+    # rounding of the residual T x.
+    n = 100
+    opts = SolverOptions(tol_f=5e-324, keep_iterates=True)
+    solves = spy_on(monkeypatch, "lu_solve")
+    for p, x0 in generated_pwls(n, seed=4):
+        runs = []
+        for t in (np.ascontiguousarray(p.T), np.asfortranarray(p.T)):
+            problem = PwlsProblem(T=t, b=p.b)
+            assert problem.T.flags.c_contiguous == t.flags.c_contiguous
+            runs.append(newton_solve(problem, x0, opts))
+        row_major, column_major = runs
+        assert row_major.status is column_major.status
+        assert row_major.iterations == column_major.iterations
+        assert np.array_equal(row_major.pattern_trace, column_major.pattern_trace)
+        for x, y in zip(row_major.iterate_trace, column_major.iterate_trace, strict=True):
+            assert x.tobytes() == y.tobytes()
+    # a held factor solved against a border: at least one step was bordered
+    assert any(np.ndim(args[1]) == 2 for args, _ in solves)
 
 
 def test_flagged_capacitance_falls_back_to_a_fresh_factor(monkeypatch):

@@ -26,7 +26,7 @@ from pwlnewton import (
 )
 from pwlnewton import pwls
 from pwlnewton.pwls import REUSE_MIN_SIZE
-from pwlnewton.qp import _qp_residual
+from pwlnewton.qp import _minus_identity, _qp_residual
 
 
 def scalar_problem():
@@ -219,6 +219,7 @@ def assert_matches_dense_iteration(q, x0):
     assert report.status is SolveStatus.CONVERGED_EXACT
     assert report.iterations == len(patterns) - 1
     assert np.array_equal(report.pattern_trace, patterns)
+    return report
 
 
 @pytest.mark.parametrize("beta", [0.3, 5.0, 1e3])
@@ -251,6 +252,26 @@ def test_bordered_step_matches_dense_step(beta, monkeypatch):
         assert_matches_dense_iteration(q, x0)
         # the reused factor solves against the border and the right-hand side at once
         assert any(np.ndim(args[1]) == 2 for args, _ in solves)
+
+
+def test_two_bordered_steps_from_one_held_factor(monkeypatch):
+    # from the solution with eight signs flipped, the first step factors Q_PP
+    # afresh and the next two border from it; each drops indices D = P - A
+    # and adds indices E = A - P.  A bordered step that wrote into the held
+    # rows Q[P] or the held x_P would throw the second one off the dense step.
+    n = 160
+    rng = np.random.default_rng(3)
+    q = QpProblem(Q=spd_with_beta(n, 0.3, rng), b_tilde=rng.standard_normal(n) - 1.0)
+    x0 = qp_newton_solve(q, np.zeros(n)).solution
+    flipped = rng.choice(n, 8, replace=False)
+    x0[flipped] = -x0[flipped]
+    factors = spy_on(monkeypatch, "lu_factor")
+    report = assert_matches_dense_iteration(q, x0)
+    held, *steps = report.pattern_trace[:3]
+    changes = [(np.count_nonzero(held & ~s), np.count_nonzero(s & ~held)) for s in steps]
+    assert changes == [(3, 7), (3, 5)]
+    # one fresh factor of Q_PP, then one capacitance factor of order |D| + |E| per step
+    assert [args[0].shape[0] for args, _ in factors] == [np.count_nonzero(held), 10, 8]
 
 
 def test_singular_jacobian_only_from_a_fresh_factor(monkeypatch):
@@ -411,6 +432,20 @@ def test_recovered_solution_beats_random_feasible_points():
 
 
 # ------------------------------------------------------------ conversion
+
+
+@pytest.mark.parametrize("n", [1, 3, 100])
+def test_minus_identity_is_q_minus_eye_bytewise(n):
+    # an off-diagonal -0.0 stays -0.0 (-0.0 - 0.0), and a unit diagonal entry
+    # becomes +0.0, as in Q - np.eye(n); Q itself is left alone
+    rng = np.random.default_rng(n)
+    q_matrix = rng.standard_normal((n, n))
+    q_matrix[0, -1] = -0.0
+    q_matrix[-1, -1] = 1.0
+    before = q_matrix.copy()
+    for q in (q_matrix, np.asfortranarray(q_matrix)):
+        assert _minus_identity(q).tobytes() == (q_matrix - np.eye(n)).tobytes()
+    assert q_matrix.tobytes() == before.tobytes()
 
 
 def test_qp_to_pwls_scalar():
