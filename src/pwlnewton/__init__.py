@@ -47,7 +47,6 @@ from .qp import (
     cone_projection,
     kkt_residual,
     qp_newton_solve,
-    qp_objective,
     qp_to_pwls,
 )
 from .gen import GeneratedInstance, GeneratorConfig, make_batch, make_instance, make_spd_matrix

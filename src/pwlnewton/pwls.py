@@ -26,15 +26,8 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
-from .errors import SingularMatrixError
-from .linalg import (
-    LuFactors,
-    as_square_matrix,
-    as_vector,
-    inv_spectral_norm,
-    lu_factor,
-    lu_solve,
-)
+from .errors import DimensionError, SingularMatrixError
+from .linalg import LuFactors, _factor, as_square_matrix, as_vector, inv_spectral_norm
 
 # sign pattern of x: a bool array, True at i iff x_i > 0 (0 counts as not positive)
 SignPattern = np.ndarray
@@ -45,6 +38,11 @@ Held = tuple[SignPattern, LuFactors, Any]
 # the factor-reuse limits of the Newton driver; see _iterate_patterns
 REUSE_MIN_SIZE = 64
 REUSE_RATIO = 8
+
+# every Newton step factors and solves through these names, looked up at call
+# time; they are linalg's cores, since a step builds its matrices from checked data
+lu_factor = _factor
+lu_solve = LuFactors.solve
 
 
 def sign_pattern(x) -> SignPattern:
@@ -112,7 +110,7 @@ class SolverOptions:
             self.known_solution = as_vector(self.known_solution, "known_solution")
 
 
-@dataclass
+@dataclass(slots=True)
 class SolveReport:
     """Outcome of one solver run.
 
@@ -122,15 +120,26 @@ class SolveReport:
     ``cycle`` is (start index, period) when status is Cycled.
     ``last_iterate`` is the final iterate regardless of status; with
     keep_iterates it is the very array ``iterate_trace[-1]``, not a copy.
+    ``final_residual_norm`` is the max-norm residual at last_iterate: the
+    residual rule's own value, or else computed on first read and kept.
     """
 
     status: SolveStatus
     iterations: int
-    final_residual_norm: float
     pattern_trace: list[SignPattern]
     last_iterate: np.ndarray
     iterate_trace: Optional[list[np.ndarray]] = None
     cycle: Optional[tuple[int, int]] = None
+    # final_residual_norm once known, else the residual that computes it
+    _residual_norm: Optional[float] = None
+    _residual_of: Optional[Callable[[np.ndarray], np.ndarray]] = None
+
+    @property
+    def final_residual_norm(self) -> float:
+        if self._residual_norm is None:
+            self._residual_norm = float(np.abs(self._residual_of(self.last_iterate)).max())
+            self._residual_of = None
+        return self._residual_norm
 
     @property
     def converged(self) -> bool:
@@ -289,17 +298,23 @@ def _iterate_patterns(
     distance rule is declared MaxIterations immediately: running out the
     cap could never change the outcome, only repeat the same solve.
 
-    A step that overflows to a non-finite iterate raises ValueError.
+    A step that overflows to a non-finite iterate raises ValueError.  Only
+    known_solution's length is checked here; SolverOptions checked the rest.
+    The report reuses the residual rule's value for its last iterate when
+    the rule judged it, and otherwise calls residual_of on first read.
     """
     x = as_vector(x0, "x0", rhs.size).copy()
     u = opts.known_solution
     pat = sign_pattern(x)
+    norm: Optional[float] = None  # max-norm residual of x, in residual mode only
     # the active stopping rule's threshold, computed once per solve, and whether x0 meets it
     if u is None:
         bound = opts.tol_f * (1.0 + float(np.abs(rhs).max()))
-        met = float(np.abs(residual_of(x)).max()) <= bound
+        norm = float(np.abs(residual_of(x)).max())
+        met = norm <= bound
     else:
-        u = as_vector(u, "known_solution", rhs.size)
+        if u.size != rhs.size:
+            raise DimensionError(f"known_solution has length {u.size}, expected {rhs.size}")
         bound = opts.tol_x * (1.0 + math.sqrt(u @ u))
         d = u - x
         met = math.sqrt(d @ d) < bound
@@ -310,19 +325,13 @@ def _iterate_patterns(
     seen: dict[bytes, int] = {pat.tobytes(): 0}
     cycle: Optional[tuple[int, int]] = None
 
-    def report(status: SolveStatus, iterations: int, last: np.ndarray) -> SolveReport:
-        return SolveReport(
-            status=status,
-            iterations=iterations,
-            final_residual_norm=float(np.abs(residual_of(last)).max()),
-            pattern_trace=patterns,
-            last_iterate=last,
-            iterate_trace=trace,
-            cycle=cycle,
-        )
+    def report(status: SolveStatus, iterations: int, last: np.ndarray,
+               last_norm: Optional[float] = None) -> SolveReport:
+        lazy = residual_of if last_norm is None else None
+        return SolveReport(status, iterations, patterns, last, trace, cycle, last_norm, lazy)
 
     if met:
-        return report(SolveStatus.CONVERGED, 0, x)
+        return report(SolveStatus.CONVERGED, 0, x, norm)
 
     held: Optional[Held] = None
 
@@ -345,7 +354,7 @@ def _iterate_patterns(
     for k in range(1, opts.max_iter + 1):
         x_new = step(pat)
         if x_new is None:
-            return report(SolveStatus.SINGULAR_JACOBIAN, k - 1, x)
+            return report(SolveStatus.SINGULAR_JACOBIAN, k - 1, x, norm)
         try:
             pat = sign_pattern(x_new)
         except ValueError:
@@ -366,18 +375,19 @@ def _iterate_patterns(
         else:
             if previous == k - 1:
                 return report(SolveStatus.CONVERGED_EXACT, k, x_new)
-            if float(np.abs(residual_of(x_new)).max()) <= bound:
-                return report(SolveStatus.CONVERGED, k, x_new)
+            norm = float(np.abs(residual_of(x_new)).max())
+            if norm <= bound:
+                return report(SolveStatus.CONVERGED, k, x_new, norm)
         if previous is not None:
             # necessarily previous < k - 1 here; x_{k+1} would equal
             # x_{previous+1}, so the orbit repeats with period k - previous
             # starting at iterate previous + 1.
             cycle = (previous + 1, k - previous)
-            return report(SolveStatus.CYCLED, k, x_new)
+            return report(SolveStatus.CYCLED, k, x_new, norm)
         seen[key] = k
         x = x_new
 
-    return report(SolveStatus.MAX_ITERATIONS, opts.max_iter, x)
+    return report(SolveStatus.MAX_ITERATIONS, opts.max_iter, x, norm)
 
 
 def newton_solve(p: PwlsProblem, x0, opts: Optional[SolverOptions] = None) -> SolveReport:

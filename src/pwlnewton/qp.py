@@ -19,12 +19,12 @@ from typing import NamedTuple, Optional
 import numpy as np
 from scipy.linalg.lapack import dpotrf
 
-# the Newton step's kernels are pwls.lu_factor and pwls.lu_solve, looked up
-# at call time as in the T/b step, so that one wrapper on pwls (such as
-# perfbench/tracer.py's) sees every step's factor and solve
+# the Newton step's kernels are pwls.lu_factor and pwls.lu_solve (linalg's
+# cores), looked up at call time as in the T/b step, so that one wrapper on
+# pwls (such as perfbench/tracer.py's) sees every step's factor and solve
 from . import pwls
 from .errors import EquivalenceUnavailableError, SingularMatrixError
-from .linalg import LuFactors, as_square_matrix, as_vector, lu_factor, lu_solve, spectral_norm
+from .linalg import LuFactors, _factor, as_square_matrix, as_vector, spectral_norm
 from .pwls import (
     ConditionReport,
     Held,
@@ -77,7 +77,7 @@ class ConeInstance:
     def __post_init__(self):
         self.A = as_square_matrix(self.A, "A")
         self.z = as_vector(self.z, "z", self.A.shape[0])
-        if lu_factor(self.A).singular:
+        if _factor(self.A).singular:
             raise SingularMatrixError("A must be nonsingular to define a simplicial cone")
 
     @property
@@ -220,11 +220,6 @@ def kkt_residual(q: QpProblem, x) -> KktResidual:
     )
 
 
-def qp_objective(q: QpProblem, x) -> float:
-    x = as_vector(x, "x", q.n)
-    return float(0.5 * x @ (q.Q @ x) + x @ q.b_tilde + q.c)
-
-
 def qp_to_pwls(q: QpProblem) -> PwlsProblem:
     """Rewrite the QP equation in T/b form: T = [Q - I]^-1, b = -T b_tilde.
 
@@ -232,10 +227,10 @@ def qp_to_pwls(q: QpProblem) -> PwlsProblem:
     otherwise EquivalenceUnavailableError is raised and callers should use
     qp_newton_solve directly, which needs no inverse.
     """
-    f = lu_factor(_minus_identity(q.Q))
+    f = _factor(_minus_identity(q.Q))
     if f.singular:
         raise EquivalenceUnavailableError("Q - I is singular; the T/b form does not exist")
-    T = lu_solve(f, np.eye(q.n))
+    T = f.solve(np.eye(q.n))
     return PwlsProblem(T=T, b=-(T @ q.b_tilde))
 
 

@@ -8,7 +8,8 @@ factorization or pattern-matrix helpers cannot pass its own oracle:
 - enumerate_solutions: brute force over all 2^n sign patterns;
 - fixed_point: the contraction x <- T^-1 (b - x+), valid when ||T^-1|| < 1;
 - definite_sign_rows and finite_termination_holds: the definite-sign
-  hypothesis under which the Newton iteration terminates finitely.
+  hypothesis under which the Newton iteration terminates finitely;
+- qp_objective: the QP's objective, from Q, b_tilde and c as arrays.
 """
 
 import itertools
@@ -102,3 +103,9 @@ def finite_termination_holds(t):
         if definite_sign_rows(inverse) is None:
             return False
     return True
+
+
+def qp_objective(q, b_tilde, c, x):
+    """1/2 x^T Q x + x^T b_tilde + c."""
+    x = np.asarray(x, dtype=float)
+    return float(0.5 * x @ (q @ x) + x @ b_tilde + c)

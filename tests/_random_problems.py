@@ -46,15 +46,15 @@ def qp_scale(q) -> float:
     return 1.0 + float(np.abs(q.b_tilde).max()) + float(np.abs(q.Q).sum(axis=1).max())
 
 
-def spy_on(monkeypatch, name):
-    """Record the arguments and results of the pwls kernel ``name`` in a list."""
+def spy_on(monkeypatch, name, module=pwls):
+    """Record the arguments and results of the kernel ``module.name`` in a list."""
     calls = []
-    kernel = getattr(pwls, name)
+    kernel = getattr(module, name)
 
     def spy(*args):
         result = kernel(*args)
         calls.append((args, result))
         return result
 
-    monkeypatch.setattr(pwls, name, spy)
+    monkeypatch.setattr(module, name, spy)
     return calls

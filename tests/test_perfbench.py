@@ -9,12 +9,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_traced_and_untraced_runs_agree(tmp_path):
+def run_traced_and_untraced(tmp_path: Path, workload: str) -> None:
+    """Run one workload briefly with --trace 0 and --trace 1 and check that they agree."""
     # run.py reads the sources from ./src, and a traced run writes its span
     # table under ./.bench_trace, so both run from a scratch directory
     (tmp_path / "src").symlink_to(ROOT / "src", target_is_directory=True)
     procs = [subprocess.Popen([sys.executable, str(ROOT / "perfbench" / "run.py"),
-                               "--workload", "dim-n400", "--seed", "0", "--seconds", "0.1",
+                               "--workload", workload, "--seed", "0", "--seconds", "0.1",
                                "--trace", str(trace)],
                               cwd=tmp_path, stdout=subprocess.PIPE, text=True)
              for trace in (0, 1)]
@@ -31,3 +32,12 @@ def test_traced_and_untraced_runs_agree(tmp_path):
     # the tracer wraps the kernels and must change no (status, iterations) outcome
     assert len(digests[0]) == 1
     assert digests[0] == digests[1]
+
+
+def test_traced_and_untraced_runs_agree(tmp_path):
+    run_traced_and_untraced(tmp_path, "dim-n400")
+
+
+def test_traced_and_untraced_residual_rule_runs_agree(tmp_path):
+    # the only workload on the residual rule, whose reports reuse its residuals
+    run_traced_and_untraced(tmp_path, "pwls-resid-n100")

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cholesky, solve_triangular
 from scipy.optimize import nnls
-from _oracles import enumerate_solutions, fixed_point
+from _oracles import enumerate_solutions, fixed_point, qp_objective
 from _random_problems import matrix_with_inv_norm, qp_scale
 
 from pwlnewton import (
@@ -20,7 +20,6 @@ from pwlnewton import (
     make_spd_matrix,
     newton_solve,
     qp_newton_solve,
-    qp_objective,
 )
 
 DETERMINISTIC = settings(database=None, derandomize=True, deadline=None)
@@ -66,5 +65,5 @@ def test_qp_newton_is_a_minimizer(n, beta, seed):
     # with Q = R^T R the QP is min ||R x + R^-T b_tilde||^2 / 2 over x >= 0
     r = cholesky(q.Q)
     oracle, _ = nnls(r, -solve_triangular(r, q.b_tilde, trans="T"))
-    oracle_objective = qp_objective(q, oracle)
-    assert qp_objective(q, x) <= oracle_objective + 1e-12 * (1.0 + abs(oracle_objective))
+    oracle_objective = qp_objective(q.Q, q.b_tilde, q.c, oracle)
+    assert qp_objective(q.Q, q.b_tilde, q.c, x) <= oracle_objective + 1e-12 * (1.0 + abs(oracle_objective))

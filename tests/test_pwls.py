@@ -8,10 +8,13 @@ from _random_problems import m_matrix, matrix_with_inv_norm, planted_pwls, spy_o
 from pwlnewton import (
     DimensionError,
     GeneratorConfig,
+    LuFactors,
     PwlsProblem,
     SolveStatus,
     SolverOptions,
     check_conditions,
+    lu_factor,
+    lu_solve,
     make_batch,
     newton_solve,
     qp_to_pwls,
@@ -209,6 +212,68 @@ def test_final_residual_norm_is_residual_of_last_iterate(problem, x0, opts, stat
     assert report.solution is (report.last_iterate if report.converged else None)
 
 
+# x+ + 3x = [0, -3] is solved by [0, -1]; the step from [1, -1]'s pattern lands
+# on it exactly, with a new pattern, so the residual rule (not a repeat) stops it
+ZERO_ENTRY = PwlsProblem(T=3.0 * np.eye(2), b=[0.0, -3.0])
+
+
+@pytest.mark.parametrize("problem, x0, opts, status", [
+    (PwlsProblem(T=3.0 * np.eye(2), b=[4.0, -3.0]), [1.2, -1.1],
+     SolverOptions(known_solution=[1.0, -1.0], tol_x=0.5), SolveStatus.CONVERGED),
+    (PwlsProblem(T=3.0 * np.eye(2), b=[4.0, -3.0]), [9.0, 9.0],
+     SolverOptions(known_solution=[1.0, -1.0]), SolveStatus.CONVERGED),
+    (cycle_problem(), [1.0, 1.0], SolverOptions(known_solution=[2.0, -1.0], max_iter=1),
+     SolveStatus.MAX_ITERATIONS),
+    (PwlsProblem(T=T_TWO_ZEROS, b=B_TWO_ZEROS), [1.0, 5.0],
+     SolverOptions(known_solution=[0.0, 2.0]), SolveStatus.SINGULAR_JACOBIAN),
+    (cycle_problem(), [1.0, 1.0], SolverOptions(known_solution=[2.0, -1.0]),
+     SolveStatus.CYCLED),
+], ids=["converged-at-x0", "converged", "max-iterations", "singular", "cycled"])
+def test_known_solution_report_evaluates_the_residual_once_when_read(
+        monkeypatch, problem, x0, opts, status):
+    calls = spy_on(monkeypatch, "residual")
+    report = newton_solve(problem, x0, opts)
+    assert report.status is status
+    assert calls == []  # the distance rule never needs the residual
+    value = report.final_residual_norm
+    assert value == report.final_residual_norm
+    assert len(calls) == 1 and calls[0][0][1] is report.last_iterate
+    assert value == float(np.abs(residual(problem, report.last_iterate)).max())
+
+
+@pytest.mark.parametrize("problem, x0, max_iter, status", [
+    (ZERO_ENTRY, [0.0, -1.0], 100, SolveStatus.CONVERGED),
+    (ZERO_ENTRY, [1.0, -1.0], 100, SolveStatus.CONVERGED),
+    (PwlsProblem(T=[[3.0, 1.0], [0.5, 2.0]], b=[1.0, -1.0]), [0.0, 0.0], 100,
+     SolveStatus.CONVERGED_EXACT),
+    (cycle_problem(), [1.0, 1.0], 1, SolveStatus.MAX_ITERATIONS),
+    (PwlsProblem(T=T_TWO_ZEROS, b=B_TWO_ZEROS), [1.0, 5.0], 100, SolveStatus.SINGULAR_JACOBIAN),
+    (cycle_problem(), [1.0, 1.0], 100, SolveStatus.CYCLED),
+], ids=["converged-at-x0", "converged", "converged-exact", "max-iterations", "singular",
+        "cycled"])
+def test_residual_rule_evaluates_each_judged_iterate_once(monkeypatch, problem, x0, max_iter,
+                                                          status):
+    calls = spy_on(monkeypatch, "residual")
+    report = newton_solve(problem, x0, SolverOptions(max_iter=max_iter, keep_iterates=True))
+    assert report.status is status
+    # every iterate the rule judged, x0 included, in order; ConvergedExact
+    # stops on a repeated pattern before judging its last iterate
+    exact = status is SolveStatus.CONVERGED_EXACT
+    judged = report.iterate_trace[:-1] if exact else report.iterate_trace
+    assert len(calls) == len(judged)
+    assert all(args[1] is x for (args, _), x in zip(calls, judged))
+    value = report.final_residual_norm
+    assert value == report.final_residual_norm
+    assert len(calls) == len(judged) + exact
+    assert calls[-1][0][1] is report.last_iterate
+    assert value == float(np.abs(residual(problem, report.last_iterate)).max())
+
+
+def test_newton_solve_rejects_known_solution_of_wrong_length():
+    with pytest.raises(DimensionError, match=r"known_solution has length 3, expected 2"):
+        newton_solve(cycle_problem(), [1.0, 1.0], SolverOptions(known_solution=[1.0, 2.0, 3.0]))
+
+
 def test_stopping_rule_boundaries():
     # distance equal to tol_x * (1 + ||u||) = 0.25 misses the strict rule
     report = newton_solve(PwlsProblem(T=[[1.0]], b=[0.0]), [0.25],
@@ -284,6 +349,40 @@ def test_held_factor_step_matches_fresh_step(seed, monkeypatch):
             assert np.abs(x - expected).max() <= n * cond * eps * np.abs(expected).max()
         if report.status is SolveStatus.CONVERGED_EXACT:
             assert backward_error(p, report.solution) <= n * eps
+
+
+def pivot_rule_matrices():
+    rng = np.random.default_rng(61)
+    yield rng.standard_normal((7, 7))
+    # rows 0 and 1 are proportional: getrf meets an exact zero pivot
+    yield np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [1.0, 0.0, 1.0]])
+    # rows scaled from 1e-150 to 1e150
+    yield rng.standard_normal((6, 6)) * np.logspace(-150.0, 150.0, 6)[:, np.newaxis]
+    # smallest pivots at, and just below, PIVOT_RTOL * max|M|
+    yield np.diag([1.0, 1e-12])
+    yield np.diag([1.0, 0.99e-12])
+
+
+@pytest.mark.parametrize("scale", [None, 0.5, 1e10])
+def test_step_kernels_share_the_exported_pivot_rule(scale):
+    # the Newton steps call linalg's unchecked cores; they must give the
+    # exported lu_factor/lu_solve's factors, flag and solutions byte for byte
+    rng = np.random.default_rng(62)
+    flags = set()
+    for m in pivot_rule_matrices():
+        size = None if scale is None else scale * float(np.abs(m).max())
+        for a in (m, np.asfortranarray(m)):
+            core, api = pwls.lu_factor(a, size), lu_factor(a, size)
+            assert isinstance(core, LuFactors) and isinstance(api, LuFactors)
+            assert core.lu.tobytes() == api.lu.tobytes()
+            assert core.piv.tobytes() == api.piv.tobytes()
+            assert core.singular is api.singular
+            flags.add(api.singular)
+            if api.singular:
+                continue
+            for rhs in (rng.standard_normal(m.shape[0]), rng.standard_normal((m.shape[0], 3))):
+                assert pwls.lu_solve(core, rhs).tobytes() == lu_solve(api, rhs).tobytes()
+    assert flags == {False, True}
 
 
 def test_newton_solve_is_independent_of_the_layout_of_t(monkeypatch):

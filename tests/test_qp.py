@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import cholesky, solve_triangular
 from scipy.optimize import nnls
+from _oracles import qp_objective
 from _random_problems import qp_scale, spd_near_identity, spy_on
 
 from pwlnewton import (
@@ -20,11 +21,10 @@ from pwlnewton import (
     make_spd_matrix,
     newton_solve,
     qp_newton_solve,
-    qp_objective,
     qp_to_pwls,
     sign_pattern,
 )
-from pwlnewton import pwls
+from pwlnewton import pwls, qp
 from pwlnewton.pwls import REUSE_MIN_SIZE
 from pwlnewton.qp import _minus_identity, _qp_residual
 
@@ -115,7 +115,6 @@ TWO_BY_TWO = QpProblem(Q=np.eye(2), b_tilde=[1.0, -1.0])
                  id="QpProblem"),
     pytest.param(lambda: ConeInstance(A=np.eye(2), z=[1.0]), "z", id="ConeInstance"),
     pytest.param(lambda: kkt_residual(TWO_BY_TWO, [1.0]), "x", id="kkt_residual"),
-    pytest.param(lambda: qp_objective(TWO_BY_TWO, [1.0, 2.0, 3.0]), "x", id="qp_objective"),
 ])
 def test_wrong_length_vector_is_rejected(call, name):
     with pytest.raises(DimensionError, match=rf"^{name} has length"):
@@ -380,6 +379,55 @@ def test_final_residual_norm_is_residual_of_last_iterate(q, x0, opts, status):
     assert report.solution is (report.last_iterate if report.converged else None)
 
 
+PLANTED_QP, PLANTED_X = planted_qp(6, 0.3, np.random.default_rng(1))
+
+
+@pytest.mark.parametrize("q, x0, opts, status", [
+    (scalar_problem(), [2.5], SolverOptions(known_solution=[2.0], tol_x=0.5),
+     SolveStatus.CONVERGED),
+    (PLANTED_QP, np.ones(6), SolverOptions(known_solution=PLANTED_X, tol_x=1e-8),
+     SolveStatus.CONVERGED),
+    (Q_CYCLE, [5.0, -1.0, -5.0], SolverOptions(known_solution=np.zeros(3), max_iter=1),
+     SolveStatus.MAX_ITERATIONS),
+    (QpProblem(Q=[[1.0, 1.0], [1.0, 1.0]], b_tilde=[-1.0, -1.0]), [1.0, 1.0],
+     SolverOptions(known_solution=np.zeros(2)), SolveStatus.SINGULAR_JACOBIAN),
+    (Q_CYCLE, [5.0, -1.0, -5.0], SolverOptions(known_solution=np.zeros(3)),
+     SolveStatus.CYCLED),
+], ids=["converged-at-x0", "converged", "max-iterations", "singular", "cycled"])
+def test_known_solution_report_evaluates_the_residual_once_when_read(
+        monkeypatch, q, x0, opts, status):
+    calls = spy_on(monkeypatch, "_qp_residual", qp)
+    report = qp_newton_solve(q, x0, opts)
+    assert report.status is status
+    assert calls == []
+    value = report.final_residual_norm
+    assert value == report.final_residual_norm
+    assert len(calls) == 1 and calls[0][0][1] is report.last_iterate
+    assert value == float(np.abs(_qp_residual(q, report.last_iterate)).max())
+
+
+@pytest.mark.parametrize("q, x0, max_iter, status", [
+    (PLANTED_QP, np.ones(6), 100, SolveStatus.CONVERGED_EXACT),
+    (Q_CYCLE, [5.0, -1.0, -5.0], 1, SolveStatus.MAX_ITERATIONS),
+    (QpProblem(Q=[[1.0, 1.0], [1.0, 1.0]], b_tilde=[-1.0, -1.0]), [1.0, 1.0], 100,
+     SolveStatus.SINGULAR_JACOBIAN),
+    (Q_CYCLE, [5.0, -1.0, -5.0], 100, SolveStatus.CYCLED),
+], ids=["converged-exact", "max-iterations", "singular", "cycled"])
+def test_residual_rule_hands_its_last_residual_to_the_report(monkeypatch, q, x0, max_iter,
+                                                             status):
+    calls = spy_on(monkeypatch, "_qp_residual", qp)
+    report = qp_newton_solve(q, x0, SolverOptions(max_iter=max_iter, keep_iterates=True))
+    assert report.status is status
+    exact = status is SolveStatus.CONVERGED_EXACT
+    judged = report.iterate_trace[:-1] if exact else report.iterate_trace
+    assert len(calls) == len(judged)
+    assert all(args[1] is x for (args, _), x in zip(calls, judged))
+    value = report.final_residual_norm
+    assert value == report.final_residual_norm
+    assert len(calls) == len(judged) + exact
+    assert value == float(np.abs(_qp_residual(q, report.last_iterate)).max())
+
+
 def test_qp_stopping_rule_boundaries():
     # distance equal to tol_x * (1 + ||u||) = 0.25 misses the strict rule
     report = qp_newton_solve(QpProblem(Q=[[2.0]], b_tilde=[0.0]), [0.25],
@@ -415,8 +463,9 @@ def test_qp_objective():
     rng = np.random.default_rng(7)
     q, _ = planted_qp(3, 0.2, rng)
     q.c = 5.5
-    assert qp_objective(q, np.zeros(3)) == 5.5
-    assert qp_objective(scalar_problem(), [2.0]) == pytest.approx(-2.4)
+    assert qp_objective(q.Q, q.b_tilde, q.c, np.zeros(3)) == 5.5
+    s = scalar_problem()
+    assert qp_objective(s.Q, s.b_tilde, s.c, [2.0]) == pytest.approx(-2.4)
 
 
 def test_recovered_solution_beats_random_feasible_points():
@@ -425,10 +474,10 @@ def test_recovered_solution_beats_random_feasible_points():
     report = qp_newton_solve(q, rng.standard_normal(6))
     assert report.converged
     best = np.maximum(report.solution, 0.0)
-    f_best = qp_objective(q, best)
+    f_best = qp_objective(q.Q, q.b_tilde, q.c, best)
     for _ in range(100):
         candidate = rng.uniform(0.0, 3.0, 6)
-        assert f_best <= qp_objective(q, candidate) + 1e-10
+        assert f_best <= qp_objective(q.Q, q.b_tilde, q.c, candidate) + 1e-10
 
 
 # ------------------------------------------------------------ conversion

@@ -68,3 +68,30 @@ def test_reuse_limits_are_named_only_by_the_newton_driver():
     naming = sorted(path.name for path in SOURCE_DIR.rglob("*.py")
                     if "REUSE_MIN_SIZE" in path.read_text() or "REUSE_RATIO" in path.read_text())
     assert naming == ["pwls.py"]
+
+
+def named_identifiers(tree: ast.AST) -> set[str]:
+    """Every name, attribute and imported name the code in tree refers to."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.split(".")[-1])
+    return found
+
+
+def test_named_identifiers_are_found():
+    tree = ast.parse("from a import b as c\nimport d.e\nf.g = h  # i\n'j'\n")
+    assert named_identifiers(tree) == {"b", "e", "f", "g", "h"}
+
+
+def test_lapack_lu_and_pivot_rule_are_named_only_by_linalg():
+    # the factor rule has one home: every LU factor or solve goes through linalg
+    kernels = {"dgetrf", "dgetrs", "PIVOT_RTOL"}
+    naming = {path.name: sorted(kernels & named_identifiers(ast.parse(path.read_text())))
+              for path in sorted(SOURCE_DIR.rglob("*.py"))}
+    assert {name: found for name, found in naming.items() if found} == {
+        "linalg.py": sorted(kernels)}
