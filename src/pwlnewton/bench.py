@@ -129,7 +129,7 @@ def run_bench_dim(
     *,
     beta_low: float = BETA_RANGE[0],
     beta_high: float = BETA_RANGE[1],
-    max_iter: int = 100,
+    max_iter: int = SolverOptions.max_iter,
     repeats: int = 10,
 ) -> list[BenchRecord]:
     """Dimension sweep: one instance batch per n, solved at every tolx.
@@ -164,7 +164,7 @@ def run_bench_starts(
     tolxs: Sequence[float],
     seed: int = 0,
     *,
-    max_iter: int = 100,
+    max_iter: int = SolverOptions.max_iter,
     repeats: int = 1,
 ) -> list[BenchRecord]:
     """Start-point sweep: each problem solved from ``starts`` random x0.
@@ -218,7 +218,7 @@ def run_bench_beta(
     tolxs: Sequence[float],
     seed: int = 0,
     *,
-    max_iter: int = 100,
+    max_iter: int = SolverOptions.max_iter,
     repeats: int = 1,
 ) -> list[BenchRecord]:
     """Beta sweep: solved counts and mean iterations per [lb, ub) and tolx.

@@ -119,9 +119,9 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--x0", default="zero", metavar="file|zero|random",
                    help="starting point: 'zero', 'random', or a JSON array file")
     p.add_argument("--seed", type=int, default=0, help="seed for --x0 random")
-    p.add_argument("--tol-f", type=float, default=1e-10,
+    p.add_argument("--tol-f", type=float, default=SolverOptions.tol_f,
                    help="relative max-norm residual tolerance")
-    p.add_argument("--max-iter", type=int, default=100)
+    p.add_argument("--max-iter", type=int, default=SolverOptions.max_iter)
     p.add_argument("--trace", action="store_true", help="include all iterates in the JSON report")
     p.add_argument("--report", metavar="PATH", help="write a JSON report file")
 
@@ -132,7 +132,7 @@ def _add_bench_flags(p: argparse.ArgumentParser, default_repeats: int) -> None:
                         "(default 1e-6 1e-8 1e-10)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", metavar="CSV", help="CSV output path (default: stdout)")
-    p.add_argument("--max-iter", type=int, default=100)
+    p.add_argument("--max-iter", type=int, default=SolverOptions.max_iter)
     p.add_argument("--repeats", type=int, default=default_repeats,
                    help="timing repeats per instance; the median is reported")
 
@@ -179,12 +179,9 @@ def cmd_solve(args) -> int:
         raise ProblemFormatError("Q is not positive definite, so a solution of the QP "
                                  "equation need not minimize the QP")
 
-    formulation = args.formulation
-    if formulation == "auto":
-        formulation = "pwls" if isinstance(problem, PwlsProblem) else "qp"
-    if formulation == "qp" and isinstance(problem, PwlsProblem):
+    if args.formulation == "qp" and isinstance(problem, PwlsProblem):
         raise ValueError("a pwls file cannot be solved in qp formulation")
-    if formulation == "pwls" and isinstance(problem, QpProblem):
+    if args.formulation == "pwls" and isinstance(problem, QpProblem):
         problem = qp_to_pwls(problem)
 
     opts = SolverOptions(max_iter=args.max_iter, tol_f=args.tol_f, keep_iterates=True)

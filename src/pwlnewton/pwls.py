@@ -31,9 +31,6 @@ from .linalg import LuFactors, _factor, as_square_matrix, as_vector, inv_spectra
 
 # sign pattern of x: a bool array, True at i iff x_i > 0 (0 counts as not positive)
 SignPattern = np.ndarray
-# (pattern, LU factors, formulation state) of a fresh Newton step; the driver
-# reads the first two, and passes the state back to the bordered step unread
-Held = tuple[SignPattern, LuFactors, Any]
 
 # the factor-reuse limits of the Newton driver; see _iterate_patterns
 REUSE_MIN_SIZE = 64
@@ -251,45 +248,39 @@ def _iterate_patterns(
     x0,
     rhs: np.ndarray,
     opts: SolverOptions,
-    fresh: Callable[[SignPattern], Optional[tuple[np.ndarray, Optional[LuFactors], Any]]],
-    bordered: Callable[[SignPattern, Held], Optional[np.ndarray]],
+    fresh: Callable[[SignPattern], Optional[tuple[np.ndarray, int, Any]]],
+    bordered: Callable[[SignPattern, SignPattern, Any], Optional[np.ndarray]],
     residual_of: Callable[[np.ndarray], np.ndarray],
 ) -> SolveReport:
     """Driver shared by the piecewise-linear and QP Newton iterations.
 
     Each iterate is the Newton step from its predecessor's sign pattern,
-    taken by one of two callbacks; both return a fresh array, which the
-    trace keeps uncopied.  fresh(pattern) factors the step matrix, or the
-    reduced system a formulation solves in its place, and returns
-    (x_next, the LU factors or None when nothing was factored, the
-    formulation's state for a later bordered step), or None to end the
-    run as SingularJacobian when lu_factor flags that matrix singular.
-    bordered(pattern, held) takes the step through a bordered
-    (capacitance) system from held = (pattern, LU factors, state) of an
-    earlier fresh step, or returns None when lu_factor flags the
-    capacitance matrix singular.  The driver reads only the pattern and
-    the factor's order, and bordered must not write into the state, since
-    later steps border from it too.
+    a fresh array that the trace keeps uncopied.  fresh(pattern) returns
+    (x_next, order, state), or None to end the run as SingularJacobian:
+    order is that of the matrix it factored (0 when none), and state is
+    the formulation's own tuple, factor included.  bordered(pattern,
+    held, state) steps from the held pattern's state, which it must not
+    write into, or returns None when its capacitance matrix is flagged
+    singular.
 
-    The factor-reuse rule is stated here only.  The driver holds the
-    triple of the last fresh step whose factor has order m >=
-    REUSE_MIN_SIZE (64), and nothing else.  A step whose pattern differs
-    from the held one in k indices is bordered when REUSE_RATIO * k <= m
-    (8 k <= m).  Otherwise, or when bordered returns None, the driver
-    drops the held factor (never two factors alive at once) and steps
-    fresh.  Below either limit a fresh factor ran faster (one BLAS
-    thread).  A bordered step's iterate equals a fresh factor's up to
-    rounding, so x_next is a function of the pattern in exact arithmetic
-    only; no pattern is stepped from twice, since a recurrence ends the
-    run first.
+    The factor-reuse rule is stated here only.  The driver holds (pattern,
+    order, state) of the last fresh step of order m >= REUSE_MIN_SIZE
+    (64), and nothing else.  A step whose pattern differs from the held
+    one in k indices is bordered when REUSE_RATIO * k <= m (8 k <= m).
+    Otherwise, or when bordered returns None, the driver drops the state
+    (never two factors alive at once) and steps fresh.  Below either limit
+    a fresh factor ran faster (one BLAS thread).  A bordered iterate
+    equals a fresh one up to rounding, so x_next is a function of the
+    pattern in exact arithmetic only; no pattern is stepped from twice,
+    since a recurrence ends the run first.
 
-    A formulation may solve a reduced system and map its solution back to
-    R^n, n = rhs.size; max|rhs| scales the residual rule.  In residual
-    mode, termination per iterate checks, in order: consecutive pattern
-    repeat (exact solution), the residual rule, non-consecutive pattern
-    recurrence (cycle), and the iteration cap.  ConvergedExact and Cycled
-    are exact-arithmetic claims: the final pattern's step reproduces the
-    final iterate, or the cycle's iterates, up to rounding.
+    Iterates live in R^n, n = rhs.size, and max|rhs| scales the residual
+    rule.  In residual mode, termination per iterate checks, in order:
+    consecutive pattern repeat (exact solution), the residual rule,
+    non-consecutive pattern recurrence (cycle), and the iteration cap.
+    ConvergedExact and Cycled are exact-arithmetic claims: the final
+    pattern's step reproduces the final iterate, or the cycle's iterates,
+    up to rounding.
 
     In known-solution mode the distance rule is what defines success, so
     it is checked first.  A consecutive pattern repeat then means the
@@ -333,28 +324,21 @@ def _iterate_patterns(
     if met:
         return report(SolveStatus.CONVERGED, 0, x, norm)
 
-    held: Optional[Held] = None
-
-    def step(bits: SignPattern) -> Optional[np.ndarray]:
-        nonlocal held
-        # k >= 1: the iteration never steps twice from one pattern
-        if held is not None and REUSE_RATIO * np.count_nonzero(bits != held[0]) <= held[1].n:
-            x_next = bordered(bits, held)
-            if x_next is not None:
-                return x_next
-        held = None  # never two factors alive at once
-        solved = fresh(bits)
-        if solved is None:
-            return None
-        x_next, f, state = solved
-        if f is not None and f.n >= REUSE_MIN_SIZE:
-            held = (bits, f, state)
-        return x_next
-
+    # the held fresh step's (pattern, order, state); order 0 holds nothing
+    held, order, state = pat, 0, None
     for k in range(1, opts.max_iter + 1):
-        x_new = step(pat)
+        x_new = None
+        # pat differs from held somewhere, since no pattern is stepped from twice
+        if order and REUSE_RATIO * np.count_nonzero(pat != held) <= order:
+            x_new = bordered(pat, held, state)
         if x_new is None:
-            return report(SolveStatus.SINGULAR_JACOBIAN, k - 1, x, norm)
+            state = None  # never two factors alive at once
+            x_new, order, state = fresh(pat) or (None, 0, None)
+            if x_new is None:
+                return report(SolveStatus.SINGULAR_JACOBIAN, k - 1, x, norm)
+            if order < REUSE_MIN_SIZE:
+                order, state = 0, None
+            held = pat
         try:
             pat = sign_pattern(x_new)
         except ValueError:
@@ -393,14 +377,12 @@ def _iterate_patterns(
 def newton_solve(p: PwlsProblem, x0, opts: Optional[SolverOptions] = None) -> SolveReport:
     """Run the Newton iteration [diag(s_k) + T] x_{k+1} = b from x0.
 
-    A fresh step factors M = T + diag(s), of order n, and its iterate
-    Y_b = M^-1 b is the state it holds for a bordered step.  A bordered
-    step from the held pattern p, with D the k indices where s differs and
-    delta = s_D - p_D (each +1 or -1), uses T + diag(s) = M + diag(delta)
-    on D: one solve with the held factors against the unit columns at D
-    gives Y_D, then the k x k capacitance system (diag(delta) + Y_DD) z =
-    Y_b[D] gives x = Y_b - Y_D z.  _iterate_patterns decides which step
-    to take.
+    A fresh step factors M = T + diag(s), of order n, and holds (f, y):
+    its LU factors and its iterate y = M^-1 b.  A bordered step from the
+    held pattern p, with D the k indices where s differs and delta = s_D -
+    p_D (each +1 or -1), uses T + diag(s) = M + diag(delta) on D: one
+    solve with f against the unit columns at D gives Y_D, then the k x k
+    capacitance system (diag(delta) + Y_DD) z = y_D gives x = y - Y_D z.
 
     A singular step matrix yields status SingularJacobian rather than an
     exception, so callers can treat all outcomes uniformly.
@@ -408,16 +390,16 @@ def newton_solve(p: PwlsProblem, x0, opts: Optional[SolverOptions] = None) -> So
     opts = opts if opts is not None else SolverOptions()
     no_dense = np.empty((0, p.n))
 
-    def fresh(bits: SignPattern) -> Optional[tuple[np.ndarray, LuFactors, np.ndarray]]:
+    def fresh(bits: SignPattern) -> Optional[tuple[np.ndarray, int, tuple]]:
         f = lu_factor(_pattern_matrix(p.T, bits))
         if f.singular:
             return None
         x = lu_solve(f, p.b)
-        return x, f, x
+        return x, p.n, (f, x)
 
-    def bordered(bits: SignPattern, held: Held) -> Optional[np.ndarray]:
-        held_bits, f, y = held
-        d = (bits != held_bits).nonzero()[0]
+    def bordered(bits: SignPattern, held: SignPattern, state: tuple) -> Optional[np.ndarray]:
+        f, y = state
+        d = (bits != held).nonzero()[0]
         # G = -diag(delta) and g = 0: the border's rows z = delta x_D
         # put diag(delta) on D's diagonal of M
         minus_delta = np.diag(np.where(bits.take(d), -1.0, 1.0))

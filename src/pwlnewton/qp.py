@@ -24,10 +24,9 @@ from scipy.linalg.lapack import dpotrf
 # pwls (such as perfbench/tracer.py's) sees every step's factor and solve
 from . import pwls
 from .errors import EquivalenceUnavailableError, SingularMatrixError
-from .linalg import LuFactors, _factor, as_square_matrix, as_vector, spectral_norm
+from .linalg import _factor, as_square_matrix, as_vector, spectral_norm
 from .pwls import (
     ConditionReport,
-    Held,
     PwlsProblem,
     SignPattern,
     SolveReport,
@@ -131,10 +130,10 @@ def qp_newton_solve(q: QpProblem, x0, opts: Optional[SolverOptions] = None) -> S
     mat-vec, and x_{k+1} = -b_tilde with nothing factored when A is empty.
     This is the primal-dual active-set form of the semi-smooth Newton step.
 
-    A fresh step factors Q_AA, of order |A|, and holds its gathered rows
-    Q[A] and its solution x_A as the state of a bordered step.  A bordered
-    step from the held active set P, with D = P - A (indices that left)
-    and E = A - P (indices that joined), reads x_A off
+    A fresh step factors Q_AA, of order |A|, and holds (f, A, Q[A], x_A):
+    its LU factors, the gathered rows and the solution.  A bordered step
+    from the held active set P, with D = P - A (indices that left) and
+    E = A - P (indices that joined), reads x_A off
     [[Q_PP, B], [B^T, G]] [x_P; z] = [-b_P; g], where B = [Q_PE | unit
     columns at D], G = diag(Q_EE, 0) and g = (-b_E, 0): the unit rows pin
     x_D = 0 and the unit columns free the D equations, whose right-hand
@@ -142,8 +141,7 @@ def qp_newton_solve(q: QpProblem, x0, opts: Optional[SolverOptions] = None) -> S
     pwls._bordered_solve solves it with the held factor of Q_PP through a
     k x k capacitance system, k = |D| + |E|.  The lift then reads the held
     rows Q[P], with x_D set to its exact 0, and gathers only Q[E]:
-    x = -b_tilde - x_P Q[P] - x_E Q[E].  pwls._iterate_patterns decides
-    which step to take.
+    x = -b_tilde - x_P Q[P] - x_E Q[E].
 
     Shares all termination and cycle machinery with the T/b solver.  The
     determinant of the step matrix equals det Q_AA, so for symmetric
@@ -157,28 +155,24 @@ def qp_newton_solve(q: QpProblem, x0, opts: Optional[SolverOptions] = None) -> S
     opts = opts if opts is not None else SolverOptions()
     minus_b = -q.b_tilde
 
-    def lift(a: np.ndarray, rows: np.ndarray, x_a: np.ndarray) -> np.ndarray:
-        # Q is exactly symmetric, so x_A @ Q[A] is Q[:, A] x_A
-        x = minus_b - x_a @ rows
-        x[a] = x_a
-        return x
-
-    def fresh(bits: SignPattern) -> Optional[tuple[np.ndarray, Optional[LuFactors], tuple]]:
+    def fresh(bits: SignPattern) -> Optional[tuple[np.ndarray, int, Optional[tuple]]]:
         a = bits.nonzero()[0]
-        rows = q.Q.take(a, axis=0)
         if not a.size:
-            x_a = minus_b[a]
-            return lift(a, rows, x_a), None, None
+            return minus_b.copy(), 0, None
+        rows = q.Q.take(a, axis=0)
         # Q_AA is exactly symmetric: its transpose is the column-major copy getrf wants
         f = pwls.lu_factor(rows.take(a, axis=1).T)
         if f.singular:
             return None
         x_a = pwls.lu_solve(f, minus_b.take(a))
-        return lift(a, rows, x_a), f, (a, rows, x_a)
+        # Q is exactly symmetric, so x_A @ Q[A] is Q[:, A] x_A
+        x = minus_b - x_a @ rows
+        x[a] = x_a
+        return x, a.size, (f, a, rows, x_a)
 
-    def bordered(bits: SignPattern, held: Held) -> Optional[np.ndarray]:
-        held_bits, f, (p, rows, y) = held
-        e = (bits & ~held_bits).nonzero()[0]
+    def bordered(bits: SignPattern, held: SignPattern, state: tuple) -> Optional[np.ndarray]:
+        f, p, rows, y = state
+        e = (bits & ~held).nonzero()[0]
         kept = bits.take(p)
         d = (~kept).nonzero()[0]  # positions of D in P
         ne = e.size
@@ -200,14 +194,8 @@ def qp_newton_solve(q: QpProblem, x0, opts: Optional[SolverOptions] = None) -> S
         x[e] = x_e
         return x
 
-    return _iterate_patterns(
-        x0,
-        q.b_tilde,
-        opts,
-        fresh,
-        bordered,
-        residual_of=lambda x: _qp_residual(q, x),
-    )
+    return _iterate_patterns(x0, q.b_tilde, opts, fresh, bordered,
+                             residual_of=lambda x: _qp_residual(q, x))
 
 
 def kkt_residual(q: QpProblem, x) -> KktResidual:
@@ -259,8 +247,7 @@ def cone_projection(
     the report's status; v is then the positive part of the last iterate.
     """
     q = cone_instance_to_qp(ci)
-    start = np.zeros(ci.n) if x0 is None else as_vector(x0, "x0")
-    report = qp_newton_solve(q, start, opts)
+    report = qp_newton_solve(q, np.zeros(ci.n) if x0 is None else x0, opts)
     v = np.maximum(report.last_iterate, 0.0)
     return ConeProjectionResult(v=v, projection=ci.A @ v, report=report)
 

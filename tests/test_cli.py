@@ -177,6 +177,17 @@ def test_solve_report_and_trace(diagonal_file, tmp_path, capsys):
     assert len(payload["iterates"]) == payload["iterations"] + 1
 
 
+def test_solve_trace_without_report_prints_the_report(diagonal_file, tmp_path, capsys):
+    report_path = tmp_path / "report.json"
+    assert main(["solve", diagonal_file, "--trace", "--report", str(report_path)]) == 0
+    summary = capsys.readouterr().out
+    assert main(["solve", diagonal_file, "--trace"]) == 0
+    out = capsys.readouterr().out
+    # the summary lines, then the JSON report that --report writes to its file
+    assert out == summary + report_path.read_text()
+    assert len(json.loads(out[len(summary):])["iterates"]) >= 2
+
+
 def test_solve_singular_jacobian_exit_code(tmp_path):
     problem = write_json(tmp_path / "sing.json",
                          {"kind": "pwls", "T": [[-1.0, 0.0], [0.0, 1.0]], "b": [0.0, 2.0]})

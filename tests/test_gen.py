@@ -43,6 +43,11 @@ def test_spd_matrix_refuses_beta_outside_open_range(beta):
         make_spd_matrix(3, beta, np.random.default_rng(0))
 
 
+def test_spd_matrix_refuses_empty_size():
+    with pytest.raises(ValueError, match="n must be at least 1"):
+        make_spd_matrix(0, 0.3, np.random.default_rng(0))
+
+
 def test_spd_matrix_norm_identity():
     rng = np.random.default_rng(0)
     for beta in (0.01, 0.3, 2.0, 1e4):
@@ -148,6 +153,12 @@ def test_instance_solves_quickly():
 def test_batch_empty():
     cfg = GeneratorConfig(n=4, beta_low=0.1, beta_high=0.2, seed=1)
     assert make_batch(cfg, 0) == []
+
+
+def test_batch_refuses_negative_count():
+    cfg = GeneratorConfig(n=4, beta_low=0.1, beta_high=0.2, seed=1)
+    with pytest.raises(ValueError, match="count must be nonnegative"):
+        make_batch(cfg, -1)
 
 
 def test_batch_reproducible_and_prefix_stable():

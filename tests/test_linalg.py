@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -166,6 +167,13 @@ def test_lu_rejects_nan():
                 lu_factor(m)
 
 
+def test_factor_core_rejects_non_finite_matrix():
+    # the Newton steps' factor core keeps the finite check in its one abs-max pass
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="matrix must contain only finite values"):
+            linalg._factor(np.array([[bad, 0.0], [0.0, 1.0]]))
+
+
 def test_lu_factor_does_not_mutate_its_argument():
     rng = np.random.default_rng(44)
     m = rng.standard_normal((6, 6))
@@ -173,6 +181,13 @@ def test_lu_factor_does_not_mutate_its_argument():
         before = a.copy()
         lu_factor(a)
         assert a.tobytes() == before.tobytes()
+
+
+def test_as_vector_rejects_non_vector_input():
+    for bad in ([[1.0, 2.0]], np.zeros((2, 2)), [], 3.0):
+        message = f"x must be a non-empty 1-D array, got shape {np.shape(bad)}"
+        with pytest.raises(DimensionError, match=re.escape(message)):
+            as_vector(bad, "x")
 
 
 def test_as_vector_rejects_wrong_length():

@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -142,6 +143,16 @@ def test_newton_solve_detects_golden_cycle():
     np.testing.assert_array_equal(points[1], [4.0, 1.0])
     assert report.solution is None
     assert len(report.pattern_trace) == report.iterations + 1
+
+
+def test_cycle_points_needs_a_cycle_and_kept_iterates():
+    converged = newton_solve(cycle_problem(), [-3.0, 3.0], SolverOptions(keep_iterates=True))
+    with pytest.raises(ValueError, match="report has no cycle"):
+        converged.cycle_points()
+    cycled = newton_solve(cycle_problem(), [1.0, 1.0])
+    assert cycled.status is SolveStatus.CYCLED
+    with pytest.raises(ValueError, match="iterates were not kept"):
+        cycled.cycle_points()
 
 
 def test_newton_solve_from_alternate_start_converges_exactly():
@@ -410,7 +421,7 @@ def test_newton_solve_is_independent_of_the_layout_of_t(monkeypatch):
     assert any(np.ndim(args[1]) == 2 for args, _ in solves)
 
 
-def test_flagged_capacitance_falls_back_to_a_fresh_factor(monkeypatch):
+def flagged_capacitance_case():
     # T is diagonal.  From x0, M = T + diag(p) has M_00 = -1e-10, so
     # (M^-1)_00 = -1e10; the first step leaves index 0 and enters index 2,
     # where T_22 = -1/0.999.  The capacitance matrix is then diag(1e10, 1e-3)
@@ -424,7 +435,12 @@ def test_flagged_capacitance_falls_back_to_a_fresh_factor(monkeypatch):
     b[0], b[2] = 0.5e-10, -1.0
     x0 = b.copy()
     x0[0], x0[2] = 1.0, -1.0
-    p = PwlsProblem(T=np.diag(t), b=b)
+    return PwlsProblem(T=np.diag(t), b=b), x0
+
+
+def test_flagged_capacitance_falls_back_to_a_fresh_factor(monkeypatch):
+    p, x0 = flagged_capacitance_case()
+    n = p.n
     factors = spy_on(monkeypatch, "lu_factor")
     report = newton_solve(p, x0)
     assert [(args[0].shape[0], f.singular) for args, f in factors] == [
@@ -466,6 +482,24 @@ def test_singular_pattern_matrix_ends_singular_jacobian_as_fresh(monkeypatch):
     assert report.status is fresh.status is SolveStatus.SINGULAR_JACOBIAN
     assert report.iterations == fresh.iterations == 1
     assert np.array_equal(report.pattern_trace, fresh.pattern_trace)
+
+
+def test_no_factor_is_alive_when_a_step_factors_afresh(monkeypatch):
+    # the driver drops what it holds before every fresh step, the fallback
+    # from a flagged capacitance matrix included: never two factors alive
+    core = pwls.lu_factor
+    alive = []
+
+    def spy(m, scale=None):
+        if scale is None:  # a step matrix, not a capacitance matrix
+            alive.append(sum(isinstance(o, LuFactors) for o in gc.get_objects()))
+        return core(m, scale)
+
+    monkeypatch.setattr(pwls, "lu_factor", spy)
+    cases = generated_pwls(100, seed=0) + [flagged_capacitance_case()]
+    reports = [newton_solve(p, x0) for p, x0 in cases]
+    assert sum(r.iterations for r in reports) > len(alive) > len(cases)
+    assert alive == [0] * len(alive)
 
 
 def test_no_reuse_below_min_size(monkeypatch):

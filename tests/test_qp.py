@@ -550,6 +550,18 @@ def test_projection_hand_checked_2x2():
     assert result.report.converged
 
 
+def test_projection_start_is_checked_once_with_the_x0_messages():
+    ci = ConeInstance(A=[[1.0, 0.0], [1.0, 1.0]], z=[-1.0, 2.0])
+    for x0, error, message in (
+            ([[0.0, 0.0]], DimensionError, r"x0 must be a non-empty 1-D array, got shape \(1, 2\)"),
+            ([0.0, np.nan], ValueError, "x0 must contain only finite values"),
+            ([0.0], DimensionError, "x0 has length 1, expected 2")):
+        with pytest.raises(error, match=message):
+            cone_projection(ci, x0=x0)
+    result = cone_projection(ci, x0=[1.0, 1.0])
+    np.testing.assert_allclose(result.v, [0.0, 2.0], atol=1e-12)
+
+
 def test_projection_idempotent_on_cone_points():
     rng = np.random.default_rng(12)
     for _ in range(20):

@@ -95,3 +95,17 @@ def test_lapack_lu_and_pivot_rule_are_named_only_by_linalg():
               for path in sorted(SOURCE_DIR.rglob("*.py"))}
     assert {name: found for name, found in naming.items() if found} == {
         "linalg.py": sorted(kernels)}
+
+
+def top_level_function(path: Path, name: str) -> ast.FunctionDef:
+    """The top-level function ``name`` of the module at path, signature included."""
+    tree = ast.parse(path.read_text(), str(path))
+    return next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def test_newton_driver_names_no_factor_or_kernel():
+    # the driver reads only a step's order; the factor and its kernels stay
+    # inside each formulation's fresh and bordered steps
+    driver = top_level_function(SOURCE_DIR / "pwls.py", "_iterate_patterns")
+    factor_names = {"LuFactors", "lu_factor", "lu_solve", "singular"}
+    assert sorted(factor_names & named_identifiers(driver)) == []
