@@ -39,9 +39,7 @@ from .qp import (
     ConeInstance,
     QpProblem,
     check_qp_conditions,
-    cone_instance_to_qp,
     cone_projection,
-    kkt_residual,
     qp_newton_solve,
     qp_to_pwls,
 )
@@ -218,7 +216,7 @@ def cmd_project(args) -> int:
     x0 = _resolve_x0(args, problem.n)
     result = cone_projection(problem, x0=x0, opts=opts)
     report = result.report
-    kkt = kkt_residual(cone_instance_to_qp(problem), result.v)
+    kkt = result.kkt
 
     print(f"status: {report.status.value}")
     print(f"iterations: {report.iterations}")

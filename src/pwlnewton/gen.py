@@ -94,14 +94,13 @@ def make_spd_matrix(n: int, beta: float, rng: np.random.Generator) -> np.ndarray
     return q
 
 
-def make_instance(cfg: GeneratorConfig, rng: np.random.Generator | None = None) -> GeneratedInstance:
-    """Draw one instance: beta, then Q, then the planted u, then x0.
+def make_instance(cfg: GeneratorConfig, rng: np.random.Generator) -> GeneratedInstance:
+    """Draw one instance from rng: beta, then Q, then the planted u, then x0.
 
     b_tilde is back-computed as -([Q - I] u+ + u), so u solves the
-    piecewise linear equation exactly up to rounding.
+    piecewise linear equation exactly up to rounding.  cfg.seed is not
+    read here: make_batch seeds each instance's rng from it.
     """
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
     beta = float(rng.uniform(cfg.beta_low, cfg.beta_high))
     q_matrix = make_spd_matrix(cfg.n, beta, rng)
     u = rng.uniform(-cfg.value_bound, cfg.value_bound, cfg.n)

@@ -127,7 +127,7 @@ class SolveReport:
     last_iterate: np.ndarray
     iterate_trace: Optional[list[np.ndarray]] = None
     cycle: Optional[tuple[int, int]] = None
-    # final_residual_norm once known, else the residual that computes it
+    # final_residual_norm once known, and the residual that computes it
     _residual_norm: Optional[float] = None
     _residual_of: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
@@ -135,7 +135,6 @@ class SolveReport:
     def final_residual_norm(self) -> float:
         if self._residual_norm is None:
             self._residual_norm = float(np.abs(self._residual_of(self.last_iterate)).max())
-            self._residual_of = None
         return self._residual_norm
 
     @property
@@ -247,7 +246,7 @@ def _bordered_solve(
 def _iterate_patterns(
     x0,
     rhs: np.ndarray,
-    opts: SolverOptions,
+    opts: Optional[SolverOptions],
     fresh: Callable[[SignPattern], Optional[tuple[np.ndarray, int, Any]]],
     bordered: Callable[[SignPattern, SignPattern, Any], Optional[np.ndarray]],
     residual_of: Callable[[np.ndarray], np.ndarray],
@@ -261,7 +260,7 @@ def _iterate_patterns(
     the formulation's own tuple, factor included.  bordered(pattern,
     held, state) steps from the held pattern's state, which it must not
     write into, or returns None when its capacitance matrix is flagged
-    singular.
+    singular.  opts defaults to SolverOptions().
 
     The factor-reuse rule is stated here only.  The driver holds (pattern,
     order, state) of the last fresh step of order m >= REUSE_MIN_SIZE
@@ -275,58 +274,84 @@ def _iterate_patterns(
     since a recurrence ends the run first.
 
     Iterates live in R^n, n = rhs.size, and max|rhs| scales the residual
-    rule.  In residual mode, termination per iterate checks, in order:
-    consecutive pattern repeat (exact solution), the residual rule,
-    non-consecutive pattern recurrence (cycle), and the iteration cap.
-    ConvergedExact and Cycled are exact-arithmetic claims: the final
-    pattern's step reproduces the final iterate, or the cycle's iterates,
-    up to rounding.
-
-    In known-solution mode the distance rule is what defines success, so
-    it is checked first.  A consecutive pattern repeat then means the
-    iteration has become stationary (a further step from the same pattern
-    reproduces the iterate), so a stationary iterate that misses the
-    distance rule is declared MaxIterations immediately: running out the
-    cap could never change the outcome, only repeat the same solve.
+    rule.  Each iterate k, x0 as iterate 0, is recorded and judged at one
+    site, in this order: in residual mode, a pattern equal to iterate
+    k - 1's (ConvergedExact), then the residual rule (Converged); in
+    known-solution mode, the distance rule (Converged), then a pattern
+    equal to iterate k - 1's (MaxIterations); in both, a pattern seen at
+    an earlier iterate (Cycled), then k = max_iter (MaxIterations).  Only
+    then does the loop step from it.  So a run whose x0 meets the active
+    rule stops at 0 iterations.  ConvergedExact and Cycled are
+    exact-arithmetic claims: the final pattern's step reproduces the final
+    iterate, or the cycle's iterates, up to rounding.  In known-solution
+    mode a pattern repeat means the iteration has become stationary, so an
+    iterate that misses the distance rule there could never improve:
+    running out the cap would only repeat the same solve.
 
     A step that overflows to a non-finite iterate raises ValueError.  Only
     known_solution's length is checked here; SolverOptions checked the rest.
-    The report reuses the residual rule's value for its last iterate when
-    the rule judged it, and otherwise calls residual_of on first read.
+    The report holds the last judged iterate and the residual rule's value
+    for it when the rule judged it; otherwise residual_of gives that value
+    on first read.
     """
+    opts = opts if opts is not None else SolverOptions()
     x = as_vector(x0, "x0", rhs.size).copy()
     u = opts.known_solution
-    pat = sign_pattern(x)
-    norm: Optional[float] = None  # max-norm residual of x, in residual mode only
-    # the active stopping rule's threshold, computed once per solve, and whether x0 meets it
+    # the active stopping rule's threshold, computed once per solve
     if u is None:
         bound = opts.tol_f * (1.0 + float(np.abs(rhs).max()))
-        norm = float(np.abs(residual_of(x)).max())
-        met = norm <= bound
     else:
         if u.size != rhs.size:
             raise DimensionError(f"known_solution has length {u.size}, expected {rhs.size}")
         bound = opts.tol_x * (1.0 + math.sqrt(u @ u))
-        d = u - x
-        met = math.sqrt(d @ d) < bound
 
-    patterns: list[SignPattern] = [pat]
-    trace: Optional[list[np.ndarray]] = [x] if opts.keep_iterates else None
+    patterns: list[SignPattern] = []
+    trace: Optional[list[np.ndarray]] = [] if opts.keep_iterates else None
     # index of the iterate each pattern was first seen at, keyed by its bytes
-    seen: dict[bytes, int] = {pat.tobytes(): 0}
+    seen: dict[bytes, int] = {}
     cycle: Optional[tuple[int, int]] = None
+    norm: Optional[float] = None  # max-norm residual of x, in residual mode only
 
-    def report(status: SolveStatus, iterations: int, last: np.ndarray,
-               last_norm: Optional[float] = None) -> SolveReport:
-        lazy = residual_of if last_norm is None else None
-        return SolveReport(status, iterations, patterns, last, trace, cycle, last_norm, lazy)
-
-    if met:
-        return report(SolveStatus.CONVERGED, 0, x, norm)
+    def report(status: SolveStatus, last_norm: Optional[float] = None) -> SolveReport:
+        return SolveReport(status, len(patterns) - 1, patterns, x, trace, cycle, last_norm,
+                           residual_of)
 
     # the held fresh step's (pattern, order, state); order 0 holds nothing
-    held, order, state = pat, 0, None
-    for k in range(1, opts.max_iter + 1):
+    held, order, state = None, 0, None
+    for k in range(opts.max_iter + 1):
+        try:
+            pat = sign_pattern(x)
+        except ValueError:
+            raise ValueError(f"Newton iterate {k} is not finite (the step overflowed)") from None
+        patterns.append(pat)
+        if trace is not None:
+            trace.append(x)
+        key = pat.tobytes()
+        previous = seen.get(key)
+        if u is not None:
+            d = u - x
+            if math.sqrt(d @ d) < bound:
+                return report(SolveStatus.CONVERGED)
+            if previous == k - 1:
+                # stationary but outside the distance tolerance: no later
+                # iterate can differ, so the run provably cannot converge
+                return report(SolveStatus.MAX_ITERATIONS)
+        else:
+            if previous == k - 1:
+                return report(SolveStatus.CONVERGED_EXACT)
+            norm = float(np.abs(residual_of(x)).max())
+            if norm <= bound:
+                return report(SolveStatus.CONVERGED, norm)
+        if previous is not None:
+            # necessarily previous < k - 1 here; x_{k+1} would equal
+            # x_{previous+1}, so the orbit repeats with period k - previous
+            # starting at iterate previous + 1.
+            cycle = (previous + 1, k - previous)
+            return report(SolveStatus.CYCLED, norm)
+        if k == opts.max_iter:
+            return report(SolveStatus.MAX_ITERATIONS, norm)
+        seen[key] = k
+
         x_new = None
         # pat differs from held somewhere, since no pattern is stepped from twice
         if order and REUSE_RATIO * np.count_nonzero(pat != held) <= order:
@@ -335,43 +360,11 @@ def _iterate_patterns(
             state = None  # never two factors alive at once
             x_new, order, state = fresh(pat) or (None, 0, None)
             if x_new is None:
-                return report(SolveStatus.SINGULAR_JACOBIAN, k - 1, x, norm)
+                return report(SolveStatus.SINGULAR_JACOBIAN, norm)
             if order < REUSE_MIN_SIZE:
                 order, state = 0, None
             held = pat
-        try:
-            pat = sign_pattern(x_new)
-        except ValueError:
-            raise ValueError(f"Newton iterate {k} is not finite (the step overflowed)") from None
-        patterns.append(pat)
-        if trace is not None:
-            trace.append(x_new)
-        key = pat.tobytes()
-        previous = seen.get(key)
-        if u is not None:
-            d = u - x_new
-            if math.sqrt(d @ d) < bound:
-                return report(SolveStatus.CONVERGED, k, x_new)
-            if previous == k - 1:
-                # stationary but outside the distance tolerance: no later
-                # iterate can differ, so the run provably cannot converge
-                return report(SolveStatus.MAX_ITERATIONS, k, x_new)
-        else:
-            if previous == k - 1:
-                return report(SolveStatus.CONVERGED_EXACT, k, x_new)
-            norm = float(np.abs(residual_of(x_new)).max())
-            if norm <= bound:
-                return report(SolveStatus.CONVERGED, k, x_new, norm)
-        if previous is not None:
-            # necessarily previous < k - 1 here; x_{k+1} would equal
-            # x_{previous+1}, so the orbit repeats with period k - previous
-            # starting at iterate previous + 1.
-            cycle = (previous + 1, k - previous)
-            return report(SolveStatus.CYCLED, k, x_new, norm)
-        seen[key] = k
         x = x_new
-
-    return report(SolveStatus.MAX_ITERATIONS, opts.max_iter, x, norm)
 
 
 def newton_solve(p: PwlsProblem, x0, opts: Optional[SolverOptions] = None) -> SolveReport:
@@ -387,7 +380,6 @@ def newton_solve(p: PwlsProblem, x0, opts: Optional[SolverOptions] = None) -> So
     A singular step matrix yields status SingularJacobian rather than an
     exception, so callers can treat all outcomes uniformly.
     """
-    opts = opts if opts is not None else SolverOptions()
     no_dense = np.empty((0, p.n))
 
     def fresh(bits: SignPattern) -> Optional[tuple[np.ndarray, int, tuple]]:

@@ -101,6 +101,7 @@ class ConeProjectionResult(NamedTuple):
     v: np.ndarray
     projection: np.ndarray
     report: SolveReport
+    kkt: KktResidual  # of v, on the QP that the projection solved
 
 
 def _minus_identity(Q: np.ndarray) -> np.ndarray:
@@ -152,7 +153,6 @@ def qp_newton_solve(q: QpProblem, x0, opts: Optional[SolverOptions] = None) -> S
     the report's solution solves the piecewise linear equation, and its
     positive part is the QP minimizer.
     """
-    opts = opts if opts is not None else SolverOptions()
     minus_b = -q.b_tilde
 
     def fresh(bits: SignPattern) -> Optional[tuple[np.ndarray, int, Optional[tuple]]]:
@@ -243,11 +243,12 @@ def cone_projection(
 
     Solves the associated QP by the Newton iteration (from the origin
     unless x0 is given) and returns the cone coefficients v, the projected
-    point A v, and the solve report.  Non-convergence is reported through
-    the report's status; v is then the positive part of the last iterate.
+    point A v, the solve report, and v's KKT residual on that QP.
+    Non-convergence is reported through the report's status; v is then
+    the positive part of the last iterate.
     """
     q = cone_instance_to_qp(ci)
     report = qp_newton_solve(q, np.zeros(ci.n) if x0 is None else x0, opts)
     v = np.maximum(report.last_iterate, 0.0)
-    return ConeProjectionResult(v=v, projection=ci.A @ v, report=report)
+    return ConeProjectionResult(v=v, projection=ci.A @ v, report=report, kkt=kkt_residual(q, v))
 

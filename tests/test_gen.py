@@ -117,8 +117,8 @@ def test_spd_matrix_from_rank_one_b():
 
 def test_instance_determinism():
     cfg = GeneratorConfig(n=5, beta_low=1e-9, beta_high=0.5, seed=7)
-    a = make_instance(cfg)
-    b = make_instance(cfg)
+    a = make_instance(cfg, np.random.default_rng(cfg.seed))
+    b = make_instance(cfg, np.random.default_rng(cfg.seed))
     assert a.beta_used == b.beta_used
     assert np.array_equal(a.q.Q, b.q.Q)
     assert np.array_equal(a.q.b_tilde, b.q.b_tilde)

@@ -199,6 +199,15 @@ def test_newton_solve_singular_jacobian_status():
     assert report.solution is None
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 3: the pivot rule judges against max|T + diag(s)|, "
+                          "so the diagonal step matrix diag(1e13, 1) counts as singular")
+def test_newton_solve_converges_on_a_badly_scaled_diagonal_t():
+    report = newton_solve(PwlsProblem(T=np.diag([1e13, 1.0]), b=[1.0, 1.0]), np.zeros(2))
+    assert report.status is SolveStatus.CONVERGED_EXACT
+    np.testing.assert_allclose(report.solution, [1e-13, 0.5], rtol=1e-12)
+
+
 def test_newton_solve_max_iterations():
     report = newton_solve(cycle_problem(), [1.0, 1.0], SolverOptions(max_iter=1))
     assert report.status is SolveStatus.MAX_ITERATIONS

@@ -9,6 +9,7 @@ from pwlnewton import (
     ConeInstance,
     DimensionError,
     EquivalenceUnavailableError,
+    PwlNewtonError,
     QpProblem,
     SingularMatrixError,
     SolveStatus,
@@ -105,6 +106,13 @@ def test_is_positive_definite_agrees_with_eigh():
 def test_cone_instance_rejects_singular_a():
     with pytest.raises(SingularMatrixError):
         ConeInstance(A=[[1.0, 1.0], [1.0, 1.0]], z=[1.0, 0.0])
+
+
+@pytest.mark.xfail(strict=True, raises=SingularMatrixError,
+                   reason="ROADMAP item 3: the pivot rule judges against max|A|, so a "
+                          "nonsingular diagonal A with scaled columns is refused")
+def test_cone_instance_accepts_a_badly_scaled_nonsingular_a():
+    ConeInstance(A=np.diag([1e13, 1.0]), z=[1.0, 1.0])
 
 
 TWO_BY_TWO = QpProblem(Q=np.eye(2), b_tilde=[1.0, -1.0])
@@ -355,6 +363,25 @@ def test_qp_singular_jacobian_status():
     assert report.solution is None
 
 
+@pytest.mark.xfail(strict=True,
+                   reason="ROADMAP item 2: a step's LU certifies no minimizer, so the "
+                          "indefinite Q's saddle [0.25, 0.25] ends ConvergedExact")
+def test_qp_newton_solve_refuses_an_indefinite_q_at_its_saddle():
+    q = QpProblem(Q=[[1.0, 3.0], [3.0, 1.0]], b_tilde=[-1.0, -1.0])
+    with pytest.raises(PwlNewtonError):
+        qp_newton_solve(q, np.zeros(2))
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 2: the LU pivot rule flags Q_AA = diag(1e13, 1) "
+                          "singular, so the SPD step ends SingularJacobian")
+def test_qp_newton_solve_converges_on_a_badly_scaled_spd_q():
+    report = qp_newton_solve(QpProblem(Q=np.diag([1e13, 1.0]), b_tilde=[-1.0, -1.0]),
+                             np.zeros(2))
+    assert report.status is SolveStatus.CONVERGED_EXACT
+    np.testing.assert_allclose(report.solution, [1e-13, 1.0], rtol=1e-12)
+
+
 # an SPD Q on which the active-set iteration from [5, -1, -5] cycles with period 3
 Q_CYCLE = QpProblem(Q=[[33.0, -12.0, 15.0], [-12.0, 26.0, -12.0], [15.0, -12.0, 9.0]],
                     b_tilde=[0.0, -3.0, 1.0])
@@ -550,6 +577,14 @@ def test_projection_hand_checked_2x2():
     assert result.report.converged
 
 
+def test_projection_reports_the_kkt_residual_of_its_own_qp():
+    ci = ConeInstance(A=[[1.0, 0.0], [1.0, 1.0]], z=[-1.0, 2.0])
+    result = cone_projection(ci, opts=SolverOptions(max_iter=1))
+    assert not result.report.converged
+    assert result.kkt == kkt_residual(cone_instance_to_qp(ci), result.v)
+    assert result.kkt.worst > 0.0
+
+
 def test_projection_start_is_checked_once_with_the_x0_messages():
     ci = ConeInstance(A=[[1.0, 0.0], [1.0, 1.0]], z=[-1.0, 2.0])
     for x0, error, message in (
@@ -560,6 +595,15 @@ def test_projection_start_is_checked_once_with_the_x0_messages():
             cone_projection(ci, x0=x0)
     result = cone_projection(ci, x0=[1.0, 1.0])
     np.testing.assert_allclose(result.v, [0.0, 2.0], atol=1e-12)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 2: the LU pivot rule flags Q_AA = diag(1e22, 1) "
+                          "singular, so the projection ends SingularJacobian")
+def test_projection_onto_a_column_scaled_cone_keeps_a_cone_point():
+    result = cone_projection(ConeInstance(A=np.diag([1e11, 1.0]), z=[1.0, 1.0]))
+    assert result.report.converged
+    np.testing.assert_allclose(result.projection, [1.0, 1.0], rtol=1e-12)
 
 
 def test_projection_idempotent_on_cone_points():

@@ -109,3 +109,20 @@ def test_newton_driver_names_no_factor_or_kernel():
     driver = top_level_function(SOURCE_DIR / "pwls.py", "_iterate_patterns")
     factor_names = {"LuFactors", "lu_factor", "lu_solve", "singular"}
     assert sorted(factor_names & named_identifiers(driver)) == []
+
+
+def call_sites(tree: ast.AST, name: str) -> int:
+    """How many calls in tree call the bare name ``name`` (not an attribute)."""
+    return sum(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+               and node.func.id == name for node in ast.walk(tree))
+
+
+def test_call_sites_are_counted():
+    tree = ast.parse("f(x)\nif f(y):\n    g(f)\na.f(z)\n")
+    assert (call_sites(tree, "f"), call_sites(tree, "g"), call_sites(tree, "a")) == (2, 1, 0)
+
+
+def test_newton_driver_judges_every_iterate_at_one_site():
+    # x0 is iterate 0, so one pattern and one residual call serve every iterate
+    driver = top_level_function(SOURCE_DIR / "pwls.py", "_iterate_patterns")
+    assert [call_sites(driver, name) for name in ("sign_pattern", "residual_of")] == [1, 1]

@@ -99,7 +99,7 @@ def test_traced_bordered_steps_feed_layer_metrics(tracer):
     t = tracer.Tracer()
     with t.installed(solve=False):
         cfg = tracer.gen.GeneratorConfig(n=160, beta_low=0.1, beta_high=0.5)
-        inst = tracer.gen.make_instance(cfg)
+        inst = tracer.gen.make_instance(cfg, np.random.default_rng(cfg.seed))
     x0 = inst.known_solution.copy()
     x0[[0, 1, 2]] *= -1.0
     opts = tracer.pwls.SolverOptions(known_solution=inst.known_solution, tol_x=1e-8)
@@ -134,7 +134,7 @@ def test_traced_tb_held_factor_steps(tracer):
     n = 100
     assert n >= tracer.pwls.REUSE_MIN_SIZE
     cfg = tracer.gen.GeneratorConfig(n=n, beta_low=0.5, beta_high=1e3)
-    inst = tracer.gen.make_instance(cfg)
+    inst = tracer.gen.make_instance(cfg, np.random.default_rng(cfg.seed))
     p = tracer.qp.qp_to_pwls(inst.q)
     report, calls = traced_solve(tracer, lambda: tracer.pwls.newton_solve(p, inst.x0))
 
