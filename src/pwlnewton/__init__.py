@@ -12,6 +12,7 @@ from .errors import (
     DimensionError,
     EquivalenceUnavailableError,
     GeneratorError,
+    NotPositiveDefiniteError,
     ProblemFormatError,
     PwlNewtonError,
     SingularMatrixError,

@@ -13,6 +13,10 @@ class SingularMatrixError(PwlNewtonError):
     """A factorization or solve hit a (numerically) singular matrix."""
 
 
+class NotPositiveDefiniteError(PwlNewtonError):
+    """A symmetric matrix required to be positive definite is nonsingular and indefinite."""
+
+
 class SizeGuardError(PwlNewtonError, ValueError):
     """An input is larger than its size limit, such as a problem file above MAX_JSON_BYTES."""
 

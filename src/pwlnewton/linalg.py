@@ -1,9 +1,10 @@
 """Dense linear algebra kernels used by every solver module.
 
 LU factorization with partial pivoting and a scale-invariant singularity
-flag (LAPACK's getrf and getrs, called directly), and the spectral norm
-and the inverse's spectral norm from the singular values (LAPACK's gesdd
-via scipy).
+flag (LAPACK's getrf and getrs, called directly), a Cholesky branch for
+the QP step's symmetric positive definite matrices (potrf and potrs), and
+the spectral norm and the inverse's spectral norm from the singular
+values (LAPACK's gesdd via scipy).
 
 All functions are pure: they never mutate their arguments and keep no
 shared state, so concurrent calls on distinct inputs need no locking.
@@ -17,11 +18,12 @@ from typing import Optional
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.linalg.lapack import dgetrf, dgetrs
+from scipy.linalg.lapack import dgetrf, dgetrs, dpotrf, dpotrs
 
-from .errors import DimensionError, SingularMatrixError
+from .errors import DimensionError, NotPositiveDefiniteError, SingularMatrixError
 
-# Pivots below PIVOT_RTOL * max|M| mark the factorization singular.
+# Pivots below PIVOT_RTOL * max|M| mark an LU factorization singular, and
+# Jacobi-scaled pivots L_jj^2 / M_jj below it a Cholesky factorization.
 PIVOT_RTOL = 1e-12
 
 
@@ -56,16 +58,20 @@ def as_square_matrix(a, name: str = "matrix") -> np.ndarray:
 
 @dataclass(slots=True)
 class LuFactors:
-    """PM = LU factors in LAPACK's combined storage.
+    """PM = LU factors in LAPACK's combined storage, or a Cholesky factor.
 
     ``piv`` holds the successive row interchanges as returned by getrf:
-    row i was swapped with row piv[i].  When ``singular`` is set, no solve
-    may be performed with the factors.  ``solve`` is the solve core:
-    unlike lu_solve, it checks neither the flag nor the right-hand side.
+    row i was swapped with row piv[i].  The SPD branch of _factor stores
+    instead the lower triangle of M = L L^T, as returned by potrf, in
+    ``lu``, with ``piv`` None.  When ``singular`` is set, no solve may be
+    performed with the factors.  ``solve`` is the solve core, and calls
+    the kernel that matches the factor (getrs, or potrs when ``piv`` is
+    None): unlike lu_solve, it checks neither the flag nor the right-hand
+    side.
     """
 
     lu: np.ndarray
-    piv: np.ndarray
+    piv: Optional[np.ndarray]
     singular: bool
 
     @property
@@ -73,15 +79,46 @@ class LuFactors:
         return self.lu.shape[0]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        x, info = dgetrs(self.lu, self.piv, rhs)
+        cholesky = self.piv is None
+        x, info = dpotrs(self.lu, rhs, lower=1) if cholesky else dgetrs(self.lu, self.piv, rhs)
         if info < 0:
-            raise ValueError(f"illegal value in argument {-info} of getrs")
+            kernel = "potrs" if cholesky else "getrs"
+            raise ValueError(f"illegal value in argument {-info} of {kernel}")
         return x
 
 
-def _factor(m: np.ndarray, scale: Optional[float] = None) -> LuFactors:
-    """lu_factor's core, for a square float64 M the library built itself; its
-    one abs-max pass is both the pivot rule's scale and the finite check."""
+def _factor(m: np.ndarray, scale: Optional[float] = None, spd: bool = False) -> LuFactors:
+    """lu_factor's core, for a square float64 M the library built itself.  In
+    the LU branch one abs-max pass is both the pivot rule's scale and the
+    finite check.
+
+    With ``spd``, M must be symmetric (potrf reads its lower triangle only,
+    the faster variant in OpenBLAS from order 50 up) and is meant to be
+    positive definite.  When potrf completes, M = L L^T is returned,
+    flagged singular when some L_jj^2 / M_jj < PIVOT_RTOL: a test on the
+    Jacobi-scaled matrix, unchanged by M -> D M D for diagonal D > 0, and
+    O(m).  So is its finite check, on L's diagonal: a NaN or inf that
+    potrf reads makes it fail or propagates into the L_jj after it.
+    When potrf fails, M is not positive definite and the LU branch decides:
+    its factors are returned when they are flagged singular, and
+    NotPositiveDefiniteError is raised when they are not, since M is then
+    nonsingular and indefinite.
+    """
+    if spd:
+        c, info = dpotrf(m, lower=1, clean=0)
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of potrf")
+        if info == 0:
+            c_diagonal = c.diagonal()
+            if not math.isfinite(float(c_diagonal.max())):  # NaN or inf exactly when one is
+                raise ValueError("matrix must contain only finite values")
+            pivots = np.square(c_diagonal)
+            return LuFactors(c, None, bool((pivots < PIVOT_RTOL * m.diagonal()).any()))
+        f = _factor(m, scale)
+        if not f.singular:
+            raise NotPositiveDefiniteError(
+                "symmetric matrix is nonsingular and not positive definite")
+        return f
     size = float(np.abs(m).max())  # NaN or inf exactly when some entry is
     if not math.isfinite(size):
         raise ValueError("matrix must contain only finite values")

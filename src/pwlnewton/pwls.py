@@ -7,7 +7,7 @@ pattern, so in exact arithmetic each iterate is a function of its
 predecessor's pattern.  This gives exact termination tests for free: a
 new iterate whose pattern equals its predecessor's is an exact solution,
 and a pattern that recurs non-consecutively proves a cycle.  In floating
-point a step may also reuse the LU factor held from an earlier step's
+point a step may also reuse the factor held from an earlier step's
 pattern (see _iterate_patterns), so the computed iterate depends on that
 factor too: the claims above hold in exact arithmetic, and a revisited
 pattern's iterate matches the earlier one up to rounding.
@@ -37,7 +37,9 @@ REUSE_MIN_SIZE = 64
 REUSE_RATIO = 8
 
 # every Newton step factors and solves through these names, looked up at call
-# time; they are linalg's cores, since a step builds its matrices from checked data
+# time; they are linalg's cores, since a step builds its matrices from checked
+# data.  The QP's fresh step passes spd=True and gets a Cholesky factor, and a
+# factor's own solve calls the kernel that made it, so one pair serves both
 lu_factor = _factor
 lu_solve = LuFactors.solve
 
@@ -208,7 +210,7 @@ def _bordered_solve(
     G: np.ndarray,
     g: np.ndarray | float,
 ) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """(x, z) solving [[M, B], [B^T, G]] [x; z] = [r; g] from LU factors f of M.
+    """(x, z) solving [[M, B], [B^T, G]] [x; z] = [r; g] from the factor f of M.
 
     ``y`` is M^-1 r, which the caller holds from the step that factored M.
     B = [dense^T | unit columns at the positions d] has k columns, G is

@@ -21,7 +21,8 @@ from scipy.linalg.lapack import dpotrf
 
 # the Newton step's kernels are pwls.lu_factor and pwls.lu_solve (linalg's
 # cores), looked up at call time as in the T/b step, so that one wrapper on
-# pwls (such as perfbench/tracer.py's) sees every step's factor and solve
+# pwls (such as perfbench/tracer.py's) sees every step's factor and solve;
+# the fresh step's factor is a Cholesky, through lu_factor's spd argument
 from . import pwls
 from .errors import EquivalenceUnavailableError, SingularMatrixError
 from .linalg import _factor, as_square_matrix, as_vector, spectral_norm
@@ -131,27 +132,34 @@ def qp_newton_solve(q: QpProblem, x0, opts: Optional[SolverOptions] = None) -> S
     mat-vec, and x_{k+1} = -b_tilde with nothing factored when A is empty.
     This is the primal-dual active-set form of the semi-smooth Newton step.
 
-    A fresh step factors Q_AA, of order |A|, and holds (f, A, Q[A], x_A):
-    its LU factors, the gathered rows and the solution.  A bordered step
-    from the held active set P, with D = P - A (indices that left) and
-    E = A - P (indices that joined), reads x_A off
-    [[Q_PP, B], [B^T, G]] [x_P; z] = [-b_P; g], where B = [Q_PE | unit
-    columns at D], G = diag(Q_EE, 0) and g = (-b_E, 0): the unit rows pin
-    x_D = 0 and the unit columns free the D equations, whose right-hand
-    side then moves only z_D, so x_P off D and z_E = x_E solve the step.
-    pwls._bordered_solve solves it with the held factor of Q_PP through a
-    k x k capacitance system, k = |D| + |E|.  The lift then reads the held
-    rows Q[P], with x_D set to its exact 0, and gathers only Q[E]:
-    x = -b_tilde - x_P Q[P] - x_E Q[E].
+    A fresh step factors Q_AA, of order |A|, by Cholesky (LAPACK's potrf
+    and potrs), and holds (f, A, Q[A], x_A): its factor, the gathered rows
+    and the solution.  A bordered step from the held active set P, with
+    D = P - A (indices that left) and E = A - P (indices that joined),
+    reads x_A off [[Q_PP, B], [B^T, G]] [x_P; z] = [-b_P; g], where
+    B = [Q_PE | unit columns at D], G = diag(Q_EE, 0) and g = (-b_E, 0):
+    the unit rows pin x_D = 0 and the unit columns free the D equations,
+    whose right-hand side then moves only z_D, so x_P off D and z_E = x_E
+    solve the step.  pwls._bordered_solve solves it with the held Cholesky
+    factor of Q_PP through a k x k capacitance system, k = |D| + |E|,
+    which is symmetric but indefinite when D is non-empty, so it is
+    factored by LU.  The lift then reads the held rows Q[P], with x_D set
+    to its exact 0, and gathers only Q[E]: x = -b_tilde - x_P Q[P] - x_E Q[E].
 
     Shares all termination and cycle machinery with the T/b solver.  The
     determinant of the step matrix equals det Q_AA, so for symmetric
-    positive definite Q the step is provably nonsingular and a
-    SingularJacobian outcome on SPD input indicates a numerical defect
-    rather than an expected failure mode.  The singular flag is judged
-    only on a fresh factor of Q_AA, at the scale max|Q_AA|.  On convergence
-    the report's solution solves the piecewise linear equation, and its
-    positive part is the QP minimizer.
+    positive definite Q the step is provably nonsingular.  Only a fresh
+    factor Q_AA = L L^T is judged singular, when min_j L_jj^2 / (Q_AA)_jj
+    < 1e-12: no diagonal scaling of Q changes that test.  Where the
+    Cholesky factorization fails, the LU pivot rule (pivots against
+    max|Q_AA|) decides: a singular Q_AA ends the run as SingularJacobian,
+    and a nonsingular, hence indefinite, one raises NotPositiveDefiniteError.
+
+    On convergence the report's solution solves the piecewise linear
+    equation, and its positive part is a KKT point of the QP: the minimizer
+    when all of Q is positive definite (QpProblem.is_positive_definite).
+    Each step certifies only the Q_AA it factors afresh, so an indefinite Q
+    can still end Converged or ConvergedExact.
     """
     minus_b = -q.b_tilde
 
@@ -160,8 +168,8 @@ def qp_newton_solve(q: QpProblem, x0, opts: Optional[SolverOptions] = None) -> S
         if not a.size:
             return minus_b.copy(), 0, None
         rows = q.Q.take(a, axis=0)
-        # Q_AA is exactly symmetric: its transpose is the column-major copy getrf wants
-        f = pwls.lu_factor(rows.take(a, axis=1).T)
+        # Q_AA is exactly symmetric: its transpose is the column-major copy potrf wants
+        f = pwls.lu_factor(rows.take(a, axis=1).T, spd=True)
         if f.singular:
             return None
         x_a = pwls.lu_solve(f, minus_b.take(a))

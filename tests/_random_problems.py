@@ -47,12 +47,15 @@ def qp_scale(q) -> float:
 
 
 def spy_on(monkeypatch, name, module=pwls):
-    """Record the arguments and results of the kernel ``module.name`` in a list."""
+    """Record the positional arguments and results of the kernel ``module.name`` in a list.
+
+    Keyword arguments, such as the QP step's spd=True, are passed on unrecorded.
+    """
     calls = []
     kernel = getattr(module, name)
 
-    def spy(*args):
-        result = kernel(*args)
+    def spy(*args, **kwargs):
+        result = kernel(*args, **kwargs)
         calls.append((args, result))
         return result
 

@@ -8,6 +8,7 @@ from scipy.linalg.lapack import dgetrf
 
 from pwlnewton import (
     DimensionError,
+    NotPositiveDefiniteError,
     SingularMatrixError,
     inv_spectral_norm,
     lu_factor,
@@ -172,6 +173,64 @@ def test_factor_core_rejects_non_finite_matrix():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="matrix must contain only finite values"):
             linalg._factor(np.array([[bad, 0.0], [0.0, 1.0]]))
+
+
+def test_spd_factor_is_a_cholesky_that_solves_with_potrs():
+    rng = np.random.default_rng(45)
+    g = rng.standard_normal((7, 7))
+    m = g @ g.T + np.eye(7)
+    before = m.copy()
+    f = linalg._factor(m, spd=True)
+    assert f.piv is None and not f.singular
+    np.testing.assert_allclose(np.tril(f.lu) @ np.tril(f.lu).T, m, rtol=1e-13, atol=1e-13)
+    rhs = rng.standard_normal((7, 3))
+    for b in (rhs, rhs[:, 0]):
+        np.testing.assert_allclose(m @ f.solve(b), b, rtol=0, atol=1e-12)
+    assert m.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("delta, singular", [(1e-14, True), (1e-10, False)])
+def test_spd_singular_flag_is_jacobi_scaled(delta, singular):
+    # L_22^2 / M_22 is about delta whatever the diagonal scaling D M D, where
+    # the LU rule judges pivots against max|M|: it flags D M D for the
+    # well-conditioned M = I, D = diag(1e7, 1e-7)
+    m = np.array([[1.0, 1.0], [1.0, 1.0 + delta]])
+    for d in ([1.0, 1.0], [1e6, 1e-3], [1e-3, 1e6], [1e7, 1e-7]):
+        scaled = np.outer(d, d) * m
+        assert linalg._factor(scaled, spd=True).singular is singular
+        assert linalg._factor(np.diag(np.square(d)), spd=True).singular is False
+    assert linalg._factor(np.diag([1e14, 1e-14])).singular is True
+
+
+def test_spd_factor_lets_the_lu_rule_decide_where_cholesky_fails():
+    # exactly singular: the LU factors come back flagged
+    f = linalg._factor(np.ones((2, 2)), spd=True)
+    assert f.piv is not None and f.singular
+    # nonsingular and indefinite: refused
+    for m in ([[1.0, 3.0], [3.0, 1.0]], [[-1.0, 0.0], [0.0, 2.0]]):
+        with pytest.raises(NotPositiveDefiniteError, match="not positive definite"):
+            linalg._factor(np.array(m), spd=True)
+
+
+def test_spd_factor_rejects_non_finite_matrix():
+    # lower-triangle entries, the part potrf reads: a non-finite one makes
+    # potrf fail, and the LU branch's check catches it, or reaches L's diagonal
+    for bad in (np.nan, np.inf, -np.inf):
+        for i, j in ((0, 0), (0, 1), (1, 1)):
+            m = np.eye(2)
+            m[i, j] = m[j, i] = bad
+            with pytest.raises(ValueError, match="matrix must contain only finite values"):
+                linalg._factor(m, spd=True)
+
+
+def test_spd_kernels_raise_on_illegal_lapack_argument(monkeypatch):
+    f = linalg._factor(np.eye(2), spd=True)
+    monkeypatch.setattr(linalg, "dpotrf", lambda m, lower, clean: (m, -1))
+    with pytest.raises(ValueError, match="argument 1 of potrf"):
+        linalg._factor(np.eye(2), spd=True)
+    monkeypatch.setattr(linalg, "dpotrs", lambda c, b, lower: (b, -2))
+    with pytest.raises(ValueError, match="argument 2 of potrs"):
+        lu_solve(f, [1.0, 1.0])
 
 
 def test_lu_factor_does_not_mutate_its_argument():

@@ -38,6 +38,12 @@ def test_traced_and_untraced_runs_agree(tmp_path):
     run_traced_and_untraced(tmp_path, "dim-n400")
 
 
+def test_traced_and_untraced_small_qp_step_runs_agree(tmp_path):
+    # every QP step there factors fewer than REUSE_MIN_SIZE indices, so each
+    # fresh step's factor and solve must reach the tracer's kernel names
+    run_traced_and_untraced(tmp_path, "starts-n50")
+
+
 def test_traced_and_untraced_residual_rule_runs_agree(tmp_path):
     # the only workload on the residual rule, whose reports reuse its residuals
     run_traced_and_untraced(tmp_path, "pwls-resid-n100")

@@ -6,7 +6,7 @@ The draws are derandomized, so every run checks the same examples.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 from scipy.linalg import cholesky, solve_triangular
 from scipy.optimize import nnls
@@ -14,8 +14,13 @@ from _oracles import enumerate_solutions, fixed_point, qp_objective
 from _random_problems import matrix_with_inv_norm, qp_scale
 
 from pwlnewton import (
+    ConeInstance,
     PwlsProblem,
     QpProblem,
+    SingularMatrixError,
+    SolveStatus,
+    SolverOptions,
+    cone_projection,
     kkt_residual,
     make_spd_matrix,
     newton_solve,
@@ -67,3 +72,33 @@ def test_qp_newton_is_a_minimizer(n, beta, seed):
     oracle, _ = nnls(r, -solve_triangular(r, q.b_tilde, trans="T"))
     oracle_objective = qp_objective(q.Q, q.b_tilde, q.c, oracle)
     assert qp_objective(q.Q, q.b_tilde, q.c, x) <= oracle_objective + 1e-12 * (1.0 + abs(oracle_objective))
+
+
+@settings(DETERMINISTIC, max_examples=60)
+@given(n=st.integers(2, 39), seed=SEEDS)
+def test_cone_projection_matches_nnls_on_column_scaled_cones(n, seed):
+    # A = G diag(10^c), c in (-6, 6): each step's Q_AA = (A^T A)_AA spans
+    # up to 24 decades on its diagonal, yet is well conditioned after
+    # diagonal scaling, which the Cholesky step's singular test ignores
+    rng = np.random.default_rng(seed)
+    a_matrix = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-6.0, 6.0, n)
+    z = rng.standard_normal(n)
+    try:
+        ci = ConeInstance(A=a_matrix, z=z)
+    except SingularMatrixError:
+        reject()  # ConeInstance's LU pivot rule is not scale-invariant
+    result = cone_projection(ci, opts=SolverOptions(max_iter=200))
+    assert result.report.status is not SolveStatus.SINGULAR_JACOBIAN
+    if result.report.status is not SolveStatus.CONVERGED_EXACT:
+        return  # the residual rule can stop Converged far from a KKT point
+    # the same cone over unit columns U = A diag(1/a) has coefficients w = a v
+    norms = np.linalg.norm(a_matrix, axis=0)
+    unit = a_matrix / norms
+    w = result.v * norms
+    size = 1.0 + float(np.linalg.norm(z))
+    gradient = unit.T @ (unit @ w - z)
+    assert max(-w.min(), -gradient.min()) <= 1e-14 * size
+    assert abs(gradient @ w) <= 1e-14 * size**2
+    oracle, _ = nnls(unit, z)
+    assert np.linalg.norm(result.projection - unit @ oracle) <= 1e-12 * size
+    assert np.abs(w - oracle).max() <= 1e-10 * size

@@ -9,7 +9,7 @@ from pwlnewton import (
     ConeInstance,
     DimensionError,
     EquivalenceUnavailableError,
-    PwlNewtonError,
+    NotPositiveDefiniteError,
     QpProblem,
     SingularMatrixError,
     SolveStatus,
@@ -363,18 +363,38 @@ def test_qp_singular_jacobian_status():
     assert report.solution is None
 
 
-@pytest.mark.xfail(strict=True,
-                   reason="ROADMAP item 2: a step's LU certifies no minimizer, so the "
-                          "indefinite Q's saddle [0.25, 0.25] ends ConvergedExact")
 def test_qp_newton_solve_refuses_an_indefinite_q_at_its_saddle():
+    # from x0 = 0 the first step gives -b_tilde = [1, 1], and the next one
+    # factors Q_AA = Q, which is nonsingular and indefinite: its stationary
+    # point [0.25, 0.25] is a saddle, not a minimizer
     q = QpProblem(Q=[[1.0, 3.0], [3.0, 1.0]], b_tilde=[-1.0, -1.0])
-    with pytest.raises(PwlNewtonError):
+    with pytest.raises(NotPositiveDefiniteError, match="not positive definite"):
         qp_newton_solve(q, np.zeros(2))
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 2: the LU pivot rule flags Q_AA = diag(1e13, 1) "
-                          "singular, so the SPD step ends SingularJacobian")
+@pytest.mark.parametrize("scale", [[1.0, 1.0], [1e6, 1e-3]])
+def test_qp_step_singular_rule_is_jacobi_scaled(scale):
+    # Q and D Q D, D = diag(scale), are SPD and singular to working precision
+    # after diagonal scaling (L_22^2 / Q_22 is about 1e-14), so the step from
+    # the full active set is flagged whatever D is
+    d = np.array(scale)
+    q_matrix = d[:, np.newaxis] * np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14]]) * d
+    report = qp_newton_solve(QpProblem(Q=q_matrix, b_tilde=-d), [1.0, 1.0])
+    assert report.status is SolveStatus.SINGULAR_JACOBIAN
+    assert report.iterations == 0
+
+
+def test_qp_step_singular_rule_keeps_an_ill_conditioned_spd_step():
+    # L_22^2 / Q_22 is about 1e-10, above the 1e-12 threshold; the solution
+    # [1, 1] is positive, so the one step from the full active set reaches it
+    q_matrix = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-10]])
+    report = qp_newton_solve(QpProblem(Q=q_matrix, b_tilde=-(q_matrix @ [1.0, 1.0])),
+                             [1.0, 2.0])
+    assert report.status is SolveStatus.CONVERGED_EXACT
+    assert report.iterations == 1
+    np.testing.assert_allclose(report.solution, [1.0, 1.0], rtol=1e-5)
+
+
 def test_qp_newton_solve_converges_on_a_badly_scaled_spd_q():
     report = qp_newton_solve(QpProblem(Q=np.diag([1e13, 1.0]), b_tilde=[-1.0, -1.0]),
                              np.zeros(2))
@@ -597,9 +617,6 @@ def test_projection_start_is_checked_once_with_the_x0_messages():
     np.testing.assert_allclose(result.v, [0.0, 2.0], atol=1e-12)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 2: the LU pivot rule flags Q_AA = diag(1e22, 1) "
-                          "singular, so the projection ends SingularJacobian")
 def test_projection_onto_a_column_scaled_cone_keeps_a_cone_point():
     result = cone_projection(ConeInstance(A=np.diag([1e11, 1.0]), z=[1.0, 1.0]))
     assert result.report.converged

@@ -89,8 +89,9 @@ def test_named_identifiers_are_found():
 
 
 def test_lapack_lu_and_pivot_rule_are_named_only_by_linalg():
-    # the factor rule has one home: every LU factor or solve goes through linalg
-    kernels = {"dgetrf", "dgetrs", "PIVOT_RTOL"}
+    # the factor rule has one home: every step's factor or solve goes through
+    # linalg (qp's positive-definiteness check calls potrf on its own)
+    kernels = {"dgetrf", "dgetrs", "dpotrs", "PIVOT_RTOL"}
     naming = {path.name: sorted(kernels & named_identifiers(ast.parse(path.read_text())))
               for path in sorted(SOURCE_DIR.rglob("*.py"))}
     assert {name: found for name, found in naming.items() if found} == {
