@@ -202,49 +202,6 @@ def _pattern_matrix(T: np.ndarray, bits: SignPattern) -> np.ndarray:
     return m
 
 
-def _bordered_solve(
-    f: LuFactors,
-    y: np.ndarray,
-    dense: np.ndarray,
-    d: np.ndarray,
-    G: np.ndarray,
-    g: np.ndarray | float,
-) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """(x, z) solving [[M, B], [B^T, G]] [x; z] = [r; g] from the factor f of M.
-
-    ``y`` is M^-1 r, which the caller holds from the step that factored M.
-    B = [dense^T | unit columns at the positions d] has k columns, G is
-    k x k and g has length k (or is a scalar).  One solve with M against B
-    leaves the k x k capacitance (Schur-complement) system
-    (B^T M^-1 B - G) z = B^T y - g, and then x = y - M^-1 B z.  None when
-    lu_factor flags the capacitance matrix singular, judged at the size of
-    B^T M^-1 B too: where [[M, B], [B^T, G]] is exactly singular, the
-    capacitance matrix cancels to rounding level, which its own scale
-    would not flag (a nonzero 1 x 1 matrix never is).
-    """
-    ne = dense.shape[0]
-    k = ne + d.size
-
-    def border_t(v: np.ndarray) -> np.ndarray:
-        # B^T v: a gather on the unit rows, and a product on the dense rows only
-        unit = v.take(d, axis=0)
-        return np.concatenate((dense @ v, unit)) if ne else unit
-
-    border = np.zeros((y.size, k), order="F")
-    if ne:
-        border[:, :ne] = dense.T
-    border[d, np.arange(ne, k)] = 1.0
-    solved = lu_solve(f, border)
-    cap = border_t(solved)
-    size = float(np.abs(cap).max())
-    cap -= G
-    f_cap = lu_factor(cap, size)
-    if f_cap.singular:
-        return None
-    z = lu_solve(f_cap, border_t(y) - g)
-    return y - solved @ z, z
-
-
 def _iterate_patterns(
     x0,
     rhs: np.ndarray,
@@ -378,11 +335,13 @@ def newton_solve(p: PwlsProblem, x0, opts: Optional[SolverOptions] = None) -> So
     p_D (each +1 or -1), uses T + diag(s) = M + diag(delta) on D: one
     solve with f against the unit columns at D gives Y_D, then the k x k
     capacitance system (diag(delta) + Y_DD) z = y_D gives x = y - Y_D z.
+    The capacitance matrix is judged singular at the size of Y_DD too:
+    where T + diag(s) is exactly singular, it cancels to rounding level,
+    which its own scale would not flag (a nonzero 1 x 1 matrix never is).
 
     A singular step matrix yields status SingularJacobian rather than an
     exception, so callers can treat all outcomes uniformly.
     """
-    no_dense = np.empty((0, p.n))
 
     def fresh(bits: SignPattern) -> Optional[tuple[np.ndarray, int, tuple]]:
         f = lu_factor(_pattern_matrix(p.T, bits))
@@ -394,17 +353,29 @@ def newton_solve(p: PwlsProblem, x0, opts: Optional[SolverOptions] = None) -> So
     def bordered(bits: SignPattern, held: SignPattern, state: tuple) -> Optional[np.ndarray]:
         f, y = state
         d = (bits != held).nonzero()[0]
-        # G = -diag(delta) and g = 0: the border's rows z = delta x_D
-        # put diag(delta) on D's diagonal of M
-        minus_delta = np.diag(np.where(bits.take(d), -1.0, 1.0))
-        solved = _bordered_solve(f, y, no_dense, d, minus_delta, 0.0)
-        return None if solved is None else solved[0]
+        k = d.size
+        units = np.zeros((p.n, k), order="F")
+        units[d, np.arange(k)] = 1.0
+        y_d = lu_solve(f, units)
+        cap = y_d.take(d, axis=0)  # a fresh C-ordered copy, so this strided slice is its diagonal
+        size = float(np.abs(cap).max())
+        cap.ravel()[:: k + 1] += np.where(bits.take(d), 1.0, -1.0)  # delta
+        f_cap = lu_factor(cap, size)
+        if f_cap.singular:
+            return None
+        return y - y_d @ lu_solve(f_cap, y.take(d))
 
     return _iterate_patterns(x0, p.b, opts, fresh, bordered, residual_of=lambda x: residual(p, x))
 
 
 def check_conditions(p: PwlsProblem) -> ConditionReport:
-    """Evaluate the solvability/rate conditions on ||T^-1||."""
+    """Evaluate the solvability/rate conditions on ||T^-1||.
+
+    They are sufficient, not scale invariant: in exact arithmetic the
+    Newton iteration's pattern trace is unchanged under T -> D^-1 T D,
+    b -> D^-1 b (D positive diagonal, each iterate x -> D^-1 x), while
+    ||T^-1|| is not.
+    """
     try:
         inv_norm = inv_spectral_norm(p.T)
     except SingularMatrixError:

@@ -140,11 +140,13 @@ def qp_newton_solve(q: QpProblem, x0, opts: Optional[SolverOptions] = None) -> S
     B = [Q_PE | unit columns at D], G = diag(Q_EE, 0) and g = (-b_E, 0):
     the unit rows pin x_D = 0 and the unit columns free the D equations,
     whose right-hand side then moves only z_D, so x_P off D and z_E = x_E
-    solve the step.  pwls._bordered_solve solves it with the held Cholesky
-    factor of Q_PP through a k x k capacitance system, k = |D| + |E|,
-    which is symmetric but indefinite when D is non-empty, so it is
-    factored by LU.  The lift then reads the held rows Q[P], with x_D set
-    to its exact 0, and gathers only Q[E]: x = -b_tilde - x_P Q[P] - x_E Q[E].
+    solve the step.  With y the held x_P, one solve with the held factor
+    against B leaves the k x k capacitance system (B^T Q_PP^-1 B - G) z =
+    B^T y - g, k = |D| + |E|, and then x_P = y - Q_PP^-1 B z.  That system
+    is symmetric but indefinite when D is non-empty, so it is factored by
+    LU, judged at the size of B^T Q_PP^-1 B as in newton_solve.  The lift
+    then reads the held rows Q[P], with x_D set to its exact 0, and gathers
+    only Q[E]: x = -b_tilde - x_P Q[P] - x_E Q[E].
 
     Shares all termination and cycle machinery with the T/b solver.  The
     determinant of the step matrix equals det Q_AA, so for symmetric
@@ -160,6 +162,12 @@ def qp_newton_solve(q: QpProblem, x0, opts: Optional[SolverOptions] = None) -> S
     when all of Q is positive definite (QpProblem.is_positive_definite).
     Each step certifies only the Q_AA it factors afresh, so an indefinite Q
     can still end Converged or ConvergedExact.
+
+    In exact arithmetic the pattern trace is invariant under Q -> a D Q D,
+    b_tilde -> a D b_tilde (a > 0, D positive diagonal): from x0 / D on
+    x0's positive entries and a D x0 elsewhere, each iterate x maps to
+    x_A / D_A on its active set and a D_I x_I off it.  The residual rule
+    is not scale invariant, so it may stop the two runs at different steps.
     """
     minus_b = -q.b_tilde
 
@@ -186,15 +194,20 @@ def qp_newton_solve(q: QpProblem, x0, opts: Optional[SolverOptions] = None) -> S
         ne = e.size
         k = ne + d.size
         q_e = q.Q.take(e, axis=0)
-        G = np.zeros((k, k))
-        G[:ne, :ne] = q_e.take(e, axis=1)
-        g = np.zeros(k)
-        g[:ne] = minus_b.take(e)
-        # Q is exactly symmetric, so Q_EP is the dense border's transpose
-        solved = pwls._bordered_solve(f, y, q_e.take(p, axis=1), d, G, g)
-        if solved is None:
+        q_ep = q_e.take(p, axis=1)  # Q is exactly symmetric, so this is Q_PE's transpose
+        border = np.zeros((p.size, k), order="F")
+        border[:, :ne] = q_ep.T
+        border[d, np.arange(ne, k)] = 1.0
+        solved = pwls.lu_solve(f, border)
+        # B^T Q_PP^-1 B, a product on the Q_EP rows and a gather on the unit rows, less G
+        cap = np.concatenate((q_ep @ solved, solved.take(d, axis=0)))
+        size = float(np.abs(cap).max())
+        cap[:ne, :ne] -= q_e.take(e, axis=1)
+        f_cap = pwls.lu_factor(cap, size)
+        if f_cap.singular:
             return None
-        x_p, z = solved  # x_p is fresh, unlike the held rows and y
+        z = pwls.lu_solve(f_cap, np.concatenate((q_ep @ y - minus_b.take(e), y.take(d))))
+        x_p = y - solved @ z  # fresh, unlike the held rows and y
         x_e = z[:ne]
         x_p[d] = 0.0
         x = minus_b - x_p @ rows - x_e @ q_e

@@ -15,6 +15,7 @@ from _random_problems import matrix_with_inv_norm, qp_scale
 
 from pwlnewton import (
     ConeInstance,
+    GeneratorConfig,
     PwlsProblem,
     QpProblem,
     SingularMatrixError,
@@ -22,6 +23,7 @@ from pwlnewton import (
     SolverOptions,
     cone_projection,
     kkt_residual,
+    make_instance,
     make_spd_matrix,
     newton_solve,
     qp_newton_solve,
@@ -102,3 +104,23 @@ def test_cone_projection_matches_nnls_on_column_scaled_cones(n, seed):
     oracle, _ = nnls(unit, z)
     assert np.linalg.norm(result.projection - unit @ oracle) <= 1e-12 * size
     assert np.abs(w - oracle).max() <= 1e-10 * size
+
+
+@settings(DETERMINISTIC, max_examples=100)
+@given(n=st.sampled_from([20, 80, 160]), seed=SEEDS)
+def test_qp_pattern_trace_is_invariant_under_diagonal_scaling(n, seed):
+    # Q -> alpha D Q D, b_tilde -> alpha D b_tilde maps each iterate x to
+    # x / D on its positive entries and alpha D x elsewhere, so the sign
+    # patterns agree; at n >= 64 this also covers bordered steps.  The
+    # residual rule is not scale invariant, so one run may stop earlier.
+    rng = np.random.default_rng(seed)
+    instance = make_instance(GeneratorConfig(n, 1e-3, 0.5), rng)
+    alpha = 10.0 ** rng.uniform(-3.0, 3.0)
+    d = rng.uniform(0.1, 10.0, n)
+    q, x0 = instance.q, instance.x0
+    scaled = QpProblem(Q=alpha * (d[:, np.newaxis] * q.Q * d), b_tilde=alpha * d * q.b_tilde)
+    opts = SolverOptions(max_iter=50)
+    runs = (qp_newton_solve(q, x0, opts),
+            qp_newton_solve(scaled, np.where(x0 > 0.0, x0 / d, alpha * d * x0), opts))
+    common = min(len(report.pattern_trace) for report in runs)
+    assert np.array_equal(*(report.pattern_trace[:common] for report in runs))

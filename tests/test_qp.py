@@ -372,6 +372,28 @@ def test_qp_newton_solve_refuses_an_indefinite_q_at_its_saddle():
         qp_newton_solve(q, np.zeros(2))
 
 
+@pytest.mark.xfail(strict=True, raises=pytest.fail.Exception,
+                   reason="ROADMAP item 2: a bordered step certifies nothing about Q_AA")
+def test_bordered_qp_step_refuses_an_indefinite_q_aa(monkeypatch):
+    # Q_PP (P = {0, ..., 63}) is I; the first step adds index 69, coupled to
+    # index 0 by Q_0,69 = 2, so the new Q_AA (order 65) is indefinite.  A fresh
+    # factor of it raises; the default solve borders from Q_PP instead, and
+    # today ends Cycled after 2 iterations without noticing.
+    n = 70
+    q_matrix = np.eye(n)
+    q_matrix[0, 69] = q_matrix[69, 0] = 2.0
+    b_tilde = np.where(np.arange(n) < 64, -1.0, 1.0)
+    b_tilde[69] = -10.0
+    q = QpProblem(Q=q_matrix, b_tilde=b_tilde)
+    x0 = np.where(np.arange(n) < 64, 1.0, -1.0)
+    with monkeypatch.context() as m:
+        m.setattr(pwls, "REUSE_MIN_SIZE", n + 1)
+        with pytest.raises(NotPositiveDefiniteError, match="not positive definite"):
+            qp_newton_solve(q, x0)
+    with pytest.raises(NotPositiveDefiniteError, match="not positive definite"):
+        qp_newton_solve(q, x0)
+
+
 @pytest.mark.parametrize("scale", [[1.0, 1.0], [1e6, 1e-3]])
 def test_qp_step_singular_rule_is_jacobi_scaled(scale):
     # Q and D Q D, D = diag(scale), are SPD and singular to working precision

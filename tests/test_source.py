@@ -39,6 +39,31 @@ def test_every_parameter_is_read():
     assert {name: found for name, found in unread.items() if found} == {}
 
 
+def unread_imports(tree: ast.Module) -> list[str]:
+    """``name:line`` for every module-level import (but __future__'s) its module never reads."""
+    imported = {}
+    for node in tree.body:
+        future = isinstance(node, ast.ImportFrom) and node.module == "__future__"
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and not future:
+            imported.update({alias.asname or alias.name.split(".")[0]: node.lineno
+                             for alias in node.names})
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return [f"{name}:{line}" for name, line in imported.items() if name not in read]
+
+
+def test_unread_import_is_found():
+    tree = ast.parse("from __future__ import annotations\nimport a.b, c as d\nfrom e import f, g\n"
+                     "x: f = a.b\ndef h():\n    import i\n")
+    assert unread_imports(tree) == ["d:2", "g:3"]
+
+
+def test_every_import_is_read():
+    # __init__.py imports only to re-export
+    unread = {path.name: unread_imports(ast.parse(path.read_text(), str(path)))
+              for path in sorted(SOURCE_DIR.rglob("*.py")) if path.name != "__init__.py"}
+    assert {name: found for name, found in unread.items() if found} == {}
+
+
 def imported_modules(tree: ast.AST) -> list[str]:
     """Top-level name of every module an import in tree names, "." for a relative one."""
     found = []
