@@ -18,13 +18,7 @@ from .errors import (
     SingularMatrixError,
     SizeGuardError,
 )
-from .linalg import (
-    LuFactors,
-    inv_spectral_norm,
-    lu_factor,
-    lu_solve,
-    spectral_norm,
-)
+from .linalg import inv_spectral_norm, spectral_norm
 from .pwls import (
     CONVERGED_STATUSES,
     ConditionReport,

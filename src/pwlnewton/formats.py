@@ -126,7 +126,7 @@ def report_to_dict(report: SolveReport, condition: ConditionReport | None = None
             "inv_norm": _finite_or_str(condition.inv_norm),
             "existence_ok": condition.existence_ok,
             "rate_ok": condition.rate_ok,
-            "contraction_modulus": _finite_or_str(condition.contraction_modulus),
+            "contraction_modulus": _finite_or_str(condition.inv_norm),
             "predicted_rate": _finite_or_str(condition.predicted_rate),
         }
     if include_iterates and report.iterate_trace is not None:

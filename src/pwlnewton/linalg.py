@@ -1,10 +1,11 @@
 """Dense linear algebra kernels used by every solver module.
 
-LU factorization with partial pivoting and a scale-invariant singularity
-flag (LAPACK's getrf and getrs, called directly), a Cholesky branch for
-the QP step's symmetric positive definite matrices (potrf and potrs), and
-the spectral norm and the inverse's spectral norm from the singular
-values (LAPACK's gesdd via scipy).
+One factor entry point, factor: LU with partial pivoting and a
+scale-invariant singularity flag (LAPACK's getrf and getrs, called
+directly), or a Cholesky factorization of the QP step's symmetric
+positive definite matrices (potrf and potrs).  Also the spectral norm and
+the inverse's spectral norm from the singular values (LAPACK's gesdd via
+scipy), and the input checks every module uses.
 
 All functions are pure: they never mutate their arguments and keep no
 shared state, so concurrent calls on distinct inputs need no locking.
@@ -57,26 +58,21 @@ def as_square_matrix(a, name: str = "matrix") -> np.ndarray:
 
 
 @dataclass(slots=True)
-class LuFactors:
+class Factor:
     """PM = LU factors in LAPACK's combined storage, or a Cholesky factor.
 
     ``piv`` holds the successive row interchanges as returned by getrf:
-    row i was swapped with row piv[i].  The SPD branch of _factor stores
+    row i was swapped with row piv[i].  The SPD branch of factor stores
     instead the lower triangle of M = L L^T, as returned by potrf, in
     ``lu``, with ``piv`` None.  When ``singular`` is set, no solve may be
-    performed with the factors.  ``solve`` is the solve core, and calls
-    the kernel that matches the factor (getrs, or potrs when ``piv`` is
-    None): unlike lu_solve, it checks neither the flag nor the right-hand
-    side.
+    performed with the factor.  ``solve`` calls the kernel that matches
+    the factor (getrs, or potrs when ``piv`` is None), and checks neither
+    the flag nor the right-hand side.
     """
 
     lu: np.ndarray
     piv: Optional[np.ndarray]
     singular: bool
-
-    @property
-    def n(self) -> int:
-        return self.lu.shape[0]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         cholesky = self.piv is None
@@ -87,10 +83,20 @@ class LuFactors:
         return x
 
 
-def _factor(m: np.ndarray, scale: Optional[float] = None, spd: bool = False) -> LuFactors:
-    """lu_factor's core, for a square float64 M the library built itself.  In
-    the LU branch one abs-max pass is both the pivot rule's scale and the
-    finite check.
+def factor(m: np.ndarray, scale: Optional[float] = None, spd: bool = False) -> Factor:
+    """Factor a square float64 M that the library built from checked data.
+
+    By default M = P L U with partial pivoting, flagged singular when any
+    pivot falls below PIVOT_RTOL * max|M|.  The rule must flag the exactly
+    singular pattern matrices that the Newton path meets, which rounding
+    can leave slightly nonsingular, without tripping on scale (pinned by
+    test_singular_pattern_matrix_ends_singular_jacobian_as_fresh).  A
+    caller whose M is a difference of larger terms passes their size as
+    ``scale``, and pivots are then judged against the larger of the two,
+    so that a cancellation to rounding level is flagged too.  The pivot
+    test is one fmin over |diag U|; fmin skips NaN as a per-pivot < would,
+    so a NaN pivot neither sets the flag nor hides a tiny one.  One abs-max
+    pass is both the rule's scale and the finite check.
 
     With ``spd``, M must be symmetric (potrf reads its lower triangle only,
     the faster variant in OpenBLAS from order 50 up) and is meant to be
@@ -113,8 +119,8 @@ def _factor(m: np.ndarray, scale: Optional[float] = None, spd: bool = False) -> 
             if not math.isfinite(float(c_diagonal.max())):  # NaN or inf exactly when one is
                 raise ValueError("matrix must contain only finite values")
             pivots = np.square(c_diagonal)
-            return LuFactors(c, None, bool((pivots < PIVOT_RTOL * m.diagonal()).any()))
-        f = _factor(m, scale)
+            return Factor(c, None, bool((pivots < PIVOT_RTOL * m.diagonal()).any()))
+        f = factor(m, scale)
         if not f.singular:
             raise NotPositiveDefiniteError(
                 "symmetric matrix is nonsingular and not positive definite")
@@ -128,38 +134,7 @@ def _factor(m: np.ndarray, scale: Optional[float] = None, spd: bool = False) -> 
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of getrf")
     smallest = np.fmin.reduce(np.abs(lu.diagonal()))  # NaN only if every pivot is
-    return LuFactors(lu, piv, scale == 0.0 or bool(smallest < PIVOT_RTOL * scale))
-
-
-def lu_factor(m, scale: Optional[float] = None) -> LuFactors:
-    """Factor a square matrix as PM = LU with partial pivoting.
-
-    The singular flag is set when any pivot falls below
-    PIVOT_RTOL * max|M|.  The rule must flag the exactly singular pattern
-    matrices that the Newton path meets, which rounding can leave slightly
-    nonsingular, without tripping on scale (pinned by
-    test_singular_pattern_matrix_ends_singular_jacobian_as_fresh).  A
-    caller whose M is a difference of larger terms passes their size as
-    ``scale``, and pivots are then judged against the larger of the two,
-    so that a cancellation to rounding level is flagged too.  The pivot
-    test is one fmin over |diag U|; fmin skips NaN as a per-pivot < would,
-    so a NaN pivot neither sets the flag nor hides a tiny one.  This wrapper
-    checks that M is non-empty, finite and square; the library calls its
-    core, _factor, directly on the matrices it builds.
-    """
-    return _factor(as_square_matrix(m), scale)
-
-
-def lu_solve(f: LuFactors, rhs) -> np.ndarray:
-    """Solve Mx = rhs from LU factors, after checking the flag and rhs's shape."""
-    if f.singular:
-        raise SingularMatrixError("cannot solve with singular LU factors")
-    b = np.asarray(rhs, dtype=float)
-    if not 1 <= b.ndim <= 2:
-        raise DimensionError(f"right-hand side must be 1-D or 2-D, got shape {b.shape}")
-    if b.shape[0] != f.n:
-        raise DimensionError(f"right-hand side has length {b.shape[0]}, expected {f.n}")
-    return f.solve(b)
+    return Factor(lu, piv, scale == 0.0 or bool(smallest < PIVOT_RTOL * scale))
 
 
 def spectral_norm(m) -> float:
@@ -170,10 +145,10 @@ def spectral_norm(m) -> float:
 def inv_spectral_norm(m) -> float:
     """||M^-1||, the reciprocal of the smallest singular value of M.
 
-    Raises SingularMatrixError exactly where lu_factor flags M singular,
-    so the norm is defined wherever an LU solve with M is allowed.
+    Raises SingularMatrixError exactly where factor flags M singular, so
+    the norm is defined wherever an LU solve with M is allowed.
     """
     m = as_square_matrix(m)
-    if _factor(m).singular:
+    if factor(m).singular:
         raise SingularMatrixError("matrix is singular; ||M^-1|| is undefined")
     return float(1.0 / sla.svdvals(m, check_finite=False)[-1])

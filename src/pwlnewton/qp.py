@@ -20,12 +20,12 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf
 
 # the Newton step's kernels are pwls.lu_factor and pwls.lu_solve (linalg's
-# cores), looked up at call time as in the T/b step, so that one wrapper on
-# pwls (such as perfbench/tracer.py's) sees every step's factor and solve;
-# the fresh step's factor is a Cholesky, through lu_factor's spd argument
+# factor and Factor.solve), looked up at call time as in the T/b step, so that
+# one wrapper on pwls sees every step's factor and solve; the fresh step's
+# factor is a Cholesky, through factor's spd argument
 from . import pwls
 from .errors import EquivalenceUnavailableError, SingularMatrixError
-from .linalg import _factor, as_square_matrix, as_vector, spectral_norm
+from .linalg import as_square_matrix, as_vector, factor, spectral_norm
 from .pwls import (
     ConditionReport,
     PwlsProblem,
@@ -77,7 +77,7 @@ class ConeInstance:
     def __post_init__(self):
         self.A = as_square_matrix(self.A, "A")
         self.z = as_vector(self.z, "z", self.A.shape[0])
-        if _factor(self.A).singular:
+        if factor(self.A).singular:
             raise SingularMatrixError("A must be nonsingular to define a simplicial cone")
 
     @property
@@ -92,10 +92,6 @@ class KktResidual:
     primal_violation: float
     dual_violation: float
     complementarity: float
-
-    @property
-    def worst(self) -> float:
-        return max(self.primal_violation, self.dual_violation, self.complementarity)
 
 
 class ConeProjectionResult(NamedTuple):
@@ -156,12 +152,14 @@ def qp_newton_solve(q: QpProblem, x0, opts: Optional[SolverOptions] = None) -> S
     Cholesky factorization fails, the LU pivot rule (pivots against
     max|Q_AA|) decides: a singular Q_AA ends the run as SingularJacobian,
     and a nonsingular, hence indefinite, one raises NotPositiveDefiniteError.
+    A bordered step first certifies Q_AA by a Cholesky factorization of the
+    Schur complement of Q_PP in Q_{P+E}, and where that fails steps afresh.
 
     On convergence the report's solution solves the piecewise linear
     equation, and its positive part is a KKT point of the QP: the minimizer
     when all of Q is positive definite (QpProblem.is_positive_definite).
-    Each step certifies only the Q_AA it factors afresh, so an indefinite Q
-    can still end Converged or ConvergedExact.
+    Every step's Q_AA is certified, so an indefinite Q ends Converged or
+    ConvergedExact only when every Q_AA the run visits is positive definite.
 
     In exact arithmetic the pattern trace is invariant under Q -> a D Q D,
     b_tilde -> a D b_tilde (a > 0, D positive diagonal): from x0 / D on
@@ -203,6 +201,10 @@ def qp_newton_solve(q: QpProblem, x0, opts: Optional[SolverOptions] = None) -> S
         cap = np.concatenate((q_ep @ solved, solved.take(d, axis=0)))
         size = float(np.abs(cap).max())
         cap[:ne, :ne] -= q_e.take(e, axis=1)
+        # minus the Schur complement S of the positive definite Q_PP in Q_{P+E},
+        # which is positive definite exactly when S is, and then so is Q_AA in it
+        if ne and dpotrf(-cap[:ne, :ne], lower=1, clean=0)[1]:
+            return None
         f_cap = pwls.lu_factor(cap, size)
         if f_cap.singular:
             return None
@@ -236,7 +238,7 @@ def qp_to_pwls(q: QpProblem) -> PwlsProblem:
     otherwise EquivalenceUnavailableError is raised and callers should use
     qp_newton_solve directly, which needs no inverse.
     """
-    f = _factor(_minus_identity(q.Q))
+    f = factor(_minus_identity(q.Q))
     if f.singular:
         raise EquivalenceUnavailableError("Q - I is singular; the T/b form does not exist")
     T = f.solve(np.eye(q.n))

@@ -46,6 +46,11 @@ def qp_scale(q) -> float:
     return 1.0 + float(np.abs(q.b_tilde).max()) + float(np.abs(q.Q).sum(axis=1).max())
 
 
+def worst_violation(kkt) -> float:
+    """The largest of a KktResidual's three violations."""
+    return max(kkt.primal_violation, kkt.dual_violation, kkt.complementarity)
+
+
 def spy_on(monkeypatch, name, module=pwls):
     """Record the positional arguments and results of the kernel ``module.name`` in a list.
 

@@ -11,13 +11,11 @@ from pwlnewton import (
     NotPositiveDefiniteError,
     SingularMatrixError,
     inv_spectral_norm,
-    lu_factor,
-    lu_solve,
     spectral_norm,
 )
 from pwlnewton import linalg
 from pwlnewton.gen import sym_eig
-from pwlnewton.linalg import as_vector
+from pwlnewton.linalg import as_vector, factor
 
 
 def sigma_max_2x2(m):
@@ -32,28 +30,25 @@ def sigma_max_2x2(m):
 
 
 def test_lu_identity():
-    f = lu_factor(np.eye(3))
+    f = factor(np.eye(3))
     assert not f.singular
     assert np.array_equal(f.piv, [0, 1, 2])
     assert np.array_equal(f.lu, np.eye(3))
 
 
 def test_lu_row_swap_not_singular():
-    f = lu_factor([[0.0, 1.0], [1.0, 0.0]])
+    f = factor(np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert not f.singular
     assert f.piv[0] == 1
 
 
 def test_lu_singular_flag_on_zero_pivot():
     # diag(0, 2) arises as diag(1,1) + diag(-1,1): an exactly singular pattern
-    f = lu_factor(np.diag([0.0, 2.0]))
-    assert f.singular
-    with pytest.raises(SingularMatrixError):
-        lu_solve(f, [1.0, 1.0])
+    assert factor(np.diag([0.0, 2.0])).singular
 
 
 def test_lu_zero_matrix_is_singular():
-    assert lu_factor(np.zeros((3, 3))).singular
+    assert factor(np.zeros((3, 3))).singular
 
 
 def test_lu_kernels_match_scipy_bit_for_bit():
@@ -68,16 +63,16 @@ def test_lu_kernels_match_scipy_bit_for_bit():
             view = np.zeros((n + 1, 2 * n))[1:, ::2]
             view[...] = m
             for a in (m, np.asfortranarray(m), view):
-                f = lu_factor(a)
+                f = factor(a)
                 lu, piv = sla.lu_factor(a)
                 assert not f.singular
                 assert np.array_equal(f.lu, lu)
                 assert np.array_equal(f.piv, piv) and f.piv.dtype == piv.dtype
                 for rhs in (rng.standard_normal(n), rng.standard_normal((n, 3))):
-                    x = lu_solve(f, rhs)
+                    x = f.solve(rhs)
                     assert x.shape == rhs.shape
                     assert np.array_equal(x, sla.lu_solve((lu, piv), rhs))
-                assert np.array_equal(lu_solve(f, np.eye(n)), sla.lu_solve((lu, piv), np.eye(n)))
+                assert np.array_equal(f.solve(np.eye(n)), sla.lu_solve((lu, piv), np.eye(n)))
 
 
 def test_lu_exactly_singular_matches_scipy():
@@ -86,20 +81,20 @@ def test_lu_exactly_singular_matches_scipy():
     assert dgetrf(m)[2] > 0
     with pytest.warns(sla.LinAlgWarning):
         lu, piv = sla.lu_factor(m)
-    f = lu_factor(m)
+    f = factor(m)
     assert f.singular
     assert np.array_equal(f.lu, lu) and np.array_equal(f.piv, piv)
 
 
 def test_lu_kernels_raise_on_illegal_lapack_argument(monkeypatch):
     # LAPACK reports a bad argument as info < 0; scipy raises ValueError too
-    f = lu_factor(np.eye(2))
+    f = factor(np.eye(2))
     monkeypatch.setattr(linalg, "dgetrf", lambda m: (m, np.zeros(2, np.int32), -1))
     with pytest.raises(ValueError, match="argument 1 of getrf"):
-        lu_factor(np.eye(2))
+        factor(np.eye(2))
     monkeypatch.setattr(linalg, "dgetrs", lambda lu, piv, b: (b, -3))
     with pytest.raises(ValueError, match="argument 3 of getrs"):
-        lu_solve(f, [1.0, 1.0])
+        f.solve(np.ones(2))
 
 
 @pytest.mark.parametrize("pivots, singular", [
@@ -113,17 +108,16 @@ def test_lu_pivot_flag_skips_nan_pivots(monkeypatch, pivots, singular):
     # PIVOT_RTOL * max|M| (here 1e-12) sets it
     lu = np.diag(pivots)
     monkeypatch.setattr(linalg, "dgetrf", lambda m: (lu, np.zeros(2, np.int32), 0))
-    assert lu_factor(np.eye(2)).singular is singular
+    assert factor(np.eye(2)).singular is singular
 
 
 def test_lu_solve_identity():
-    f = lu_factor(np.eye(2))
-    assert np.array_equal(lu_solve(f, [5.0, -2.0]), [5.0, -2.0])
+    assert np.array_equal(factor(np.eye(2)).solve(np.array([5.0, -2.0])), [5.0, -2.0])
 
 
 def test_lu_solve_2x2_closed_form():
     # verified by substitution: [[-1,3],[-1,1]] @ [2,-1] = [-5,-3]
-    x = lu_solve(lu_factor([[-1.0, 3.0], [-1.0, 1.0]]), [-5.0, -3.0])
+    x = factor(np.array([[-1.0, 3.0], [-1.0, 1.0]])).solve(np.array([-5.0, -3.0]))
     np.testing.assert_allclose(x, [2.0, -1.0], rtol=0, atol=1e-14)
 
 
@@ -132,7 +126,7 @@ def test_lu_solve_residual_random():
     for _ in range(20):
         m = rng.standard_normal((8, 8)) + 4.0 * np.eye(8)
         rhs = rng.standard_normal(8)
-        x = lu_solve(lu_factor(m), rhs)
+        x = factor(m).solve(rhs)
         assert np.abs(m @ x - rhs).max() <= 1e-10 * (1.0 + np.abs(rhs).max())
 
 
@@ -145,34 +139,23 @@ def test_lu_solve_residual_graded_conditioning():
         m = (u * np.logspace(0, -exponent, 10)[np.newaxis, :]) @ v.T
         x_true = rng.standard_normal(10)
         rhs = m @ x_true
-        x = lu_solve(lu_factor(m), rhs)
+        x = factor(m).solve(rhs)
         assert np.abs(m @ x - rhs).max() <= 1e-10 * (1.0 + np.abs(rhs).max())
 
 
-def test_lu_rejects_non_square():
-    with pytest.raises(DimensionError, match="must be square"):
-        lu_factor(np.ones((2, 3)))
-
-
-def test_lu_rejects_non_matrix_input():
-    for bad in ([1.0, 2.0], np.zeros((0, 0)), np.zeros((0, 3))):
-        with pytest.raises(DimensionError, match="non-empty 2-D array"):
-            lu_factor(bad)
-
-
 def test_lu_rejects_nan():
-    # the finite check comes before the square check
+    # the finite check is the first thing factor does, before getrf reads M
     for bad in (np.nan, np.inf, -np.inf):
         for m in ([[bad, 0.0], [0.0, 1.0]], [[1.0, 0.0, bad], [0.0, 1.0, 0.0]]):
             with pytest.raises(ValueError, match="matrix must contain only finite values"):
-                lu_factor(m)
+                factor(np.array(m))
 
 
 def test_factor_core_rejects_non_finite_matrix():
-    # the Newton steps' factor core keeps the finite check in its one abs-max pass
+    # the one abs-max pass that scales the pivot rule is also the finite check
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="matrix must contain only finite values"):
-            linalg._factor(np.array([[bad, 0.0], [0.0, 1.0]]))
+            factor(np.array([[bad, 0.0], [0.0, 1.0]]), scale=1.0)
 
 
 def test_spd_factor_is_a_cholesky_that_solves_with_potrs():
@@ -180,7 +163,7 @@ def test_spd_factor_is_a_cholesky_that_solves_with_potrs():
     g = rng.standard_normal((7, 7))
     m = g @ g.T + np.eye(7)
     before = m.copy()
-    f = linalg._factor(m, spd=True)
+    f = factor(m, spd=True)
     assert f.piv is None and not f.singular
     np.testing.assert_allclose(np.tril(f.lu) @ np.tril(f.lu).T, m, rtol=1e-13, atol=1e-13)
     rhs = rng.standard_normal((7, 3))
@@ -197,19 +180,19 @@ def test_spd_singular_flag_is_jacobi_scaled(delta, singular):
     m = np.array([[1.0, 1.0], [1.0, 1.0 + delta]])
     for d in ([1.0, 1.0], [1e6, 1e-3], [1e-3, 1e6], [1e7, 1e-7]):
         scaled = np.outer(d, d) * m
-        assert linalg._factor(scaled, spd=True).singular is singular
-        assert linalg._factor(np.diag(np.square(d)), spd=True).singular is False
-    assert linalg._factor(np.diag([1e14, 1e-14])).singular is True
+        assert factor(scaled, spd=True).singular is singular
+        assert factor(np.diag(np.square(d)), spd=True).singular is False
+    assert factor(np.diag([1e14, 1e-14])).singular is True
 
 
 def test_spd_factor_lets_the_lu_rule_decide_where_cholesky_fails():
     # exactly singular: the LU factors come back flagged
-    f = linalg._factor(np.ones((2, 2)), spd=True)
+    f = factor(np.ones((2, 2)), spd=True)
     assert f.piv is not None and f.singular
     # nonsingular and indefinite: refused
     for m in ([[1.0, 3.0], [3.0, 1.0]], [[-1.0, 0.0], [0.0, 2.0]]):
         with pytest.raises(NotPositiveDefiniteError, match="not positive definite"):
-            linalg._factor(np.array(m), spd=True)
+            factor(np.array(m), spd=True)
 
 
 def test_spd_factor_rejects_non_finite_matrix():
@@ -220,17 +203,17 @@ def test_spd_factor_rejects_non_finite_matrix():
             m = np.eye(2)
             m[i, j] = m[j, i] = bad
             with pytest.raises(ValueError, match="matrix must contain only finite values"):
-                linalg._factor(m, spd=True)
+                factor(m, spd=True)
 
 
 def test_spd_kernels_raise_on_illegal_lapack_argument(monkeypatch):
-    f = linalg._factor(np.eye(2), spd=True)
+    f = factor(np.eye(2), spd=True)
     monkeypatch.setattr(linalg, "dpotrf", lambda m, lower, clean: (m, -1))
     with pytest.raises(ValueError, match="argument 1 of potrf"):
-        linalg._factor(np.eye(2), spd=True)
+        factor(np.eye(2), spd=True)
     monkeypatch.setattr(linalg, "dpotrs", lambda c, b, lower: (b, -2))
     with pytest.raises(ValueError, match="argument 2 of potrs"):
-        lu_solve(f, [1.0, 1.0])
+        f.solve(np.ones(2))
 
 
 def test_lu_factor_does_not_mutate_its_argument():
@@ -238,7 +221,7 @@ def test_lu_factor_does_not_mutate_its_argument():
     m = rng.standard_normal((6, 6))
     for a in (m, np.asfortranarray(m), np.diag([0.0, 2.0])):
         before = a.copy()
-        lu_factor(a)
+        factor(a)
         assert a.tobytes() == before.tobytes()
 
 
@@ -254,23 +237,10 @@ def test_as_vector_rejects_wrong_length():
         as_vector([1.0, 2.0], "b", 3)
 
 
-def test_lu_solve_rejects_wrong_length():
-    f = lu_factor(np.eye(3))
-    with pytest.raises(DimensionError):
-        lu_solve(f, [1.0, 2.0])
-
-
-def test_lu_solve_rejects_rhs_of_wrong_rank():
-    f = lu_factor(np.eye(3))
-    for rhs in (3.0, np.ones((3, 1, 1))):
-        with pytest.raises(DimensionError, match="1-D or 2-D"):
-            lu_solve(f, rhs)
-
-
 def test_lu_inverse():
-    # qp_to_pwls forms Q^-1 as lu_solve(f, I)
+    # qp_to_pwls forms (Q - I)^-1 as factor(Q - I).solve(I)
     m = np.array([[2.0, 1.0], [1.0, 3.0]])
-    np.testing.assert_allclose(lu_solve(lu_factor(m), np.eye(2)) @ m, np.eye(2), atol=1e-14)
+    np.testing.assert_allclose(factor(m).solve(np.eye(2)) @ m, np.eye(2), atol=1e-14)
 
 
 # ------------------------------------------------------- spectral norm

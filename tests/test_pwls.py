@@ -1,21 +1,20 @@
 import gc
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from _oracles import definite_sign_rows, enumerate_solutions, finite_termination_holds, fixed_point
 from _random_problems import m_matrix, matrix_with_inv_norm, planted_pwls, spy_on
 
 from pwlnewton import (
     DimensionError,
     GeneratorConfig,
-    LuFactors,
     PwlsProblem,
     SolveStatus,
     SolverOptions,
     check_conditions,
-    lu_factor,
-    lu_solve,
     make_batch,
     newton_solve,
     qp_to_pwls,
@@ -23,6 +22,7 @@ from pwlnewton import (
     sign_pattern,
 )
 from pwlnewton import pwls
+from pwlnewton.linalg import PIVOT_RTOL, Factor, factor
 from pwlnewton.pwls import REUSE_MIN_SIZE, _pattern_matrix
 
 # golden 2x2 data: a unique zero at [2,-1] but a 2-cycle for the iteration
@@ -385,23 +385,28 @@ def pivot_rule_matrices():
 
 @pytest.mark.parametrize("scale", [None, 0.5, 1e10])
 def test_step_kernels_share_the_exported_pivot_rule(scale):
-    # the Newton steps call linalg's unchecked cores; they must give the
-    # exported lu_factor/lu_solve's factors, flag and solutions byte for byte
+    # the Newton steps factor and solve through linalg's one entry point;
+    # its factors and solutions are scipy's byte for byte, and its flag is
+    # the stated rule: min|U_ii| < PIVOT_RTOL * max(max|M|, scale)
+    assert pwls.lu_factor is factor and pwls.lu_solve is Factor.solve
     rng = np.random.default_rng(62)
     flags = set()
     for m in pivot_rule_matrices():
         size = None if scale is None else scale * float(np.abs(m).max())
         for a in (m, np.asfortranarray(m)):
-            core, api = pwls.lu_factor(a, size), lu_factor(a, size)
-            assert isinstance(core, LuFactors) and isinstance(api, LuFactors)
-            assert core.lu.tobytes() == api.lu.tobytes()
-            assert core.piv.tobytes() == api.piv.tobytes()
-            assert core.singular is api.singular
-            flags.add(api.singular)
-            if api.singular:
+            f = pwls.lu_factor(a, size)
+            with warnings.catch_warnings():  # scipy warns on an exact zero pivot
+                warnings.simplefilter("ignore", sla.LinAlgWarning)
+                lu, piv = sla.lu_factor(a, check_finite=False)
+            assert f.lu.tobytes() == lu.tobytes() and f.piv.tobytes() == piv.tobytes()
+            judged = max(float(np.abs(m).max()), size or 0.0)
+            assert f.singular is bool(np.abs(lu.diagonal()).min() < PIVOT_RTOL * judged)
+            flags.add(f.singular)
+            if f.singular:
                 continue
             for rhs in (rng.standard_normal(m.shape[0]), rng.standard_normal((m.shape[0], 3))):
-                assert pwls.lu_solve(core, rhs).tobytes() == lu_solve(api, rhs).tobytes()
+                expected = sla.lu_solve((lu, piv), rhs, check_finite=False)
+                assert pwls.lu_solve(f, rhs).tobytes() == expected.tobytes()
     assert flags == {False, True}
 
 
@@ -501,7 +506,7 @@ def test_no_factor_is_alive_when_a_step_factors_afresh(monkeypatch):
 
     def spy(m, scale=None):
         if scale is None:  # a step matrix, not a capacitance matrix
-            alive.append(sum(isinstance(o, LuFactors) for o in gc.get_objects()))
+            alive.append(sum(isinstance(o, Factor) for o in gc.get_objects()))
         return core(m, scale)
 
     monkeypatch.setattr(pwls, "lu_factor", spy)
@@ -721,7 +726,6 @@ def test_condition_report_internal_consistency():
         lam = float(rng.uniform(0.05, 2.0))
         t = matrix_with_inv_norm(4, lam, rng)
         report = check_conditions(PwlsProblem(T=t, b=np.zeros(4) + 1.0))
-        assert report.contraction_modulus == report.inv_norm
         if report.rate_ok:
             assert report.existence_ok
         if report.predicted_rate is not None:

@@ -64,6 +64,34 @@ def test_every_import_is_read():
     assert {name: found for name, found in unread.items() if found} == {}
 
 
+def properties(tree: ast.AST) -> list[str]:
+    """``Class.name`` for every method in tree decorated with a bare ``@property``."""
+    return [f"{cls.name}.{node.name}" for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for node in cls.body if isinstance(node, ast.FunctionDef)
+            and any(isinstance(d, ast.Name) and d.id == "property" for d in node.decorator_list)]
+
+
+def attributes_read(tree: ast.AST) -> set[str]:
+    """Every attribute name that tree reads (``a.b`` as a value, not as a target)."""
+    return {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+            and isinstance(n.ctx, ast.Load)}
+
+
+def test_properties_and_attribute_reads_are_found():
+    tree = ast.parse("class A:\n    @property\n    def b(self):\n        return self.c\n"
+                     "    @staticmethod\n    def d():\n        pass\nx.e = y.f.g\n")
+    assert properties(tree) == ["A.b"]
+    assert attributes_read(tree) == {"c", "f", "g"}
+
+
+def test_every_property_is_read_by_the_library():
+    # a property only the tests read is test-only API
+    trees = [ast.parse(path.read_text(), str(path)) for path in sorted(SOURCE_DIR.rglob("*.py"))]
+    read = set().union(*map(attributes_read, trees))
+    defined = [name for tree in trees for name in properties(tree)]
+    assert [name for name in defined if name.split(".")[1] not in read] == []
+
+
 def imported_modules(tree: ast.AST) -> list[str]:
     """Top-level name of every module an import in tree names, "." for a relative one."""
     found = []
@@ -115,7 +143,9 @@ def test_named_identifiers_are_found():
 
 def test_lapack_lu_and_pivot_rule_are_named_only_by_linalg():
     # the factor rule has one home: every step's factor or solve goes through
-    # linalg (qp's positive-definiteness check calls potrf on its own)
+    # linalg.  qp calls potrf on its own in two places, neither a factor it
+    # solves with: QpProblem.is_positive_definite and the bordered step's
+    # Schur-complement certificate
     kernels = {"dgetrf", "dgetrs", "dpotrs", "PIVOT_RTOL"}
     naming = {path.name: sorted(kernels & named_identifiers(ast.parse(path.read_text())))
               for path in sorted(SOURCE_DIR.rglob("*.py"))}
@@ -133,7 +163,7 @@ def test_newton_driver_names_no_factor_or_kernel():
     # the driver reads only a step's order; the factor and its kernels stay
     # inside each formulation's fresh and bordered steps
     driver = top_level_function(SOURCE_DIR / "pwls.py", "_iterate_patterns")
-    factor_names = {"LuFactors", "lu_factor", "lu_solve", "singular"}
+    factor_names = {"Factor", "factor", "lu_factor", "lu_solve", "singular"}
     assert sorted(factor_names & named_identifiers(driver)) == []
 
 
