@@ -1,11 +1,10 @@
 """Dense linear algebra kernels used by every solver module.
 
-One factor entry point, factor: LU with partial pivoting and a
-scale-invariant singularity flag (LAPACK's getrf and getrs, called
-directly), or a Cholesky factorization of the QP step's symmetric
-positive definite matrices (potrf and potrs).  Also the spectral norm and
-the inverse's spectral norm from the singular values (LAPACK's gesdd via
-scipy), and the input checks every module uses.
+One factor entry point, factor, which factors and solves in one LAPACK
+call: LU with partial pivoting and a scale-invariant singularity flag
+(gesv), or a Cholesky factorization of the QP step's SPD matrices (posv);
+its Factor solves again by getrs or potrs.  Also the spectral norm and
+||M^-1|| from the singular values (gesdd), and every module's input checks.
 
 All functions are pure: they never mutate their arguments and keep no
 shared state, so concurrent calls on distinct inputs need no locking.
@@ -19,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.linalg.lapack import dgetrf, dgetrs, dpotrf, dpotrs
+from scipy.linalg.lapack import dgesv, dgetrs, dposv, dpotrs
 
 from .errors import DimensionError, NotPositiveDefiniteError, SingularMatrixError
 
@@ -61,13 +60,13 @@ def as_square_matrix(a, name: str = "matrix") -> np.ndarray:
 class Factor:
     """PM = LU factors in LAPACK's combined storage, or a Cholesky factor.
 
-    ``piv`` holds the successive row interchanges as returned by getrf:
+    ``piv`` holds the successive row interchanges as returned by gesv:
     row i was swapped with row piv[i].  The SPD branch of factor stores
-    instead the lower triangle of M = L L^T, as returned by potrf, in
+    instead the lower triangle of M = L L^T, as returned by posv, in
     ``lu``, with ``piv`` None.  When ``singular`` is set, no solve may be
-    performed with the factor.  ``solve`` calls the kernel that matches
-    the factor (getrs, or potrs when ``piv`` is None), and checks neither
-    the flag nor the right-hand side.
+    performed with the factor.  ``solve`` solves a further right-hand side
+    with the kernel that matches the factor (getrs, or potrs when ``piv``
+    is None), and checks neither the flag nor the right-hand side.
     """
 
     lu: np.ndarray
@@ -83,8 +82,13 @@ class Factor:
         return x
 
 
-def factor(m: np.ndarray, scale: Optional[float] = None, spd: bool = False) -> Factor:
-    """Factor a square float64 M that the library built from checked data.
+def factor(m: np.ndarray, rhs: np.ndarray, scale: Optional[float] = None,
+           spd: bool = False) -> tuple[Factor, np.ndarray]:
+    """Factor a square float64 M that the library built from checked data, and solve M X = rhs.
+
+    One call to gesv (posv with ``spd``), byte for byte getrf then getrs (potrf
+    then potrs); X is void when M is flagged singular.  For the flag alone pass
+    a zero vector: OpenBLAS's gesv does not factor when rhs has no columns.
 
     By default M = P L U with partial pivoting, flagged singular when any
     pivot falls below PIVOT_RTOL * max|M|.  The rule must flag the exactly
@@ -98,43 +102,43 @@ def factor(m: np.ndarray, scale: Optional[float] = None, spd: bool = False) -> F
     so a NaN pivot neither sets the flag nor hides a tiny one.  One abs-max
     pass is both the rule's scale and the finite check.
 
-    With ``spd``, M must be symmetric (potrf reads its lower triangle only,
+    With ``spd``, M must be symmetric (posv reads its lower triangle only,
     the faster variant in OpenBLAS from order 50 up) and is meant to be
-    positive definite.  When potrf completes, M = L L^T is returned,
-    flagged singular when some L_jj^2 / M_jj < PIVOT_RTOL: a test on the
-    Jacobi-scaled matrix, unchanged by M -> D M D for diagonal D > 0, and
-    O(m).  So is its finite check, on L's diagonal: a NaN or inf that
-    potrf reads makes it fail or propagates into the L_jj after it.
-    When potrf fails, M is not positive definite and the LU branch decides:
-    its factors are returned when they are flagged singular, and
-    NotPositiveDefiniteError is raised when they are not, since M is then
-    nonsingular and indefinite.
+    positive definite.  When posv completes, M = L L^T is returned, flagged
+    singular when min_j L_jj (L_jj / M_jj) < PIVOT_RTOL, an O(m) test on
+    the Jacobi-scaled matrix that no M -> D M D (diagonal D > 0) changes and
+    that cannot overflow.  A NaN or inf that posv reads makes it fail or
+    reaches L's diagonal, whose argmax (a NaN, if any) is the finite check;
+    argmax and argmin cost less than a ufunc reduce on small diagonals.
+    When posv fails, M is not positive definite and the LU branch decides:
+    its factors and X are returned when flagged singular; otherwise M is
+    nonsingular and indefinite, and NotPositiveDefiniteError is raised.
     """
     if spd:
-        c, info = dpotrf(m, lower=1, clean=0)
+        c, x, info = dposv(m, rhs, lower=1)
         if info < 0:
-            raise ValueError(f"illegal value in argument {-info} of potrf")
+            raise ValueError(f"illegal value in argument {-info} of posv")
         if info == 0:
             c_diagonal = c.diagonal()
-            if not math.isfinite(float(c_diagonal.max())):  # NaN or inf exactly when one is
+            if not math.isfinite(c_diagonal[c_diagonal.argmax()]):  # inf / inf warns in ratios
                 raise ValueError("matrix must contain only finite values")
-            pivots = np.square(c_diagonal)
-            return Factor(c, None, bool((pivots < PIVOT_RTOL * m.diagonal()).any()))
-        f = factor(m, scale)
+            ratios = c_diagonal / m.diagonal() * c_diagonal
+            return Factor(c, None, float(ratios[ratios.argmin()]) < PIVOT_RTOL), x
+        f, x = factor(m, rhs, scale)
         if not f.singular:
             raise NotPositiveDefiniteError(
                 "symmetric matrix is nonsingular and not positive definite")
-        return f
+        return f, x
     size = float(np.abs(m).max())  # NaN or inf exactly when some entry is
     if not math.isfinite(size):
         raise ValueError("matrix must contain only finite values")
     scale = size if scale is None else max(size, scale)
-    # getrf completes on singular input (info > 0) and leaves a zero pivot in U
-    lu, piv, info = dgetrf(m)
+    # gesv factors singular input too (info > 0), leaving a zero pivot in U
+    lu, piv, x, info = dgesv(m, rhs)
     if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of getrf")
+        raise ValueError(f"illegal value in argument {-info} of gesv")
     smallest = np.fmin.reduce(np.abs(lu.diagonal()))  # NaN only if every pivot is
-    return Factor(lu, piv, scale == 0.0 or bool(smallest < PIVOT_RTOL * scale))
+    return Factor(lu, piv, scale == 0.0 or bool(smallest < PIVOT_RTOL * scale)), x
 
 
 def spectral_norm(m) -> float:
@@ -149,6 +153,6 @@ def inv_spectral_norm(m) -> float:
     the norm is defined wherever an LU solve with M is allowed.
     """
     m = as_square_matrix(m)
-    if factor(m).singular:
+    if factor(m, np.zeros(m.shape[0]))[0].singular:
         raise SingularMatrixError("matrix is singular; ||M^-1|| is undefined")
     return float(1.0 / sla.svdvals(m, check_finite=False)[-1])

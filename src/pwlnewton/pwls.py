@@ -37,8 +37,8 @@ REUSE_MIN_SIZE = 64
 REUSE_RATIO = 8
 
 # every Newton step factors and solves through these names, looked up at call
-# time so that one wrapper sees every step; a factor's solve calls the kernel
-# that made it (potrs after the QP's spd=True), so one pair serves both forms
+# time so that one wrapper sees every step; lu_factor also solves, and lu_solve
+# serves held factors with their own kernel (potrs after the QP's spd=True)
 lu_factor = factor
 lu_solve = Factor.solve
 
@@ -190,7 +190,7 @@ def residual(p: PwlsProblem, x) -> np.ndarray:
 
 
 def _pattern_matrix(T: np.ndarray, bits: SignPattern) -> np.ndarray:
-    # a fresh column-major copy, the layout getrf factors, whatever T's layout;
+    # a fresh column-major copy, the layout gesv factors, whatever T's layout;
     # its memory-order ravel is a view, and this strided slice its diagonal
     m = T.copy(order="F")
     m.ravel(order="K")[:: T.shape[0] + 1] += bits
@@ -340,10 +340,9 @@ def newton_solve(p: PwlsProblem, x0, opts: Optional[SolverOptions] = None) -> So
     """
 
     def fresh(bits: SignPattern) -> Optional[tuple[np.ndarray, int, tuple]]:
-        f = lu_factor(_pattern_matrix(p.T, bits))
+        f, x = lu_factor(_pattern_matrix(p.T, bits), p.b)
         if f.singular:
             return None
-        x = lu_solve(f, p.b)
         return x, p.n, (f, x)
 
     def bordered(bits: SignPattern, held: SignPattern, state: tuple) -> Optional[np.ndarray]:
@@ -356,10 +355,10 @@ def newton_solve(p: PwlsProblem, x0, opts: Optional[SolverOptions] = None) -> So
         cap = y_d.take(d, axis=0)  # a fresh C-ordered copy, so this strided slice is its diagonal
         size = float(np.abs(cap).max())
         cap.ravel()[:: k + 1] += np.where(bits.take(d), 1.0, -1.0)  # delta
-        f_cap = lu_factor(cap, size)
+        f_cap, z = lu_factor(cap, y.take(d), size)
         if f_cap.singular:
             return None
-        return y - y_d @ lu_solve(f_cap, y.take(d))
+        return y - y_d @ z
 
     return _iterate_patterns(x0, p.b, opts, fresh, bordered, residual_of=lambda x: residual(p, x))
 

@@ -19,10 +19,9 @@ from typing import NamedTuple, Optional
 import numpy as np
 from scipy.linalg.lapack import dpotrf
 
-# the Newton step's kernels are pwls.lu_factor and pwls.lu_solve (linalg's
-# factor and Factor.solve), looked up at call time as in the T/b step, so that
-# one wrapper on pwls sees every step's factor and solve; the fresh step's
-# factor is a Cholesky, through factor's spd argument
+# every step factors through pwls.lu_factor, which also solves (a Cholesky with
+# spd=True), and solves with a held factor through pwls.lu_solve, both looked up
+# at call time as in the T/b step, so that one wrapper on pwls sees every step
 from . import pwls
 from .errors import EquivalenceUnavailableError, SingularMatrixError
 from .linalg import as_square_matrix, as_vector, factor, spectral_norm
@@ -77,7 +76,7 @@ class ConeInstance:
     def __post_init__(self):
         self.A = as_square_matrix(self.A, "A")
         self.z = as_vector(self.z, "z", self.A.shape[0])
-        if factor(self.A).singular:
+        if factor(self.A, np.zeros(self.n))[0].singular:
             raise SingularMatrixError("A must be nonsingular to define a simplicial cone")
 
     @property
@@ -128,8 +127,8 @@ def qp_newton_solve(q: QpProblem, x0, opts: Optional[SolverOptions] = None) -> S
     mat-vec, and x_{k+1} = -b_tilde with nothing factored when A is empty.
     This is the primal-dual active-set form of the semi-smooth Newton step.
 
-    A fresh step factors Q_AA, of order |A|, by Cholesky (LAPACK's potrf
-    and potrs), and holds (f, A, Q[A], x_A): its factor, the gathered rows
+    A fresh step factors Q_AA, of order |A|, by Cholesky and solves in one
+    LAPACK call (posv), and holds (f, A, Q[A], x_A): its factor, the rows
     and the solution.  A bordered step from the held active set P, with
     D = P - A (indices that left) and E = A - P (indices that joined),
     reads x_A off [[Q_PP, B], [B^T, G]] [x_P; z] = [-b_P; g], where
@@ -174,11 +173,10 @@ def qp_newton_solve(q: QpProblem, x0, opts: Optional[SolverOptions] = None) -> S
         if not a.size:
             return minus_b.copy(), 0, None
         rows = q.Q.take(a, axis=0)
-        # Q_AA is exactly symmetric: its transpose is the column-major copy potrf wants
-        f = pwls.lu_factor(rows.take(a, axis=1).T, spd=True)
+        # Q_AA is exactly symmetric: its transpose is the column-major copy posv wants
+        f, x_a = pwls.lu_factor(rows.take(a, axis=1).T, minus_b.take(a), spd=True)
         if f.singular:
             return None
-        x_a = pwls.lu_solve(f, minus_b.take(a))
         # Q is exactly symmetric, so x_A @ Q[A] is Q[:, A] x_A
         x = minus_b - x_a @ rows
         x[a] = x_a
@@ -205,10 +203,10 @@ def qp_newton_solve(q: QpProblem, x0, opts: Optional[SolverOptions] = None) -> S
         # which is positive definite exactly when S is, and then so is Q_AA in it
         if ne and dpotrf(-cap[:ne, :ne], lower=1, clean=0)[1]:
             return None
-        f_cap = pwls.lu_factor(cap, size)
+        f_cap, z = pwls.lu_factor(cap, np.concatenate((q_ep @ y - minus_b.take(e), y.take(d))),
+                                  size)
         if f_cap.singular:
             return None
-        z = pwls.lu_solve(f_cap, np.concatenate((q_ep @ y - minus_b.take(e), y.take(d))))
         x_p = y - solved @ z  # fresh, unlike the held rows and y
         x_e = z[:ne]
         x_p[d] = 0.0
@@ -238,10 +236,9 @@ def qp_to_pwls(q: QpProblem) -> PwlsProblem:
     otherwise EquivalenceUnavailableError is raised and callers should use
     qp_newton_solve directly, which needs no inverse.
     """
-    f = factor(_minus_identity(q.Q))
+    f, T = factor(_minus_identity(q.Q), np.eye(q.n))
     if f.singular:
         raise EquivalenceUnavailableError("Q - I is singular; the T/b form does not exist")
-    T = f.solve(np.eye(q.n))
     return PwlsProblem(T=T, b=-(T @ q.b_tilde))
 
 

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from scipy.linalg.lapack import dgetrf
+from scipy.linalg.lapack import dgetrf, dpotrf, dpotrs
 
 from pwlnewton import (
     DimensionError,
@@ -15,7 +15,7 @@ from pwlnewton import (
 )
 from pwlnewton import linalg
 from pwlnewton.gen import sym_eig
-from pwlnewton.linalg import as_vector, factor
+from pwlnewton.linalg import PIVOT_RTOL, as_vector, factor
 
 
 def sigma_max_2x2(m):
@@ -26,53 +26,91 @@ def sigma_max_2x2(m):
     return math.sqrt((tr + math.sqrt(tr * tr - 4.0 * det)) / 2.0)
 
 
+def factor_of(m, scale=None, spd=False):
+    """The factor alone, solved against a zero vector as the flag-only callers do."""
+    m = np.asarray(m, dtype=float)
+    return factor(m, np.zeros(m.shape[0]), scale, spd)[0]
+
+
 # ---------------------------------------------------------------- LU
 
 
 def test_lu_identity():
-    f = factor(np.eye(3))
+    f = factor_of(np.eye(3))
     assert not f.singular
     assert np.array_equal(f.piv, [0, 1, 2])
     assert np.array_equal(f.lu, np.eye(3))
 
 
 def test_lu_row_swap_not_singular():
-    f = factor(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    f = factor_of([[0.0, 1.0], [1.0, 0.0]])
     assert not f.singular
     assert f.piv[0] == 1
 
 
 def test_lu_singular_flag_on_zero_pivot():
     # diag(0, 2) arises as diag(1,1) + diag(-1,1): an exactly singular pattern
-    assert factor(np.diag([0.0, 2.0])).singular
+    assert factor_of(np.diag([0.0, 2.0])).singular
 
 
 def test_lu_zero_matrix_is_singular():
-    assert factor(np.zeros((3, 3))).singular
+    assert factor_of(np.zeros((3, 3))).singular
 
 
 def test_lu_kernels_match_scipy_bit_for_bit():
-    # getrf/getrs are called directly; scipy's lu_factor/lu_solve wrap the
-    # same LAPACK routines, so factors and solutions agree bit for bit
-    # same for C- and F-ordered input and for a strided submatrix view, and
-    # for the identity right-hand side that forms M^-1
+    # gesv is called directly and equals getrf then getrs, which scipy's
+    # lu_factor/lu_solve wrap, so factors and solutions agree bit for bit;
+    # same for C- and F-ordered input and for a strided submatrix view, for
+    # vector and matrix right-hand sides, and for the identity that forms
+    # M^-1.  A held factor's solve is getrs too.
     rng = np.random.default_rng(41)
-    for n in (1, 2, 7, 50):
+    for n in (1, 2, 7, 50, 99):
         for grading in (np.ones(n), np.logspace(-4, 4, n)):
             m = rng.standard_normal((n, n)) * grading[:, np.newaxis]
             view = np.zeros((n + 1, 2 * n))[1:, ::2]
             view[...] = m
             for a in (m, np.asfortranarray(m), view):
-                f = factor(a)
                 lu, piv = sla.lu_factor(a)
-                assert not f.singular
-                assert np.array_equal(f.lu, lu)
-                assert np.array_equal(f.piv, piv) and f.piv.dtype == piv.dtype
-                for rhs in (rng.standard_normal(n), rng.standard_normal((n, 3))):
-                    x = f.solve(rhs)
+                for rhs in (rng.standard_normal(n), rng.standard_normal((n, 12)), np.eye(n)):
+                    f, x = factor(a, rhs)
+                    assert not f.singular
+                    assert f.lu.tobytes() == lu.tobytes()
+                    assert np.array_equal(f.piv, piv) and f.piv.dtype == piv.dtype
                     assert x.shape == rhs.shape
-                    assert np.array_equal(x, sla.lu_solve((lu, piv), rhs))
-                assert np.array_equal(f.solve(np.eye(n)), sla.lu_solve((lu, piv), np.eye(n)))
+                    assert x.tobytes() == sla.lu_solve((lu, piv), rhs).tobytes()
+                    assert f.solve(rhs).tobytes() == x.tobytes()
+
+
+def test_spd_kernels_match_potrf_then_potrs_bit_for_bit():
+    # posv is potrf then potrs byte for byte, as gesv is getrf then getrs
+    # above: factor, solution and flag.  Below order 100 that holds at any
+    # BLAS thread count.
+    rng = np.random.default_rng(46)
+    for n in (1, 3, 25, 64, 99):
+        g = rng.standard_normal((n, n))
+        m = np.asfortranarray(g @ g.T + np.eye(n))
+        c, _ = dpotrf(m, lower=1, clean=0)
+        for rhs in (rng.standard_normal(n), rng.standard_normal((n, 12))):
+            f, x = factor(m, rhs, spd=True)
+            assert f.lu.tobytes() == c.tobytes() and f.piv is None
+            assert x.tobytes() == dpotrs(c, rhs, lower=1)[0].tobytes()
+            assert f.singular is bool((np.square(c.diagonal()) < PIVOT_RTOL * m.diagonal()).any())
+
+
+@pytest.mark.parametrize("spd", [False, True])
+def test_flag_alone_comes_from_a_zero_vector_right_hand_side(spd):
+    # ConeInstance and inv_spectral_norm want the flag alone and pass a zero
+    # vector, since OpenBLAS's gesv does not factor against zero columns:
+    # the factor and flag are those of any other right-hand side
+    rng = np.random.default_rng(47)
+    g = rng.standard_normal((6, 6))
+    singular = np.ones((6, 6))
+    for m in ((g @ g.T if spd else g), singular):
+        f0 = factor(m, np.zeros(6), spd=spd)[0]
+        assert f0.singular is (m is singular)
+        for rhs in (rng.standard_normal(6), rng.standard_normal((6, 3))):
+            f = factor(m, rhs, spd=spd)[0]
+            assert f.lu.tobytes() == f0.lu.tobytes() and f.singular is f0.singular
 
 
 def test_lu_exactly_singular_matches_scipy():
@@ -81,17 +119,17 @@ def test_lu_exactly_singular_matches_scipy():
     assert dgetrf(m)[2] > 0
     with pytest.warns(sla.LinAlgWarning):
         lu, piv = sla.lu_factor(m)
-    f = factor(m)
+    f = factor_of(m)
     assert f.singular
     assert np.array_equal(f.lu, lu) and np.array_equal(f.piv, piv)
 
 
 def test_lu_kernels_raise_on_illegal_lapack_argument(monkeypatch):
     # LAPACK reports a bad argument as info < 0; scipy raises ValueError too
-    f = factor(np.eye(2))
-    monkeypatch.setattr(linalg, "dgetrf", lambda m: (m, np.zeros(2, np.int32), -1))
-    with pytest.raises(ValueError, match="argument 1 of getrf"):
-        factor(np.eye(2))
+    f = factor_of(np.eye(2))
+    monkeypatch.setattr(linalg, "dgesv", lambda m, b: (m, np.zeros(2, np.int32), b, -1))
+    with pytest.raises(ValueError, match="argument 1 of gesv"):
+        factor_of(np.eye(2))
     monkeypatch.setattr(linalg, "dgetrs", lambda lu, piv, b: (b, -3))
     with pytest.raises(ValueError, match="argument 3 of getrs"):
         f.solve(np.ones(2))
@@ -107,17 +145,17 @@ def test_lu_pivot_flag_skips_nan_pivots(monkeypatch, pivots, singular):
     # a NaN pivot neither sets nor hides the flag; a pivot below
     # PIVOT_RTOL * max|M| (here 1e-12) sets it
     lu = np.diag(pivots)
-    monkeypatch.setattr(linalg, "dgetrf", lambda m: (lu, np.zeros(2, np.int32), 0))
-    assert factor(np.eye(2)).singular is singular
+    monkeypatch.setattr(linalg, "dgesv", lambda m, b: (lu, np.zeros(2, np.int32), b, 0))
+    assert factor_of(np.eye(2)).singular is singular
 
 
 def test_lu_solve_identity():
-    assert np.array_equal(factor(np.eye(2)).solve(np.array([5.0, -2.0])), [5.0, -2.0])
+    assert np.array_equal(factor(np.eye(2), np.array([5.0, -2.0]))[1], [5.0, -2.0])
 
 
 def test_lu_solve_2x2_closed_form():
     # verified by substitution: [[-1,3],[-1,1]] @ [2,-1] = [-5,-3]
-    x = factor(np.array([[-1.0, 3.0], [-1.0, 1.0]])).solve(np.array([-5.0, -3.0]))
+    x = factor(np.array([[-1.0, 3.0], [-1.0, 1.0]]), np.array([-5.0, -3.0]))[1]
     np.testing.assert_allclose(x, [2.0, -1.0], rtol=0, atol=1e-14)
 
 
@@ -126,7 +164,7 @@ def test_lu_solve_residual_random():
     for _ in range(20):
         m = rng.standard_normal((8, 8)) + 4.0 * np.eye(8)
         rhs = rng.standard_normal(8)
-        x = factor(m).solve(rhs)
+        x = factor(m, rhs)[1]
         assert np.abs(m @ x - rhs).max() <= 1e-10 * (1.0 + np.abs(rhs).max())
 
 
@@ -139,23 +177,23 @@ def test_lu_solve_residual_graded_conditioning():
         m = (u * np.logspace(0, -exponent, 10)[np.newaxis, :]) @ v.T
         x_true = rng.standard_normal(10)
         rhs = m @ x_true
-        x = factor(m).solve(rhs)
+        x = factor(m, rhs)[1]
         assert np.abs(m @ x - rhs).max() <= 1e-10 * (1.0 + np.abs(rhs).max())
 
 
 def test_lu_rejects_nan():
-    # the finite check is the first thing factor does, before getrf reads M
+    # the finite check is the first thing factor does, before gesv reads M
     for bad in (np.nan, np.inf, -np.inf):
         for m in ([[bad, 0.0], [0.0, 1.0]], [[1.0, 0.0, bad], [0.0, 1.0, 0.0]]):
             with pytest.raises(ValueError, match="matrix must contain only finite values"):
-                factor(np.array(m))
+                factor_of(m)
 
 
 def test_factor_core_rejects_non_finite_matrix():
     # the one abs-max pass that scales the pivot rule is also the finite check
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="matrix must contain only finite values"):
-            factor(np.array([[bad, 0.0], [0.0, 1.0]]), scale=1.0)
+            factor_of([[bad, 0.0], [0.0, 1.0]], scale=1.0)
 
 
 def test_spd_factor_is_a_cholesky_that_solves_with_potrs():
@@ -163,12 +201,13 @@ def test_spd_factor_is_a_cholesky_that_solves_with_potrs():
     g = rng.standard_normal((7, 7))
     m = g @ g.T + np.eye(7)
     before = m.copy()
-    f = factor(m, spd=True)
-    assert f.piv is None and not f.singular
-    np.testing.assert_allclose(np.tril(f.lu) @ np.tril(f.lu).T, m, rtol=1e-13, atol=1e-13)
     rhs = rng.standard_normal((7, 3))
     for b in (rhs, rhs[:, 0]):
-        np.testing.assert_allclose(m @ f.solve(b), b, rtol=0, atol=1e-12)
+        f, x = factor(m, b, spd=True)
+        assert f.piv is None and not f.singular
+        np.testing.assert_allclose(np.tril(f.lu) @ np.tril(f.lu).T, m, rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(m @ x, b, rtol=0, atol=1e-12)
+        assert f.solve(b).tobytes() == x.tobytes()
     assert m.tobytes() == before.tobytes()
 
 
@@ -180,37 +219,37 @@ def test_spd_singular_flag_is_jacobi_scaled(delta, singular):
     m = np.array([[1.0, 1.0], [1.0, 1.0 + delta]])
     for d in ([1.0, 1.0], [1e6, 1e-3], [1e-3, 1e6], [1e7, 1e-7]):
         scaled = np.outer(d, d) * m
-        assert factor(scaled, spd=True).singular is singular
-        assert factor(np.diag(np.square(d)), spd=True).singular is False
-    assert factor(np.diag([1e14, 1e-14])).singular is True
+        assert factor_of(scaled, spd=True).singular is singular
+        assert factor_of(np.diag(np.square(d)), spd=True).singular is False
+    assert factor_of(np.diag([1e14, 1e-14])).singular is True
 
 
 def test_spd_factor_lets_the_lu_rule_decide_where_cholesky_fails():
     # exactly singular: the LU factors come back flagged
-    f = factor(np.ones((2, 2)), spd=True)
+    f = factor_of(np.ones((2, 2)), spd=True)
     assert f.piv is not None and f.singular
     # nonsingular and indefinite: refused
     for m in ([[1.0, 3.0], [3.0, 1.0]], [[-1.0, 0.0], [0.0, 2.0]]):
         with pytest.raises(NotPositiveDefiniteError, match="not positive definite"):
-            factor(np.array(m), spd=True)
+            factor_of(m, spd=True)
 
 
 def test_spd_factor_rejects_non_finite_matrix():
-    # lower-triangle entries, the part potrf reads: a non-finite one makes
-    # potrf fail, and the LU branch's check catches it, or reaches L's diagonal
+    # lower-triangle entries, the part posv reads: a non-finite one makes
+    # posv fail, and the LU branch's check catches it, or reaches L's diagonal
     for bad in (np.nan, np.inf, -np.inf):
         for i, j in ((0, 0), (0, 1), (1, 1)):
             m = np.eye(2)
             m[i, j] = m[j, i] = bad
             with pytest.raises(ValueError, match="matrix must contain only finite values"):
-                factor(m, spd=True)
+                factor_of(m, spd=True)
 
 
 def test_spd_kernels_raise_on_illegal_lapack_argument(monkeypatch):
-    f = factor(np.eye(2), spd=True)
-    monkeypatch.setattr(linalg, "dpotrf", lambda m, lower, clean: (m, -1))
-    with pytest.raises(ValueError, match="argument 1 of potrf"):
-        factor(np.eye(2), spd=True)
+    f = factor_of(np.eye(2), spd=True)
+    monkeypatch.setattr(linalg, "dposv", lambda m, b, lower: (m, b, -1))
+    with pytest.raises(ValueError, match="argument 1 of posv"):
+        factor_of(np.eye(2), spd=True)
     monkeypatch.setattr(linalg, "dpotrs", lambda c, b, lower: (b, -2))
     with pytest.raises(ValueError, match="argument 2 of potrs"):
         f.solve(np.ones(2))
@@ -220,9 +259,10 @@ def test_lu_factor_does_not_mutate_its_argument():
     rng = np.random.default_rng(44)
     m = rng.standard_normal((6, 6))
     for a in (m, np.asfortranarray(m), np.diag([0.0, 2.0])):
-        before = a.copy()
-        factor(a)
-        assert a.tobytes() == before.tobytes()
+        rhs = rng.standard_normal(a.shape[0])
+        before = a.copy(), rhs.copy()
+        factor(a, rhs)
+        assert (a.tobytes(), rhs.tobytes()) == (before[0].tobytes(), before[1].tobytes())
 
 
 def test_as_vector_rejects_non_vector_input():
@@ -238,9 +278,9 @@ def test_as_vector_rejects_wrong_length():
 
 
 def test_lu_inverse():
-    # qp_to_pwls forms (Q - I)^-1 as factor(Q - I).solve(I)
+    # qp_to_pwls forms (Q - I)^-1 as the solution of factor(Q - I, I)
     m = np.array([[2.0, 1.0], [1.0, 3.0]])
-    np.testing.assert_allclose(factor(m).solve(np.eye(2)) @ m, np.eye(2), atol=1e-14)
+    np.testing.assert_allclose(factor(m, np.eye(2))[1] @ m, np.eye(2), atol=1e-14)
 
 
 # ------------------------------------------------------- spectral norm

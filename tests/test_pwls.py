@@ -1,6 +1,10 @@
 import gc
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -385,8 +389,9 @@ def pivot_rule_matrices():
 
 @pytest.mark.parametrize("scale", [None, 0.5, 1e10])
 def test_step_kernels_share_the_exported_pivot_rule(scale):
-    # the Newton steps factor and solve through linalg's one entry point;
-    # its factors and solutions are scipy's byte for byte, and its flag is
+    # the Newton steps factor and solve through linalg's one entry point,
+    # which solves as it factors, and solve again with a held factor; its
+    # factors and both solutions are scipy's byte for byte, and its flag is
     # the stated rule: min|U_ii| < PIVOT_RTOL * max(max|M|, scale)
     assert pwls.lu_factor is factor and pwls.lu_solve is Factor.solve
     rng = np.random.default_rng(62)
@@ -394,18 +399,19 @@ def test_step_kernels_share_the_exported_pivot_rule(scale):
     for m in pivot_rule_matrices():
         size = None if scale is None else scale * float(np.abs(m).max())
         for a in (m, np.asfortranarray(m)):
-            f = pwls.lu_factor(a, size)
             with warnings.catch_warnings():  # scipy warns on an exact zero pivot
                 warnings.simplefilter("ignore", sla.LinAlgWarning)
                 lu, piv = sla.lu_factor(a, check_finite=False)
-            assert f.lu.tobytes() == lu.tobytes() and f.piv.tobytes() == piv.tobytes()
             judged = max(float(np.abs(m).max()), size or 0.0)
-            assert f.singular is bool(np.abs(lu.diagonal()).min() < PIVOT_RTOL * judged)
-            flags.add(f.singular)
-            if f.singular:
-                continue
             for rhs in (rng.standard_normal(m.shape[0]), rng.standard_normal((m.shape[0], 3))):
+                f, x = pwls.lu_factor(a, rhs, size)
+                assert f.lu.tobytes() == lu.tobytes() and f.piv.tobytes() == piv.tobytes()
+                assert f.singular is bool(np.abs(lu.diagonal()).min() < PIVOT_RTOL * judged)
+                flags.add(f.singular)
+                if f.singular:
+                    continue
                 expected = sla.lu_solve((lu, piv), rhs, check_finite=False)
+                assert x.tobytes() == expected.tobytes()
                 assert pwls.lu_solve(f, rhs).tobytes() == expected.tobytes()
     assert flags == {False, True}
 
@@ -435,6 +441,42 @@ def test_newton_solve_is_independent_of_the_layout_of_t(monkeypatch):
     assert any(np.ndim(args[1]) == 2 for args, _ in solves)
 
 
+# Solves 20 T/b problems whose T, b and x0 are drawn without BLAS, with
+# reuse steps counted, and prints a hash of every kept iterate.
+THREAD_RUN = """
+import hashlib
+import numpy as np
+from pwlnewton import pwls
+held = []
+solve = pwls.lu_solve
+pwls.lu_solve = lambda f, rhs: held.append(1) or solve(f, rhs)
+rng = np.random.default_rng(2027)
+h = hashlib.sha256()
+for n in np.linspace(100, 300, 20).astype(int):
+    t = rng.standard_normal((n, n))
+    t[np.diag_indices(n)] += 1.2 * np.sqrt(n)
+    p = pwls.PwlsProblem(T=t, b=rng.standard_normal(n))
+    report = pwls.newton_solve(p, rng.standard_normal(n), pwls.SolverOptions(keep_iterates=True))
+    for x in report.iterate_trace:
+        h.update(x.tobytes())
+print(h.hexdigest(), len(held))
+"""
+
+
+def test_newton_solve_is_independent_of_the_blas_thread_count():
+    # with one right-hand side OpenBLAS's gesv runs on one thread, so fresh
+    # and bordered T/b steps give the same bytes at 1 and 2 BLAS threads
+    source = str(Path(pwls.__file__).parents[1])
+    procs = [subprocess.Popen([sys.executable, "-c", THREAD_RUN], stdout=subprocess.PIPE, text=True,
+                              env=dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+                                       PYTHONPATH=source))
+             for threads in (1, 2)]
+    outputs = [proc.communicate(timeout=300)[0].split() for proc in procs]
+    assert [proc.returncode for proc in procs] == [0, 0]
+    assert int(outputs[0][1]) > 0  # some steps were bordered
+    assert outputs[0] == outputs[1]
+
+
 def flagged_capacitance_case():
     # T is diagonal.  From x0, M = T + diag(p) has M_00 = -1e-10, so
     # (M^-1)_00 = -1e10; the first step leaves index 0 and enters index 2,
@@ -457,7 +499,7 @@ def test_flagged_capacitance_falls_back_to_a_fresh_factor(monkeypatch):
     n = p.n
     factors = spy_on(monkeypatch, "lu_factor")
     report = newton_solve(p, x0)
-    assert [(args[0].shape[0], f.singular) for args, f in factors] == [
+    assert [(args[0].shape[0], f.singular) for args, (f, _) in factors] == [
         (n, False), (2, True), (n, False)]
     monkeypatch.setattr(pwls, "REUSE_MIN_SIZE", n + 1)
     fresh = newton_solve(p, x0)
@@ -489,7 +531,7 @@ def test_singular_pattern_matrix_ends_singular_jacobian_as_fresh(monkeypatch):
     p = PwlsProblem(T=t, b=b)
     factors = spy_on(monkeypatch, "lu_factor")
     report = newton_solve(p, x0)
-    assert [(args[0].shape[0], f.singular) for args, f in factors] == [
+    assert [(args[0].shape[0], f.singular) for args, (f, _) in factors] == [
         (n, False), (1, True), (n, True)]
     monkeypatch.setattr(pwls, "REUSE_MIN_SIZE", n + 1)
     fresh = newton_solve(p, x0)
@@ -504,10 +546,10 @@ def test_no_factor_is_alive_when_a_step_factors_afresh(monkeypatch):
     core = pwls.lu_factor
     alive = []
 
-    def spy(m, scale=None):
+    def spy(m, rhs, scale=None):
         if scale is None:  # a step matrix, not a capacitance matrix
             alive.append(sum(isinstance(o, Factor) for o in gc.get_objects()))
-        return core(m, scale)
+        return core(m, rhs, scale)
 
     monkeypatch.setattr(pwls, "lu_factor", spy)
     cases = generated_pwls(100, seed=0) + [flagged_capacitance_case()]
@@ -517,15 +559,16 @@ def test_no_factor_is_alive_when_a_step_factors_afresh(monkeypatch):
 
 
 def test_no_reuse_below_min_size(monkeypatch):
-    # below REUSE_MIN_SIZE every step factors the n x n step matrix, once
+    # below REUSE_MIN_SIZE every step factors the n x n step matrix, once,
+    # and solves with it against b in the same call; no factor is held
     n = REUSE_MIN_SIZE - 1
     cases = generated_pwls(n, seed=3)
     factors = spy_on(monkeypatch, "lu_factor")
     solves = spy_on(monkeypatch, "lu_solve")
     steps = sum(newton_solve(p, x0).iterations for p, x0 in cases)
     assert steps > len(cases)
-    assert [args[0].shape for args, _ in factors] == [(n, n)] * steps
-    assert [np.shape(args[1]) for args, _ in solves] == [(n,)] * steps
+    assert [(args[0].shape, np.shape(args[1])) for args, _ in factors] == [((n, n), (n,))] * steps
+    assert solves == []
 
 
 def test_solver_options_validation():

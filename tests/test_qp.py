@@ -185,7 +185,7 @@ def test_step_matrix_nonsingular_for_spd_q():
         for _ in range(3):
             bits = rng.integers(0, 2, n)
             m = (q_matrix - np.eye(n)) * bits[np.newaxis, :] + np.eye(n)
-            assert not factor(m).singular
+            assert not factor(m, np.zeros(n))[0].singular
 
 
 def spd_with_beta(n, beta, rng):
@@ -297,7 +297,7 @@ def test_singular_jacobian_only_from_a_fresh_factor(monkeypatch):
     x0 = np.where(np.arange(n) < 64, 1.0, -1.0)
     factors = spy_on(monkeypatch, "lu_factor")
     report = qp_newton_solve(q, x0)
-    assert [(args[0].shape[0], f.singular) for args, f in factors] == [
+    assert [(args[0].shape[0], f.singular) for args, (f, _) in factors] == [
         (64, False), (1, True), (65, True)]
     monkeypatch.setattr(pwls, "REUSE_MIN_SIZE", n + 1)
     fresh = qp_newton_solve(q, x0)
@@ -323,7 +323,7 @@ def test_singular_capacitance_falls_back_to_a_fresh_factor(monkeypatch):
     factors = spy_on(monkeypatch, "lu_factor")
     report = qp_newton_solve(q, x0)
     # the third step reuses the fresh factor of the second through a 1 x 1 system
-    assert [(args[0].shape[0], f.singular) for args, f in factors] == [
+    assert [(args[0].shape[0], f.singular) for args, (f, _) in factors] == [
         (64, False), (2, True), (64, False), (1, False)]
     monkeypatch.setattr(pwls, "REUSE_MIN_SIZE", n + 1)
     fresh = qp_newton_solve(q, x0)
@@ -713,7 +713,7 @@ def test_projection_kkt_characterization():
     for _ in range(50):
         n = int(rng.integers(1, 13))
         a = rng.standard_normal((n, n))
-        if factor(a).singular:
+        if factor(a, np.zeros(n))[0].singular:
             continue
         ci = ConeInstance(A=a, z=3.0 * rng.standard_normal(n))
         result = cone_projection(ci)

@@ -146,7 +146,7 @@ def test_lapack_lu_and_pivot_rule_are_named_only_by_linalg():
     # linalg.  qp calls potrf on its own in two places, neither a factor it
     # solves with: QpProblem.is_positive_definite and the bordered step's
     # Schur-complement certificate
-    kernels = {"dgetrf", "dgetrs", "dpotrs", "PIVOT_RTOL"}
+    kernels = {"dgesv", "dgetrs", "dposv", "dpotrs", "PIVOT_RTOL"}
     naming = {path.name: sorted(kernels & named_identifiers(ast.parse(path.read_text())))
               for path in sorted(SOURCE_DIR.rglob("*.py"))}
     assert {name: found for name, found in naming.items() if found} == {
@@ -182,3 +182,34 @@ def test_newton_driver_judges_every_iterate_at_one_site():
     # x0 is iterate 0, so one pattern and one residual call serve every iterate
     driver = top_level_function(SOURCE_DIR / "pwls.py", "_iterate_patterns")
     assert [call_sites(driver, name) for name in ("sign_pattern", "residual_of")] == [1, 1]
+
+
+def calls_by_function(tree: ast.AST, name: str) -> dict[str, int]:
+    """Calls of ``name`` (bare or as an attribute) per innermost enclosing function."""
+    found = {}
+
+    def visit(node: ast.AST, function: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                if getattr(func, "id", None) == name or getattr(func, "attr", None) == name:
+                    found[function] = found.get(function, 0) + 1
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else function)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_calls_by_function_are_found():
+    tree = ast.parse("f()\ndef g():\n    a.f(f())\n    def h():\n        f\n        f()\n")
+    assert calls_by_function(tree, "f") == {"<module>": 1, "g": 2, "h": 1}
+
+
+def test_held_factors_solve_only_in_the_bordered_steps():
+    # every fresh step and capacitance system solves in its lu_factor call;
+    # only a bordered step solves again, with the held factor, once
+    found = {path.name: calls_by_function(ast.parse(path.read_text()), "lu_solve")
+             for path in sorted(SOURCE_DIR.rglob("*.py"))}
+    assert {name: calls for name, calls in found.items() if calls} == {
+        "pwls.py": {"bordered": 1}, "qp.py": {"bordered": 1}}

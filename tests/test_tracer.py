@@ -41,11 +41,12 @@ def traced_solve(tracer, solve):
 
 
 def test_traced_solves_record_lu_spans(tracer):
-    # a QP step factors and solves once when its active set is non-empty and
-    # not at all otherwise (from -1 the first one is empty); a T/b step with
-    # n below REUSE_MIN_SIZE always does, and the T/b solve runs the residual
-    # rule, the only caller of pwls.residual.  Every iterate, x0 included, has
-    # its pattern taken once.
+    # a QP step factors and solves, in one lu_factor call, when its active
+    # set is non-empty and not at all otherwise (from -1 the first one is
+    # empty); a T/b step with n below REUSE_MIN_SIZE always does.  Neither
+    # holds a factor, so lu_solve is never called.  The T/b solve runs the
+    # residual rule, the only caller of pwls.residual.  Every iterate, x0
+    # included, has its pattern taken once.
     rng = np.random.default_rng(3)
     q = tracer.qp.QpProblem(Q=spd_near_identity(8, 0.3, rng), b_tilde=rng.standard_normal(8))
     p = tracer.pwls.PwlsProblem(T=[[3.0, 1.0], [0.5, 2.0]], b=[1.0, -1.0])
@@ -56,7 +57,7 @@ def test_traced_solves_record_lu_spans(tracer):
         factored = sum(bool(bits.any()) for bits in steps) if qp_path else len(steps)
         assert 0 < factored and (factored < len(steps)) is qp_path
         assert calls["solve"] == 1
-        assert calls["linalg.lu_factor"] == calls["linalg.lu_solve"] == factored
+        assert calls["linalg.lu_factor"] == factored and calls["linalg.lu_solve"] == 0
         assert calls["pwls.sign_pattern"] == report.iterations + 1
         assert (calls["pwls.residual"] > 0) is not qp_path
 
@@ -93,9 +94,9 @@ def replay_reuse_rule(steps, order):
 def test_traced_bordered_steps_feed_layer_metrics(tracer):
     # from the planted solution with three signs flipped, the first step
     # factors Q_AA afresh and later ones that change few indices reuse it:
-    # a reused step factors only its capacitance matrix and solves twice,
-    # once against the border with the held factor and once with the
-    # capacitance factor.  Set-up is traced too, as in a benchmark run.
+    # a reused step solves against the border with the held factor, then
+    # factors and solves its capacitance system in one lu_factor call.
+    # Set-up is traced too, as in a benchmark run.
     t = tracer.Tracer()
     with t.installed(solve=False):
         cfg = tracer.gen.GeneratorConfig(n=160, beta_low=0.1, beta_high=0.5)
@@ -112,7 +113,7 @@ def test_traced_bordered_steps_feed_layer_metrics(tracer):
     fresh, reused = replay_reuse_rule(report.pattern_trace[: report.iterations], np.count_nonzero)
     assert fresh > 0 and reused > 0
     assert calls["linalg.lu_factor"] == fresh + reused
-    assert calls["linalg.lu_solve"] == fresh + 2 * reused
+    assert calls["linalg.lu_solve"] == reused
 
     patterns = np.asarray(report.pattern_trace, dtype=np.int8)
     traced = {"time": 1.0, "solves": 1, "iterations": report.iterations,
@@ -122,15 +123,16 @@ def test_traced_bordered_steps_feed_layer_metrics(tracer):
                                          untraced_s_per_solve=1.0,
                                          untraced_ms_per_iteration=1.0, bare_ms=1.0)
     assert metrics["linalg.lu_factor.calls"]["value"] == fresh + reused
-    assert metrics["linalg.lu_solve.calls"]["value"] == fresh + 2 * reused
+    assert metrics["linalg.lu_solve.calls"]["value"] == reused
     assert all(np.isfinite(m["value"]) for m in metrics.values())
 
 
 def test_traced_tb_held_factor_steps(tracer):
     # a T/b solve at n >= REUSE_MIN_SIZE factors T + diag(s) afresh at its
     # first step and reuses that factor at later steps that change few
-    # indices: a reused step factors only its capacitance matrix and solves
-    # twice, as a bordered QP step does
+    # indices: a reused step solves against the unit columns with the held
+    # factor and factors and solves its capacitance system in one call, as a
+    # bordered QP step does
     n = 100
     assert n >= tracer.pwls.REUSE_MIN_SIZE
     cfg = tracer.gen.GeneratorConfig(n=n, beta_low=0.5, beta_high=1e3)
@@ -142,4 +144,4 @@ def test_traced_tb_held_factor_steps(tracer):
     fresh, reused = replay_reuse_rule(report.pattern_trace[: report.iterations], lambda bits: n)
     assert fresh > 0 and reused > 0
     assert calls["linalg.lu_factor"] == fresh + reused
-    assert calls["linalg.lu_solve"] == fresh + 2 * reused
+    assert calls["linalg.lu_solve"] == reused
