@@ -6,8 +6,8 @@ call: LU with partial pivoting and a scale-invariant singularity flag
 its Factor solves again by getrs or potrs.  Also the spectral norm and
 ||M^-1|| from the singular values (gesdd), and every module's input checks.
 
-All functions are pure: they never mutate their arguments and keep no
-shared state, so concurrent calls on distinct inputs need no locking.
+factor overwrites m; every other function is pure.  None keeps shared
+state, so concurrent calls on distinct inputs need no locking.
 """
 
 from __future__ import annotations
@@ -89,6 +89,7 @@ def factor(m: np.ndarray, rhs: np.ndarray, scale: Optional[float] = None,
     One call to gesv (posv with ``spd``), byte for byte getrf then getrs (potrf
     then potrs); X is void when M is flagged singular.  For the flag alone pass
     a zero vector: OpenBLAS's gesv does not factor when rhs has no columns.
+    m is scratch, factored in place when F-contiguous; rhs is never written.
 
     By default M = P L U with partial pivoting, flagged singular when any
     pivot falls below PIVOT_RTOL * max|M|.  The rule must flag the exactly
@@ -110,20 +111,25 @@ def factor(m: np.ndarray, rhs: np.ndarray, scale: Optional[float] = None,
     that cannot overflow.  A NaN or inf that posv reads makes it fail or
     reaches L's diagonal, whose argmax (a NaN, if any) is the finite check;
     argmax and argmin cost less than a ufunc reduce on small diagonals.
-    When posv fails, M is not positive definite and the LU branch decides:
+    When posv fails, M is not positive definite.  posv has overwritten its
+    lower triangle, so M is rebuilt from the strict upper triangle, which
+    posv never writes, and the diagonal saved before; the LU branch decides:
     its factors and X are returned when flagged singular; otherwise M is
     nonsingular and indefinite, and NotPositiveDefiniteError is raised.
     """
     if spd:
-        c, x, info = dposv(m, rhs, lower=1)
+        m_diagonal = m.diagonal().copy()
+        c, x, info = dposv(m, rhs, lower=1, overwrite_a=1)
         if info < 0:
             raise ValueError(f"illegal value in argument {-info} of posv")
         if info == 0:
             c_diagonal = c.diagonal()
             if not math.isfinite(c_diagonal[c_diagonal.argmax()]):  # inf / inf warns in ratios
                 raise ValueError("matrix must contain only finite values")
-            ratios = c_diagonal / m.diagonal() * c_diagonal
+            ratios = c_diagonal / m_diagonal * c_diagonal
             return Factor(c, None, float(ratios[ratios.argmin()]) < PIVOT_RTOL), x
+        np.copyto(m, m.T, where=np.tri(len(m), k=-1, dtype=bool))  # lower from strict upper
+        np.fill_diagonal(m, m_diagonal)
         f, x = factor(m, rhs, scale)
         if not f.singular:
             raise NotPositiveDefiniteError(
@@ -134,7 +140,7 @@ def factor(m: np.ndarray, rhs: np.ndarray, scale: Optional[float] = None,
         raise ValueError("matrix must contain only finite values")
     scale = size if scale is None else max(size, scale)
     # gesv factors singular input too (info > 0), leaving a zero pivot in U
-    lu, piv, x, info = dgesv(m, rhs)
+    lu, piv, x, info = dgesv(m, rhs, overwrite_a=1)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of gesv")
     smallest = np.fmin.reduce(np.abs(lu.diagonal()))  # NaN only if every pivot is
@@ -153,6 +159,7 @@ def inv_spectral_norm(m) -> float:
     the norm is defined wherever an LU solve with M is allowed.
     """
     m = as_square_matrix(m)
-    if factor(m, np.zeros(m.shape[0]))[0].singular:
+    # factor gets a copy to overwrite, since svdvals reads m next
+    if factor(m.copy(order="F"), np.zeros(m.shape[0]))[0].singular:
         raise SingularMatrixError("matrix is singular; ||M^-1|| is undefined")
     return float(1.0 / sla.svdvals(m, check_finite=False)[-1])

@@ -76,7 +76,8 @@ class ConeInstance:
     def __post_init__(self):
         self.A = as_square_matrix(self.A, "A")
         self.z = as_vector(self.z, "z", self.A.shape[0])
-        if factor(self.A, np.zeros(self.n))[0].singular:
+        # factor gets a copy to overwrite: self.A may be the caller's array
+        if factor(self.A.copy(order="F"), np.zeros(self.n))[0].singular:
             raise SingularMatrixError("A must be nonsingular to define a simplicial cone")
 
     @property

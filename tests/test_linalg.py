@@ -57,22 +57,29 @@ def test_lu_zero_matrix_is_singular():
     assert factor_of(np.zeros((3, 3))).singular
 
 
+def strided_copy(m):
+    """A copy of m as a strided submatrix view, neither C- nor F-contiguous."""
+    n = m.shape[0]
+    view = np.zeros((n + 1, 2 * n))[1:, ::2]
+    view[...] = m
+    return view
+
+
 def test_lu_kernels_match_scipy_bit_for_bit():
     # gesv is called directly and equals getrf then getrs, which scipy's
     # lu_factor/lu_solve wrap, so factors and solutions agree bit for bit;
     # same for C- and F-ordered input and for a strided submatrix view, for
     # vector and matrix right-hand sides, and for the identity that forms
-    # M^-1.  A held factor's solve is getrs too.
+    # M^-1.  A held factor's solve is getrs too.  factor may overwrite its
+    # matrix, so each call gets its own copy, in the layout under test.
     rng = np.random.default_rng(41)
     for n in (1, 2, 7, 50, 99):
         for grading in (np.ones(n), np.logspace(-4, 4, n)):
             m = rng.standard_normal((n, n)) * grading[:, np.newaxis]
-            view = np.zeros((n + 1, 2 * n))[1:, ::2]
-            view[...] = m
-            for a in (m, np.asfortranarray(m), view):
-                lu, piv = sla.lu_factor(a)
+            for layout in (np.array, np.asfortranarray, strided_copy):
+                lu, piv = sla.lu_factor(layout(m))
                 for rhs in (rng.standard_normal(n), rng.standard_normal((n, 12)), np.eye(n)):
-                    f, x = factor(a, rhs)
+                    f, x = factor(layout(m), rhs)
                     assert not f.singular
                     assert f.lu.tobytes() == lu.tobytes()
                     assert np.array_equal(f.piv, piv) and f.piv.dtype == piv.dtype
@@ -84,14 +91,14 @@ def test_lu_kernels_match_scipy_bit_for_bit():
 def test_spd_kernels_match_potrf_then_potrs_bit_for_bit():
     # posv is potrf then potrs byte for byte, as gesv is getrf then getrs
     # above: factor, solution and flag.  Below order 100 that holds at any
-    # BLAS thread count.
+    # BLAS thread count.  posv factors each call's own copy of m in place.
     rng = np.random.default_rng(46)
     for n in (1, 3, 25, 64, 99):
         g = rng.standard_normal((n, n))
         m = np.asfortranarray(g @ g.T + np.eye(n))
         c, _ = dpotrf(m, lower=1, clean=0)
         for rhs in (rng.standard_normal(n), rng.standard_normal((n, 12))):
-            f, x = factor(m, rhs, spd=True)
+            f, x = factor(m.copy(order="F"), rhs, spd=True)
             assert f.lu.tobytes() == c.tobytes() and f.piv is None
             assert x.tobytes() == dpotrs(c, rhs, lower=1)[0].tobytes()
             assert f.singular is bool((np.square(c.diagonal()) < PIVOT_RTOL * m.diagonal()).any())
@@ -127,7 +134,8 @@ def test_lu_exactly_singular_matches_scipy():
 def test_lu_kernels_raise_on_illegal_lapack_argument(monkeypatch):
     # LAPACK reports a bad argument as info < 0; scipy raises ValueError too
     f = factor_of(np.eye(2))
-    monkeypatch.setattr(linalg, "dgesv", lambda m, b: (m, np.zeros(2, np.int32), b, -1))
+    monkeypatch.setattr(linalg, "dgesv",
+                        lambda m, b, overwrite_a: (m, np.zeros(2, np.int32), b, -1))
     with pytest.raises(ValueError, match="argument 1 of gesv"):
         factor_of(np.eye(2))
     monkeypatch.setattr(linalg, "dgetrs", lambda lu, piv, b: (b, -3))
@@ -145,7 +153,8 @@ def test_lu_pivot_flag_skips_nan_pivots(monkeypatch, pivots, singular):
     # a NaN pivot neither sets nor hides the flag; a pivot below
     # PIVOT_RTOL * max|M| (here 1e-12) sets it
     lu = np.diag(pivots)
-    monkeypatch.setattr(linalg, "dgesv", lambda m, b: (lu, np.zeros(2, np.int32), b, 0))
+    monkeypatch.setattr(linalg, "dgesv",
+                        lambda m, b, overwrite_a: (lu, np.zeros(2, np.int32), b, 0))
     assert factor_of(np.eye(2)).singular is singular
 
 
@@ -247,7 +256,7 @@ def test_spd_factor_rejects_non_finite_matrix():
 
 def test_spd_kernels_raise_on_illegal_lapack_argument(monkeypatch):
     f = factor_of(np.eye(2), spd=True)
-    monkeypatch.setattr(linalg, "dposv", lambda m, b, lower: (m, b, -1))
+    monkeypatch.setattr(linalg, "dposv", lambda m, b, lower, overwrite_a: (m, b, -1))
     with pytest.raises(ValueError, match="argument 1 of posv"):
         factor_of(np.eye(2), spd=True)
     monkeypatch.setattr(linalg, "dpotrs", lambda c, b, lower: (b, -2))
@@ -255,14 +264,41 @@ def test_spd_kernels_raise_on_illegal_lapack_argument(monkeypatch):
         f.solve(np.ones(2))
 
 
-def test_lu_factor_does_not_mutate_its_argument():
+def test_factor_leaves_its_right_hand_side_untouched():
+    # m is scratch, rhs is not: neither branch writes into it, in any layout,
+    # nor does the SPD branch when posv fails and the LU branch decides
     rng = np.random.default_rng(44)
-    m = rng.standard_normal((6, 6))
-    for a in (m, np.asfortranarray(m), np.diag([0.0, 2.0])):
-        rhs = rng.standard_normal(a.shape[0])
-        before = a.copy(), rhs.copy()
-        factor(a, rhs)
-        assert (a.tobytes(), rhs.tobytes()) == (before[0].tobytes(), before[1].tobytes())
+    g = rng.standard_normal((6, 6))
+    cases = [(g, False), (np.diag([0.0, 2.0]), False), (g @ g.T + np.eye(6), True),
+             (np.ones((6, 6)), True)]
+    for m, spd in cases:
+        n = m.shape[0]
+        for rhs in (rng.standard_normal(n), rng.standard_normal((n, 3)),
+                    np.asfortranarray(rng.standard_normal((n, 3)))):
+            before = rhs.tobytes()
+            factor(np.asfortranarray(m), rhs, spd=spd)
+            assert rhs.tobytes() == before
+
+
+def test_spd_fallback_factors_the_matrix_posv_was_given():
+    # posv writes L over the lower triangle as it goes.  At order 70 a blocked
+    # potrf has written L into columns 1 to 69 when it fails at column 70, so
+    # the LU branch must see M rebuilt, not the matrix posv left behind.
+    rng = np.random.default_rng(48)
+    n = 70
+    g = rng.standard_normal((n - 1, n - 1))
+    m = np.zeros((n, n))
+    m[:-1, :-1] = g @ g.T + np.eye(n - 1)
+    # exactly singular: the LU factors of the original come back, flagged
+    with pytest.warns(sla.LinAlgWarning):
+        lu, piv = sla.lu_factor(m)
+    f, _ = factor(np.asfortranarray(m), np.zeros(n), spd=True)
+    assert f.singular and f.lu.tobytes() == lu.tobytes() and np.array_equal(f.piv, piv)
+    # nonsingular and indefinite: refused
+    m[-1, -1] = -1.0
+    m[0, -1] = m[-1, 0] = 0.5
+    with pytest.raises(NotPositiveDefiniteError, match="not positive definite"):
+        factor(np.asfortranarray(m), np.zeros(n), spd=True)
 
 
 def test_as_vector_rejects_non_vector_input():

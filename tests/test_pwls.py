@@ -392,7 +392,8 @@ def test_step_kernels_share_the_exported_pivot_rule(scale):
     # the Newton steps factor and solve through linalg's one entry point,
     # which solves as it factors, and solve again with a held factor; its
     # factors and both solutions are scipy's byte for byte, and its flag is
-    # the stated rule: min|U_ii| < PIVOT_RTOL * max(max|M|, scale)
+    # the stated rule: min|U_ii| < PIVOT_RTOL * max(max|M|, scale).  Each call
+    # factors its own copy of the matrix, which it may overwrite.
     assert pwls.lu_factor is factor and pwls.lu_solve is Factor.solve
     rng = np.random.default_rng(62)
     flags = set()
@@ -404,7 +405,7 @@ def test_step_kernels_share_the_exported_pivot_rule(scale):
                 lu, piv = sla.lu_factor(a, check_finite=False)
             judged = max(float(np.abs(m).max()), size or 0.0)
             for rhs in (rng.standard_normal(m.shape[0]), rng.standard_normal((m.shape[0], 3))):
-                f, x = pwls.lu_factor(a, rhs, size)
+                f, x = pwls.lu_factor(a.copy(order="K"), rhs, size)
                 assert f.lu.tobytes() == lu.tobytes() and f.piv.tobytes() == piv.tobytes()
                 assert f.singular is bool(np.abs(lu.diagonal()).min() < PIVOT_RTOL * judged)
                 flags.add(f.singular)

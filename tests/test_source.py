@@ -123,6 +123,14 @@ def test_reuse_limits_are_named_only_by_the_newton_driver():
     assert naming == ["pwls.py"]
 
 
+def test_only_linalg_lets_lapack_overwrite_its_input():
+    # factor consumes its matrix; which arrays may be handed to it is decided
+    # next to the one place that passes scipy's overwrite flags
+    naming = sorted(path.name for path in SOURCE_DIR.rglob("*.py")
+                    if "overwrite_" in path.read_text())
+    assert naming == ["linalg.py"]
+
+
 def named_identifiers(tree: ast.AST) -> set[str]:
     """Every name, attribute and imported name the code in tree refers to."""
     found = set()
