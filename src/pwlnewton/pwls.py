@@ -38,7 +38,8 @@ REUSE_RATIO = 8
 
 # every Newton step factors and solves through these names, looked up at call
 # time so that one wrapper sees every step; lu_factor also solves, and lu_solve
-# serves held factors with their own kernel (potrs after the QP's spd=True)
+# serves held factors with their own kernel (potrs after the QP's spd=True).
+# Newton-path products use ndarray.dot: the BLAS call @ makes, without its dispatch
 lu_factor = factor
 lu_solve = Factor.solve
 
@@ -186,7 +187,7 @@ class ConditionReport:
 def residual(p: PwlsProblem, x) -> np.ndarray:
     """F(x) = x+ + T x - b."""
     x = as_vector(x, "x", p.n)
-    return np.maximum(x, 0.0) + p.T @ x - p.b
+    return np.maximum(x, 0.0) + p.T.dot(x) - p.b
 
 
 def _pattern_matrix(T: np.ndarray, bits: SignPattern) -> np.ndarray:
@@ -257,7 +258,7 @@ def _iterate_patterns(
     else:
         if u.size != rhs.size:
             raise DimensionError(f"known_solution has length {u.size}, expected {rhs.size}")
-        bound = opts.tol_x * (1.0 + math.sqrt(u @ u))
+        bound = opts.tol_x * (1.0 + math.sqrt(u.dot(u)))
 
     patterns: list[SignPattern] = []
     trace: Optional[list[np.ndarray]] = [] if opts.keep_iterates else None
@@ -284,7 +285,7 @@ def _iterate_patterns(
         previous = seen.get(key)
         if u is not None:
             d = u - x
-            if math.sqrt(d @ d) < bound:
+            if math.sqrt(d.dot(d)) < bound:
                 return report(SolveStatus.CONVERGED)
             if previous == k - 1:
                 # stationary but outside the distance tolerance: no later
@@ -358,7 +359,7 @@ def newton_solve(p: PwlsProblem, x0, opts: Optional[SolverOptions] = None) -> So
         f_cap, z = lu_factor(cap, y.take(d), size)
         if f_cap.singular:
             return None
-        return y - y_d @ z
+        return y - y_d.dot(z)
 
     return _iterate_patterns(x0, p.b, opts, fresh, bordered, residual_of=lambda x: residual(p, x))
 

@@ -111,7 +111,7 @@ def _minus_identity(Q: np.ndarray) -> np.ndarray:
 def _qp_residual(q: QpProblem, x: np.ndarray) -> np.ndarray:
     """Residual [Q - I] x+ + x + b_tilde of the QP equation at a checked x."""
     xp = np.maximum(x, 0.0)
-    r = q.Q @ xp  # then in place, in the left-to-right order of Q xp - xp + x + b_tilde
+    r = q.Q.dot(xp)  # then in place, in the left-to-right order of Q xp - xp + x + b_tilde
     r -= xp
     r += x
     r += q.b_tilde
@@ -179,7 +179,7 @@ def qp_newton_solve(q: QpProblem, x0, opts: Optional[SolverOptions] = None) -> S
         if f.singular:
             return None
         # Q is exactly symmetric, so x_A @ Q[A] is Q[:, A] x_A
-        x = minus_b - x_a @ rows
+        x = minus_b - x_a.dot(rows)
         x[a] = x_a
         return x, a.size, (f, a, rows, x_a)
 
@@ -197,21 +197,21 @@ def qp_newton_solve(q: QpProblem, x0, opts: Optional[SolverOptions] = None) -> S
         border[d, np.arange(ne, k)] = 1.0
         solved = pwls.lu_solve(f, border)
         # B^T Q_PP^-1 B, a product on the Q_EP rows and a gather on the unit rows, less G
-        cap = np.concatenate((q_ep @ solved, solved.take(d, axis=0)))
+        cap = np.concatenate((q_ep.dot(solved), solved.take(d, axis=0)))
         size = float(np.abs(cap).max())
         cap[:ne, :ne] -= q_e.take(e, axis=1)
         # minus the Schur complement S of the positive definite Q_PP in Q_{P+E},
         # which is positive definite exactly when S is, and then so is Q_AA in it
         if ne and dpotrf(-cap[:ne, :ne], lower=1, clean=0)[1]:
             return None
-        f_cap, z = pwls.lu_factor(cap, np.concatenate((q_ep @ y - minus_b.take(e), y.take(d))),
+        f_cap, z = pwls.lu_factor(cap, np.concatenate((q_ep.dot(y) - minus_b.take(e), y.take(d))),
                                   size)
         if f_cap.singular:
             return None
-        x_p = y - solved @ z  # fresh, unlike the held rows and y
+        x_p = y - solved.dot(z)  # fresh, unlike the held rows and y
         x_e = z[:ne]
         x_p[d] = 0.0
-        x = minus_b - x_p @ rows - x_e @ q_e
+        x = minus_b - x_p.dot(rows) - x_e.dot(q_e)
         x[p[kept]] = x_p[kept]
         x[e] = x_e
         return x

@@ -5,6 +5,24 @@ import numpy as np
 from pwlnewton import pwls
 
 
+# finite edges of float64: the largest magnitudes, the smallest subnormal and -0.0
+EXTREME_FINITE_VECTORS = [np.array([1.7976931348623157e308, -1.7976931348623157e308, 5e-324, -0.0]),
+                          np.array([1.7976931348623157e308]), np.array([5e-324]),
+                          np.array([-0.0])]
+
+
+def non_finite_vectors() -> list[np.ndarray]:
+    """NaN, +inf and -inf first, in the middle and last of five entries, alone, and everywhere."""
+    found = []
+    for bad in (np.nan, np.inf, -np.inf):
+        for i in (0, 2, 4):
+            v = np.linspace(-2.0, 2.0, 5)
+            v[i] = bad
+            found.append(v)
+        found += [np.array([bad]), np.full(4, bad)]
+    return found + [np.array([np.inf, np.nan, -np.inf])]
+
+
 def matrix_with_inv_norm(n: int, lam: float, rng: np.random.Generator) -> np.ndarray:
     """Nonsingular T with ||T^-1|| = lam, built from a prescribed SVD of T^-1.
 

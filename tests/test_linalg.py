@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from pwlnewton import (
     inv_spectral_norm,
     spectral_norm,
 )
+from _random_problems import EXTREME_FINITE_VECTORS, non_finite_vectors
+
 from pwlnewton import linalg
 from pwlnewton.gen import sym_eig
 from pwlnewton.linalg import PIVOT_RTOL, as_vector, factor
@@ -311,6 +314,39 @@ def test_as_vector_rejects_non_vector_input():
 def test_as_vector_rejects_wrong_length():
     with pytest.raises(DimensionError, match=r"b has length 2, expected 3"):
         as_vector([1.0, 2.0], "b", 3)
+
+
+@pytest.mark.parametrize("v", non_finite_vectors())
+def test_as_vector_rejects_every_non_finite_entry(v):
+    for given in (v, v.tolist()):
+        with pytest.raises(ValueError, match="^x must contain only finite values$"):
+            as_vector(given, "x")
+
+
+@pytest.mark.parametrize("v", EXTREME_FINITE_VECTORS)
+def test_as_vector_accepts_the_finite_extremes_without_a_warning(v):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert as_vector(v).tobytes() == v.tobytes()
+
+
+def test_dot_and_matmul_agree_byte_for_byte_on_the_step_shapes():
+    # the Newton path multiplies with ndarray.dot where its iterates were once
+    # computed with @; both reach the same BLAS call today, and a numpy whose
+    # dispatch differs would move iterates, so it fails here instead
+    rng = np.random.default_rng(29)
+    empty = np.empty(0)
+    for m in range(1, 301):
+        square = rng.standard_normal((m, m))  # T or Q, and the lift's rows
+        v = rng.standard_normal(m)
+        pairs = [(v, v), (square, v), (v, square), (empty, np.empty((0, m)))]
+        for k in range(1, 13):
+            rows = rng.standard_normal((k, m))  # a gathered Q_EP or Q[E]
+            solved = np.asfortranarray(rng.standard_normal((m, k)))  # a getrs/potrs output
+            z = rng.standard_normal(k)
+            pairs += [(solved, z), (z, rows), (rows, solved), (rows, v)]
+        for a, b in pairs:
+            assert a.dot(b).tobytes() == (a @ b).tobytes(), (a.shape, b.shape, m)
 
 
 def test_lu_inverse():

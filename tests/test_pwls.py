@@ -10,7 +10,14 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 from _oracles import definite_sign_rows, enumerate_solutions, finite_termination_holds, fixed_point
-from _random_problems import m_matrix, matrix_with_inv_norm, planted_pwls, spy_on
+from _random_problems import (
+    EXTREME_FINITE_VECTORS,
+    m_matrix,
+    matrix_with_inv_norm,
+    non_finite_vectors,
+    planted_pwls,
+    spy_on,
+)
 
 from pwlnewton import (
     DimensionError,
@@ -51,6 +58,27 @@ def test_sign_pattern():
     assert np.array_equal(sign_pattern([4.0, 1.0]), [True, True])
     assert np.array_equal(sign_pattern([-1.0, -2.0]), [False, False])
     assert np.array_equal(sign_pattern([-0.0, 1e-300]), [False, True])
+
+
+@pytest.mark.parametrize("v", non_finite_vectors())
+def test_sign_pattern_rejects_every_non_finite_entry(v):
+    with pytest.raises(ValueError, match="^vector must contain only finite values$"):
+        sign_pattern(v)
+
+
+def test_sign_pattern_accepts_the_finite_extremes_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        patterns = [sign_pattern(v).tolist() for v in EXTREME_FINITE_VECTORS]
+    assert patterns == [[True, False, True, False], [True], [True], [False]]
+
+
+def test_overflowing_iterate_raises_from_the_library():
+    # the second coordinate's step is 1e300 / 1e-11; the CLI names it the same way
+    p = PwlsProblem(T=[[1e-11, 0.0], [0.0, 1.0]], b=[1e300, 1.0])
+    with pytest.raises(ValueError) as raised:
+        newton_solve(p, np.zeros(2))
+    assert raised.value.args == ("Newton iterate 1 is not finite (the step overflowed)",)
 
 
 def test_residual_golden():

@@ -141,6 +141,14 @@ def test_qp_identity_one_iteration():
     np.testing.assert_array_equal(report.solution, -b_tilde)
 
 
+def test_overflowing_iterate_raises_from_the_library():
+    # Q is SPD and passes the pivot rule; the second step's x_2 = 1e311 overflows
+    q = QpProblem(Q=[[1.0, 0.0], [0.0, 1e-11]], b_tilde=[-1.0, -1e300])
+    with pytest.raises(ValueError) as raised:
+        qp_newton_solve(q, np.zeros(2))
+    assert raised.value.args == ("Newton iterate 2 is not finite (the step overflowed)",)
+
+
 def test_qp_scalar_closed_form():
     report = qp_newton_solve(scalar_problem(), np.zeros(1))
     assert report.status is SolveStatus.CONVERGED_EXACT

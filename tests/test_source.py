@@ -221,3 +221,27 @@ def test_held_factors_solve_only_in_the_bordered_steps():
              for path in sorted(SOURCE_DIR.rglob("*.py"))}
     assert {name: calls for name, calls in found.items() if calls} == {
         "pwls.py": {"bordered": 1}, "qp.py": {"bordered": 1}}
+
+
+def matmuls(tree: ast.AST) -> list[int]:
+    """Line of every ``@`` product in tree (decorators are not products)."""
+    products = (ast.BinOp, ast.AugAssign)
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, products) and isinstance(node.op, ast.MatMult))
+
+
+def test_matmuls_are_found():
+    tree = ast.parse("@d\ndef f(a):\n    a @= a\n    return a @ (lambda b: b @ b)(a)\n")
+    assert matmuls(tree) == [3, 4, 4]
+
+
+def test_newton_path_multiplies_with_ndarray_dot():
+    # ndarray.dot makes the BLAS call (ddot, dgemv, dgemm) that @ makes, without
+    # the matmul gufunc's dispatch around it: a 50-vector dot took 0.39 against
+    # 0.72 us, and a 25 x 50 QP lift 0.52 against 0.94 us (one BLAS thread, a
+    # 2-vCPU Xeon); each solve pays that per iterate and per step
+    path = {"pwls.py": ("residual", "_iterate_patterns", "newton_solve"),
+            "qp.py": ("_qp_residual", "qp_newton_solve")}
+    found = {f"{module}:{name}": matmuls(top_level_function(SOURCE_DIR / module, name))
+             for module, names in path.items() for name in names}
+    assert {name: lines for name, lines in found.items() if lines} == {}
