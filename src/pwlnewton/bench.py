@@ -77,26 +77,24 @@ def write_csv(records: Sequence[BenchRecord], handle: TextIO) -> None:
         writer.writerow(record.to_row())
 
 
-def _check_settings(tolxs: Sequence[float], max_iter: int, repeats: int, seed: int,
-                    sizes: Sequence[int]) -> None:
-    """Refuse an out-of-range tolx, max_iter, repeats, seed or n before any instance is drawn."""
+def _check_settings(tolxs: Sequence[float], max_iter: int, repeats: int, seed: int) -> None:
+    """Refuse an out-of-range tolx, max_iter, repeats or seed before any instance is drawn."""
     for tolx in tolxs:
         SolverOptions(max_iter=max_iter, tol_x=tolx)
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
-    for n in sizes:
-        if n < 1:
-            raise ValueError(f"n must be at least 1, got {n}")
 
 
 def _config(seed: int, tag: int, key: int, n: int, beta_low: float,
             beta_high: float) -> GeneratorConfig:
     """Generator settings for the sub-stream (seed, tag, key); refuses a bad n or beta range."""
+    # checked first: the key may be n, which the seed stream refuses below 0 in its own words
+    cfg = GeneratorConfig(n=n, beta_low=beta_low, beta_high=beta_high)
     entropy = [int(seed), int(tag), int(key)]
-    subseed = int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
-    return GeneratorConfig(n=n, beta_low=beta_low, beta_high=beta_high, seed=subseed)
+    cfg.seed = int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
+    return cfg
 
 
 def _solve_row(experiment: str, inst: GeneratedInstance, tolx: float, index: str,
@@ -138,10 +136,12 @@ def run_bench_dim(
     comparable between accuracy levels.  Summary records per (n, tolx):
     total-iterations and total-runtime.
     """
-    _check_settings(tolxs, max_iter, repeats, seed, sizes)
+    _check_settings(tolxs, max_iter, repeats, seed)
+    # every n is checked before the first batch is drawn
+    configs = [_config(seed, _DIM_TAG, n, n, beta_low, beta_high) for n in sizes]
     records: list[BenchRecord] = []
-    for n in sizes:
-        batch = make_batch(_config(seed, _DIM_TAG, n, n, beta_low, beta_high), count)
+    for n, cfg in zip(sizes, configs):
+        batch = make_batch(cfg, count)
         for tolx in tolxs:
             rows = [_solve_row("bench-dim", inst, tolx, str(i), max_iter, repeats)
                     for i, inst in enumerate(batch)]
@@ -176,21 +176,19 @@ def run_bench_starts(
     """
     if starts < 1:
         raise ValueError("starts must be at least 1")
-    _check_settings(tolxs, max_iter, repeats, seed, [n])
+    _check_settings(tolxs, max_iter, repeats, seed)
     batch = make_batch(_config(seed, _STARTS_TAG, n, n, *BETA_RANGE), problems)
     bound = GeneratorConfig.value_bound
+    # start j of problem i comes from its own sub-stream, drawn once for every tolx
+    x0s = [[np.random.default_rng(np.random.SeedSequence([int(seed), _STARTS_TAG, i, j]))
+            .uniform(-bound, bound, n) for j in range(starts)] for i in range(problems)]
     records: list[BenchRecord] = []
     for tolx in tolxs:
         means: list[float] = []
         stds: list[float] = []
-        for i, inst in enumerate(batch):
-            rows = []
-            for j in range(starts):
-                rng = np.random.default_rng(
-                    np.random.SeedSequence([int(seed), _STARTS_TAG, i, j]))
-                x0 = rng.uniform(-bound, bound, n)
-                rows.append(_solve_row("bench-starts", inst, tolx, f"{i}:{j}",
-                                       max_iter, repeats, x0))
+        for i, (inst, starts_of_i) in enumerate(zip(batch, x0s)):
+            rows = [_solve_row("bench-starts", inst, tolx, f"{i}:{j}", max_iter, repeats, x0)
+                    for j, x0 in enumerate(starts_of_i)]
             records += rows
             iteration_counts = [row.iterations for row in rows]
             mean = float(np.mean(iteration_counts))
@@ -226,7 +224,7 @@ def run_bench_beta(
     The mean is taken over solved instances only and emitted as "-" when
     nothing solved, matching how such cells are usually tabulated.
     """
-    _check_settings(tolxs, max_iter, repeats, seed, [n])
+    _check_settings(tolxs, max_iter, repeats, seed)
     # every range is checked before the first one is drawn
     configs = [_config(seed, _BETA_TAG, r, n, lb, ub) for r, (lb, ub) in enumerate(ranges)]
     records: list[BenchRecord] = []

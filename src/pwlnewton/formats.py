@@ -3,10 +3,11 @@
 Three problem kinds share one container layout, dispatched on "kind":
 
 * {"kind": "pwls", "T": [[...], ...], "b": [...]}
-* {"kind": "qp",   "Q": [[...], ...], "b_tilde": [...], "c": 0.0}
+* {"kind": "qp",   "Q": [[...], ...], "b_tilde": [...]}
 * {"kind": "cone", "A": [[...], ...], "z": [...]}
 
 Numbers are plain IEEE-754 doubles in decimal, never strings or true/false.
+Keys a kind does not name are ignored, among them a qp file's legacy "c".
 Parse errors raise ProblemFormatError with a message naming the offending field;
 a file larger than MAX_JSON_BYTES raises SizeGuardError before it is parsed.
 """
@@ -56,11 +57,7 @@ def parse_problem(obj) -> Problem:
     if kind == "pwls":
         return PwlsProblem(T=_field(obj, "T", kind), b=_field(obj, "b", kind))
     if kind == "qp":
-        return QpProblem(
-            Q=_field(obj, "Q", kind),
-            b_tilde=_field(obj, "b_tilde", kind),
-            c=_number(obj.get("c", 0.0), "c"),
-        )
+        return QpProblem(Q=_field(obj, "Q", kind), b_tilde=_field(obj, "b_tilde", kind))
     if kind == "cone":
         try:
             return ConeInstance(A=_field(obj, "A", kind), z=_field(obj, "z", kind))
@@ -90,13 +87,6 @@ def _field(obj: dict, name: str, kind: str) -> np.ndarray:
     if not np.isfinite(value).all():
         raise ProblemFormatError(f"field '{name}': contains non-finite values")
     return value
-
-
-def _number(value, name: str) -> float:
-    number = _numeric_array(value, f"field '{name}'")
-    if number.ndim != 0 or not np.isfinite(number):
-        raise ProblemFormatError(f"field '{name}': not a finite number")
-    return float(number)
 
 
 def load_vector_file(path: str) -> np.ndarray:

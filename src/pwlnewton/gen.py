@@ -39,7 +39,7 @@ class GeneratorConfig:
 
     def __post_init__(self):
         if self.n < 1:
-            raise ValueError("n must be at least 1")
+            raise ValueError(f"n must be at least 1, got {self.n}")
         if not 0.0 < self.beta_low < self.beta_high < np.inf:
             raise ValueError("need 0 < beta_low < beta_high < inf, "
                              f"got beta_low={self.beta_low!r}, beta_high={self.beta_high!r}")
@@ -107,7 +107,7 @@ def make_instance(cfg: GeneratorConfig, rng: np.random.Generator) -> GeneratedIn
     b_tilde = -(_minus_identity(q_matrix) @ np.maximum(u, 0.0) + u)
     x0 = rng.uniform(-cfg.value_bound, cfg.value_bound, cfg.n)
     return GeneratedInstance(
-        q=QpProblem(Q=q_matrix, b_tilde=b_tilde, c=0.0),
+        q=QpProblem(Q=q_matrix, b_tilde=b_tilde),
         known_solution=u,
         x0=x0,
         beta_used=beta,

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable, Optional
 
@@ -86,6 +86,11 @@ class SolverOptions:
     (the benchmark rule; norms Euclidean).  Otherwise the residual rule
     applies: stop when the max-norm residual falls below
     tol_f * (1 + max-norm of the right-hand side).
+
+    ``unit`` is derived, not set: 1, or 2^-e when max|u| = m 2^e >= 2^480
+    (1/2 <= m < 1).  The distance rule is judged on u and x times unit,
+    which a power of two scales exactly, so no size of u overflows the
+    rule's sums of squares; below 2^480 nothing changes.
     """
 
     max_iter: int = 100
@@ -93,6 +98,7 @@ class SolverOptions:
     tol_x: float = 1e-6
     known_solution: Optional[np.ndarray] = None
     keep_iterates: bool = False
+    unit: float = field(init=False, default=1.0)
 
     def __post_init__(self):
         try:
@@ -107,6 +113,9 @@ class SolverOptions:
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if self.known_solution is not None:
             self.known_solution = as_vector(self.known_solution, "known_solution")
+            top = float(np.abs(self.known_solution).max())
+            if top >= 2.0**480:
+                self.unit = math.ldexp(1.0, -math.frexp(top)[1])
 
 
 @dataclass(slots=True)
@@ -251,14 +260,16 @@ def _iterate_patterns(
     """
     opts = opts if opts is not None else SolverOptions()
     x = as_vector(x0, "x0", rhs.size).copy()
-    u = opts.known_solution
+    u, unit = opts.known_solution, opts.unit
     # the active stopping rule's threshold, computed once per solve
     if u is None:
         bound = opts.tol_f * (1.0 + float(np.abs(rhs).max()))
     else:
         if u.size != rhs.size:
             raise DimensionError(f"known_solution has length {u.size}, expected {rhs.size}")
-        bound = opts.tol_x * (1.0 + math.sqrt(u.dot(u)))
+        if unit != 1.0:
+            u = unit * u
+        bound = opts.tol_x * (unit + math.sqrt(u.dot(u)))
 
     patterns: list[SignPattern] = []
     trace: Optional[list[np.ndarray]] = [] if opts.keep_iterates else None
@@ -284,7 +295,7 @@ def _iterate_patterns(
         key = pat.tobytes()
         previous = seen.get(key)
         if u is not None:
-            d = u - x
+            d = u - x if unit == 1.0 else u - unit * x
             if math.sqrt(d.dot(d)) < bound:
                 return report(SolveStatus.CONVERGED)
             if previous == k - 1:

@@ -1,6 +1,6 @@
 """Nonnegative quadratic programming via the piecewise linear system.
 
-minimize 1/2 x^T Q x + x^T b_tilde + c over x >= 0, with Q symmetric
+minimize 1/2 x^T Q x + x^T b_tilde over x >= 0, with Q symmetric
 positive definite.  The optimality conditions reduce to the piecewise
 linear equation [Q - I] x+ + x = -b_tilde, solved here by the same
 pattern-driven Newton iteration as the T/b form, with each step reduced
@@ -36,7 +36,7 @@ from .pwls import (
 
 @dataclass
 class QpProblem:
-    """QP data (Q, b_tilde, c); an asymmetric Q is replaced by (Q + Q^T)/2.
+    """QP data (Q, b_tilde); an asymmetric Q is replaced by (Q + Q^T)/2.
 
     Symmetrizing loses nothing (the quadratic form is unchanged) and makes
     downstream symmetry assumptions unconditional.  An exactly symmetric Q
@@ -48,14 +48,12 @@ class QpProblem:
 
     Q: np.ndarray
     b_tilde: np.ndarray
-    c: float = 0.0
 
     def __post_init__(self):
         q = as_square_matrix(self.Q, "Q")
         # halving each term first cannot overflow on finite input
         self.Q = q.copy() if np.array_equal(q, q.T) else 0.5 * q + 0.5 * q.T
         self.b_tilde = as_vector(self.b_tilde, "b_tilde", self.Q.shape[0])
-        self.c = float(self.c)
 
     @property
     def n(self) -> int:
@@ -254,7 +252,7 @@ def check_qp_conditions(q: QpProblem) -> ConditionReport:
 
 def cone_instance_to_qp(ci: ConeInstance) -> QpProblem:
     """QP whose minimizer v satisfies projection(z) = A v."""
-    return QpProblem(Q=ci.A.T @ ci.A, b_tilde=-(ci.A.T @ ci.z), c=0.5 * float(ci.z @ ci.z))
+    return QpProblem(Q=ci.A.T @ ci.A, b_tilde=-(ci.A.T @ ci.z))
 
 
 def cone_projection(

@@ -136,6 +136,21 @@ def test_solve_qp_as_pwls_formulation(tmp_path, capsys):
     assert "solution: [2.0" in out
 
 
+@pytest.mark.parametrize("c", [3.5, "x", True, [7]], ids=["number", "string", "bool", "list"])
+@pytest.mark.parametrize("formulation", ["auto", "pwls"])
+def test_solve_ignores_a_legacy_c_in_a_qp_file(c, formulation, tmp_path, capsys):
+    # the objective's constant enters no step, so the format names no "c"
+    payload = {"kind": "qp", "Q": [[1.2, 0.1], [0.1, 1.1]], "b_tilde": [-2.4, 1.0]}
+    outputs = []
+    for name, obj in (("plain", payload), ("legacy", {**payload, "c": c})):
+        report = tmp_path / f"{name}.report.json"
+        argv = ["solve", write_json(tmp_path / f"{name}.json", obj), "--formulation", formulation,
+                "--trace", "--report", str(report)]
+        assert main(argv) == 0
+        outputs.append((capsys.readouterr(), report.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
 def test_solve_malformed_missing_field(tmp_path, capsys):
     problem = write_json(tmp_path / "bad.json", {"kind": "pwls", "T": [[1.0]]})
     code = main(["solve", problem])

@@ -39,12 +39,11 @@ def test_round_trip_pwls(tmp_path):
 
 
 def test_round_trip_qp(tmp_path):
-    payload = {"kind": "qp", "Q": [[1.2, 0.1], [0.1, 1.1]], "b_tilde": [1.0, -2.0], "c": 3.5}
+    payload = {"kind": "qp", "Q": [[1.2, 0.1], [0.1, 1.1]], "b_tilde": [1.0, -2.0]}
     loaded = load_problem(write_problem(tmp_path / "q.json", payload))
     assert isinstance(loaded, QpProblem)
     np.testing.assert_array_equal(loaded.Q, payload["Q"])
     np.testing.assert_array_equal(loaded.b_tilde, payload["b_tilde"])
-    assert loaded.c == 3.5
 
 
 def test_round_trip_cone(tmp_path):
@@ -55,11 +54,6 @@ def test_round_trip_cone(tmp_path):
     np.testing.assert_array_equal(loaded.z, payload["z"])
 
 
-def test_qp_default_c_is_zero():
-    q = parse_problem({"kind": "qp", "Q": [[1.0]], "b_tilde": [0.5]})
-    assert q.c == 0.0
-
-
 def test_parse_errors_name_fields():
     with pytest.raises(ProblemFormatError, match="'b'"):
         parse_problem({"kind": "pwls", "T": [[1.0]]})
@@ -67,25 +61,18 @@ def test_parse_errors_name_fields():
         parse_problem({"kind": "pwls", "T": "nope", "b": [1.0]})
     with pytest.raises(ProblemFormatError, match="'kind'"):
         parse_problem({"kind": "quadratic"})
-    with pytest.raises(ProblemFormatError, match="'c'"):
-        parse_problem({"kind": "qp", "Q": [[1.0]], "b_tilde": [1.0], "c": "x"})
-    for c in (float("nan"), float("inf")):
-        with pytest.raises(ProblemFormatError, match="'c'"):
-            parse_problem({"kind": "qp", "Q": [[1.0]], "b_tilde": [1.0], "c": c})
     with pytest.raises(ProblemFormatError, match="'b'"):
         parse_problem({"kind": "pwls", "T": [[1.0]], "b": [float("nan")]})
     with pytest.raises(ProblemFormatError):
         parse_problem([1, 2, 3])
-    # strings and booleans are not numbers, even where float() would take them;
-    # neither is a list where one number belongs, or an integer beyond a double's range
+    # strings and booleans are not numbers, even where float() would take them,
+    # and an integer beyond a double's range is not a double
     for payload, field in (({"kind": "pwls", "T": [["3"]], "b": [2.0]}, "'T'"),
                            ({"kind": "pwls", "T": [[3.0]], "b": ["2"]}, "'b'"),
                            ({"kind": "pwls", "T": [[3.0]], "b": [True]}, "'b'"),
-                           ({"kind": "qp", "Q": [[1.0]], "b_tilde": [1.0], "c": "7"}, "'c'"),
-                           ({"kind": "qp", "Q": [[1.0]], "b_tilde": [1.0], "c": False}, "'c'"),
-                           ({"kind": "qp", "Q": [[1.0]], "b_tilde": [1.0], "c": [7.0]}, "'c'"),
-                           ({"kind": "pwls", "T": [[10**400]], "b": [1.0]}, "'T'"),
-                           ({"kind": "qp", "Q": [[1.0]], "b_tilde": [1.0], "c": 10**400}, "'c'")):
+                           ({"kind": "qp", "Q": [[1.0]], "b_tilde": ["7"]}, "'b_tilde'"),
+                           ({"kind": "qp", "Q": [[False]], "b_tilde": [1.0]}, "'Q'"),
+                           ({"kind": "pwls", "T": [[10**400]], "b": [1.0]}, "'T'")):
         with pytest.raises(ProblemFormatError, match=field):
             parse_problem(payload)
 

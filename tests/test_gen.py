@@ -108,7 +108,7 @@ def test_spd_matrix_from_rank_one_b():
     beta = 0.7
     q = make_spd_matrix(3, beta, RankOneRng())
     assert np.array_equal(q, q.T)
-    problem = QpProblem(Q=q, b_tilde=np.ones(3), c=0.0)
+    problem = QpProblem(Q=q, b_tilde=np.ones(3))
     assert problem.is_positive_definite()
     assert abs(spectral_norm(q - np.eye(3)) - beta) <= 1e-11 * beta
     with pytest.raises(EquivalenceUnavailableError):

@@ -72,8 +72,8 @@ def test_qp_newton_is_a_minimizer(n, beta, seed):
     # with Q = R^T R the QP is min ||R x + R^-T b_tilde||^2 / 2 over x >= 0
     r = cholesky(q.Q)
     oracle, _ = nnls(r, -solve_triangular(r, q.b_tilde, trans="T"))
-    oracle_objective = qp_objective(q.Q, q.b_tilde, q.c, oracle)
-    assert qp_objective(q.Q, q.b_tilde, q.c, x) <= oracle_objective + 1e-12 * (1.0 + abs(oracle_objective))
+    oracle_objective = qp_objective(q.Q, q.b_tilde, 0.0, oracle)
+    assert qp_objective(q.Q, q.b_tilde, 0.0, x) <= oracle_objective + 1e-12 * (1.0 + abs(oracle_objective))
 
 
 @settings(DETERMINISTIC, max_examples=60)

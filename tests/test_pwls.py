@@ -222,6 +222,27 @@ def test_newton_solve_known_solution_mode():
     assert np.linalg.norm(x_star - x) < 1e-6 * (1.0 + np.linalg.norm(x_star))
 
 
+def test_known_solution_rule_is_invariant_under_scaling_by_2_to_the_600():
+    # every iterate scales exactly, and the rule's sums of squares must not overflow
+    scale = 2.0**600
+    n = 8
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        t = 4.0 * np.eye(n) + rng.standard_normal((n, n))
+        u = rng.standard_normal(n)
+        b = np.maximum(u, 0.0) + t @ u
+        runs = []
+        for s in (1.0, scale):
+            opts = SolverOptions(known_solution=s * u, keep_iterates=True)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                runs.append(newton_solve(PwlsProblem(T=t, b=s * b), np.zeros(n), opts))
+        plain, scaled = runs
+        assert (scaled.status, scaled.iterations) == (plain.status, plain.iterations)
+        for x, y in zip(plain.iterate_trace, scaled.iterate_trace, strict=True):
+            assert np.array_equal(y, scale * x)
+
+
 def test_newton_solve_singular_jacobian_status():
     # pattern (1,1) turns diag(-1,1) into diag(0,2); [1,5] is not a solution
     p = PwlsProblem(T=T_TWO_ZEROS, b=B_TWO_ZEROS)

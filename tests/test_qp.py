@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import cholesky, solve_triangular
@@ -9,6 +11,7 @@ from pwlnewton import (
     ConeInstance,
     DimensionError,
     EquivalenceUnavailableError,
+    GeneratorConfig,
     NotPositiveDefiniteError,
     QpProblem,
     SingularMatrixError,
@@ -18,6 +21,7 @@ from pwlnewton import (
     cone_instance_to_qp,
     cone_projection,
     kkt_residual,
+    make_batch,
     make_spd_matrix,
     newton_solve,
     qp_newton_solve,
@@ -32,7 +36,7 @@ from pwlnewton.qp import _minus_identity, _qp_residual
 
 def scalar_problem():
     # 0.2 x+ + x = 2.4 has the positive-branch solution x = 2
-    return QpProblem(Q=[[1.2]], b_tilde=[-2.4], c=0.0)
+    return QpProblem(Q=[[1.2]], b_tilde=[-2.4])
 
 
 def planted_qp(n, beta, rng):
@@ -511,6 +515,24 @@ def test_final_residual_norm_is_residual_of_last_iterate(q, x0, opts, status):
 PLANTED_QP, PLANTED_X = planted_qp(6, 0.3, np.random.default_rng(1))
 
 
+def test_known_solution_rule_is_invariant_under_scaling_by_2_to_the_600():
+    # every iterate scales exactly, and the rule's sums of squares must not overflow
+    scale = 2.0**600
+    for inst in make_batch(GeneratorConfig(n=30, beta_low=0.1, beta_high=0.5, seed=3), 20):
+        runs = []
+        for s in (1.0, scale):
+            opts = SolverOptions(known_solution=s * inst.known_solution, tol_x=1e-8,
+                                 keep_iterates=True)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                runs.append(qp_newton_solve(QpProblem(Q=inst.q.Q, b_tilde=s * inst.q.b_tilde),
+                                            s * inst.x0, opts))
+        plain, scaled = runs
+        assert (scaled.status, scaled.iterations) == (plain.status, plain.iterations)
+        for x, y in zip(plain.iterate_trace, scaled.iterate_trace, strict=True):
+            assert np.array_equal(y, scale * x)
+
+
 @pytest.mark.parametrize("q, x0, opts, status", [
     (scalar_problem(), [2.5], SolverOptions(known_solution=[2.0], tol_x=0.5),
      SolveStatus.CONVERGED),
@@ -591,10 +613,9 @@ def test_kkt_residual_scalar_interior_miss():
 def test_qp_objective():
     rng = np.random.default_rng(7)
     q, _ = planted_qp(3, 0.2, rng)
-    q.c = 5.5
-    assert qp_objective(q.Q, q.b_tilde, q.c, np.zeros(3)) == 5.5
+    assert qp_objective(q.Q, q.b_tilde, 5.5, np.zeros(3)) == 5.5
     s = scalar_problem()
-    assert qp_objective(s.Q, s.b_tilde, s.c, [2.0]) == pytest.approx(-2.4)
+    assert qp_objective(s.Q, s.b_tilde, 0.0, [2.0]) == pytest.approx(-2.4)
 
 
 def test_recovered_solution_beats_random_feasible_points():
@@ -603,10 +624,10 @@ def test_recovered_solution_beats_random_feasible_points():
     report = qp_newton_solve(q, rng.standard_normal(6))
     assert report.converged
     best = np.maximum(report.solution, 0.0)
-    f_best = qp_objective(q.Q, q.b_tilde, q.c, best)
+    f_best = qp_objective(q.Q, q.b_tilde, 0.0, best)
     for _ in range(100):
         candidate = rng.uniform(0.0, 3.0, 6)
-        assert f_best <= qp_objective(q.Q, q.b_tilde, q.c, candidate) + 1e-10
+        assert f_best <= qp_objective(q.Q, q.b_tilde, 0.0, candidate) + 1e-10
 
 
 # ------------------------------------------------------------ conversion
@@ -677,6 +698,15 @@ def test_projection_hand_checked_2x2():
     np.testing.assert_allclose(result.v, [0.0, 2.0], atol=1e-12)
     np.testing.assert_allclose(result.projection, [0.0, 2.0], atol=1e-12)
     assert result.report.converged
+
+
+def test_projection_of_a_huge_point_does_not_overflow():
+    # ||z||^2 overflows from about 1.3e154 on, and no step reads it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = cone_projection(ConeInstance(A=[[1.0, 0.0], [1.0, 1.0]], z=[-1e160, 2e160]))
+    assert result.report.status is SolveStatus.CONVERGED_EXACT
+    np.testing.assert_array_equal(result.v, [0.0, 2e160])
 
 
 def test_projection_reports_the_kkt_residual_of_its_own_qp():
