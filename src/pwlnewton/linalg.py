@@ -20,7 +20,7 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.linalg.lapack import dgesv, dgetrs, dposv, dpotrs
 
-from .errors import DimensionError, NotPositiveDefiniteError, SingularMatrixError
+from .errors import DimensionError
 
 # Pivots below PIVOT_RTOL * max|M| mark an LU factorization singular, and
 # Jacobi-scaled pivots L_jj^2 / M_jj below it a Cholesky factorization.
@@ -89,6 +89,8 @@ def factor(m: np.ndarray, rhs: np.ndarray, scale: Optional[float] = None,
            spd: bool = False) -> tuple[Factor, np.ndarray]:
     """Factor a square float64 M that the library built from checked data, and solve M X = rhs.
 
+    Returns the factor and X, flagged singular or not, and leaves what a
+    flag or a failed Cholesky factorization means to the caller.
     One call to gesv (posv with ``spd``), byte for byte getrf then getrs (potrf
     then potrs); X is void when M is flagged singular.  For the flag alone pass
     a zero vector: OpenBLAS's gesv does not factor when rhs has no columns.
@@ -116,9 +118,9 @@ def factor(m: np.ndarray, rhs: np.ndarray, scale: Optional[float] = None,
     argmax and argmin cost less than a ufunc reduce on small diagonals.
     When posv fails, M is not positive definite.  posv has overwritten its
     lower triangle, so M is rebuilt from the strict upper triangle, which
-    posv never writes, and the diagonal saved before; the LU branch decides:
-    its factors and X are returned when flagged singular; otherwise M is
-    nonsingular and indefinite, and NotPositiveDefiniteError is raised.
+    posv never writes, and the diagonal saved before, and the LU branch's
+    factors and X are returned, ``piv`` not None: unflagged, they show M
+    nonsingular and indefinite.
     """
     if spd:
         m_diagonal = m.diagonal().copy()
@@ -133,11 +135,7 @@ def factor(m: np.ndarray, rhs: np.ndarray, scale: Optional[float] = None,
             return Factor(c, None, float(ratios[ratios.argmin()]) < PIVOT_RTOL), x
         np.copyto(m, m.T, where=np.tri(len(m), k=-1, dtype=bool))  # lower from strict upper
         np.fill_diagonal(m, m_diagonal)
-        f, x = factor(m, rhs, scale)
-        if not f.singular:
-            raise NotPositiveDefiniteError(
-                "symmetric matrix is nonsingular and not positive definite")
-        return f, x
+        return factor(m, rhs, scale)
     size = float(np.abs(m).max())  # NaN or inf exactly when some entry is
     if not math.isfinite(size):
         raise ValueError("matrix must contain only finite values")
@@ -158,11 +156,11 @@ def spectral_norm(m) -> float:
 def inv_spectral_norm(m) -> float:
     """||M^-1||, the reciprocal of the smallest singular value of M.
 
-    Raises SingularMatrixError exactly where factor flags M singular, so
-    the norm is defined wherever an LU solve with M is allowed.
+    It is inf where factor flags M singular, so the norm is finite exactly
+    where an LU solve with M is allowed.
     """
     m = as_square_matrix(m)
     # factor gets a copy to overwrite, since svdvals reads m next
     if factor(m.copy(order="F"), np.zeros(m.shape[0]))[0].singular:
-        raise SingularMatrixError("matrix is singular; ||M^-1|| is undefined")
+        return math.inf
     return float(1.0 / sla.svdvals(m, check_finite=False)[-1])

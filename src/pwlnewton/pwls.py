@@ -26,7 +26,7 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
-from .errors import DimensionError, SingularMatrixError
+from .errors import DimensionError
 from .linalg import Factor, as_square_matrix, as_vector, factor, inv_spectral_norm
 
 # sign pattern of x: a bool array, True at i iff x_i > 0 (0 counts as not positive)
@@ -376,15 +376,11 @@ def newton_solve(p: PwlsProblem, x0, opts: Optional[SolverOptions] = None) -> So
 
 
 def check_conditions(p: PwlsProblem) -> ConditionReport:
-    """Evaluate the solvability/rate conditions on ||T^-1||.
+    """Evaluate the solvability/rate conditions on ||T^-1||, inf for a singular T.
 
     They are sufficient, not scale invariant: in exact arithmetic the
     Newton iteration's pattern trace is unchanged under T -> D^-1 T D,
     b -> D^-1 b (D positive diagonal, each iterate x -> D^-1 x), while
     ||T^-1|| is not.
     """
-    try:
-        inv_norm = inv_spectral_norm(p.T)
-    except SingularMatrixError:
-        inv_norm = float("inf")
-    return ConditionReport(inv_norm)
+    return ConditionReport(inv_spectral_norm(p.T))

@@ -23,7 +23,7 @@ from scipy.linalg.lapack import dpotrf
 # spd=True), and solves with a held factor through pwls.lu_solve, both looked up
 # at call time as in the T/b step, so that one wrapper on pwls sees every step
 from . import pwls
-from .errors import EquivalenceUnavailableError, SingularMatrixError
+from .errors import EquivalenceUnavailableError, NotPositiveDefiniteError, SingularMatrixError
 from .linalg import as_square_matrix, as_vector, factor, spectral_norm
 from .pwls import (
     ConditionReport,
@@ -147,9 +147,10 @@ def qp_newton_solve(q: QpProblem, x0, opts: Optional[SolverOptions] = None) -> S
     positive definite Q the step is provably nonsingular.  Only a fresh
     factor Q_AA = L L^T is judged singular, when min_j L_jj^2 / (Q_AA)_jj
     < 1e-12: no diagonal scaling of Q changes that test.  Where the
-    Cholesky factorization fails, the LU pivot rule (pivots against
-    max|Q_AA|) decides: a singular Q_AA ends the run as SingularJacobian,
-    and a nonsingular, hence indefinite, one raises NotPositiveDefiniteError.
+    Cholesky factorization fails, factor hands back Q_AA's LU factors, and
+    their pivot rule (pivots against max|Q_AA|) decides: a singular Q_AA
+    ends the run as SingularJacobian, and for a nonsingular, hence
+    indefinite, one the fresh step raises NotPositiveDefiniteError.
     A bordered step first certifies Q_AA by a Cholesky factorization of the
     Schur complement of Q_PP in Q_{P+E}, and where that fails steps afresh.
 
@@ -176,6 +177,9 @@ def qp_newton_solve(q: QpProblem, x0, opts: Optional[SolverOptions] = None) -> S
         f, x_a = pwls.lu_factor(rows.take(a, axis=1).T, minus_b.take(a), spd=True)
         if f.singular:
             return None
+        if f.piv is not None:  # posv failed, and LU found Q_AA nonsingular
+            raise NotPositiveDefiniteError(
+                "symmetric matrix is nonsingular and not positive definite")
         # Q is exactly symmetric, so x_A @ Q[A] is Q[:, A] x_A
         x = minus_b - x_a.dot(rows)
         x[a] = x_a

@@ -9,8 +9,6 @@ from scipy.linalg.lapack import dgetrf, dpotrf, dpotrs
 
 from pwlnewton import (
     DimensionError,
-    NotPositiveDefiniteError,
-    SingularMatrixError,
     inv_spectral_norm,
     spectral_norm,
 )
@@ -236,14 +234,23 @@ def test_spd_singular_flag_is_jacobi_scaled(delta, singular):
     assert factor_of(np.diag([1e14, 1e-14])).singular is True
 
 
+def assert_spd_factor_is_the_unflagged_lu_of(m, rhs):
+    """factor(m, rhs, spd=True) returns scipy's LU factors and solution of m, unflagged."""
+    f, x = factor(np.asfortranarray(m), rhs, spd=True)
+    assert f.piv is not None and f.singular is False
+    lu, piv = sla.lu_factor(m)
+    assert f.lu.tobytes() == lu.tobytes() and f.piv.tobytes() == piv.tobytes()
+    assert x.tobytes() == sla.lu_solve((lu, piv), rhs).tobytes()
+
+
 def test_spd_factor_lets_the_lu_rule_decide_where_cholesky_fails():
     # exactly singular: the LU factors come back flagged
     f = factor_of(np.ones((2, 2)), spd=True)
     assert f.piv is not None and f.singular
-    # nonsingular and indefinite: refused
+    # nonsingular and indefinite: the LU factors and solution come back
+    # unflagged, and the caller decides what an indefinite M means
     for m in ([[1.0, 3.0], [3.0, 1.0]], [[-1.0, 0.0], [0.0, 2.0]]):
-        with pytest.raises(NotPositiveDefiniteError, match="not positive definite"):
-            factor_of(m, spd=True)
+        assert_spd_factor_is_the_unflagged_lu_of(np.array(m), np.array([1.0, -2.0]))
 
 
 def test_spd_factor_rejects_non_finite_matrix():
@@ -297,11 +304,10 @@ def test_spd_fallback_factors_the_matrix_posv_was_given():
         lu, piv = sla.lu_factor(m)
     f, _ = factor(np.asfortranarray(m), np.zeros(n), spd=True)
     assert f.singular and f.lu.tobytes() == lu.tobytes() and np.array_equal(f.piv, piv)
-    # nonsingular and indefinite: refused
+    # nonsingular and indefinite: the LU factors and solution of the original
     m[-1, -1] = -1.0
     m[0, -1] = m[-1, 0] = 0.5
-    with pytest.raises(NotPositiveDefiniteError, match="not positive definite"):
-        factor(np.asfortranarray(m), np.zeros(n), spd=True)
+    assert_spd_factor_is_the_unflagged_lu_of(m, rng.standard_normal(n))
 
 
 def test_as_vector_rejects_non_vector_input():
@@ -409,8 +415,13 @@ def test_inv_spectral_norm_near_tied_singular_values():
 
 
 def test_inv_spectral_norm_singular():
-    with pytest.raises(SingularMatrixError):
-        inv_spectral_norm(np.diag([0.0, 1.0]))
+    # inf, with no warning, wherever factor flags M singular: exactly singular
+    # matrices, and one the LU pivot rule flags at the scale of max|M|
+    for m in (np.diag([0.0, 1.0]), np.ones((3, 3)), np.diag([1e14, 1e-14])):
+        assert factor_of(m).singular
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert inv_spectral_norm(m) == math.inf
 
 
 def test_inv_spectral_norm_matches_smallest_singular_value():

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -403,6 +407,46 @@ def test_bordered_qp_step_refuses_an_indefinite_q_aa(monkeypatch):
             qp_newton_solve(q, x0)
     with pytest.raises(NotPositiveDefiniteError, match="not positive definite"):
         qp_newton_solve(q, x0)
+
+
+# Solves the QPs saved at argv[1] with default options, prints each status and
+# iteration count, and last how many steps factored an active set of order >= 128.
+QP_THREAD_RUN = """
+import sys
+import numpy as np
+from pwlnewton import QpProblem, pwls, qp_newton_solve
+large = []
+core = pwls.lu_factor
+pwls.lu_factor = lambda m, rhs, *args, **kwargs: (large.append(len(m) >= 128)
+                                                  or core(m, rhs, *args, **kwargs))
+data = np.load(sys.argv[1])
+for q, b_tilde, x0 in zip(data["Q"], data["b_tilde"], data["x0"]):
+    report = qp_newton_solve(QpProblem(Q=q, b_tilde=b_tilde), x0)
+    print(report.status.value, report.iterations)
+print(sum(large))
+"""
+
+
+def test_qp_statuses_and_iterations_are_independent_of_the_blas_thread_count(tmp_path):
+    # OpenBLAS's posv runs threaded from order 128 up, so the QP step's
+    # iterates may differ in their last bits at 1 and 2 BLAS threads; the
+    # statuses and iteration counts agree.  Both runs read the same bytes,
+    # since the generator's B^T B depends on the thread count itself.
+    batch = make_batch(GeneratorConfig(n=400, beta_low=0.5, beta_high=1e3, seed=5), 20)
+    path = tmp_path / "qps.npz"
+    np.savez(path, Q=[g.q.Q for g in batch], b_tilde=[g.q.b_tilde for g in batch],
+             x0=[g.x0 for g in batch])
+    source = str(Path(qp.__file__).parents[1])
+    procs = [subprocess.Popen([sys.executable, "-c", QP_THREAD_RUN, str(path)],
+                              stdout=subprocess.PIPE, text=True,
+                              env=dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+                                       PYTHONPATH=source))
+             for threads in (1, 2)]
+    outputs = [proc.communicate(timeout=300)[0].splitlines() for proc in procs]
+    assert [proc.returncode for proc in procs] == [0, 0]
+    assert [len(lines) for lines in outputs] == [21, 21]
+    assert int(outputs[0][-1]) > 0  # some steps factored by posv at order >= 128
+    assert outputs[0][:-1] == outputs[1][:-1]
 
 
 def late_coupled_qp(rng):

@@ -214,6 +214,44 @@ def test_calls_by_function_are_found():
     assert calls_by_function(tree, "f") == {"<module>": 1, "g": 2, "h": 1}
 
 
+def raises_by_function(tree: ast.AST, name: str) -> dict[str, int]:
+    """Raises of the exception ``name`` (bare or as an attribute) per enclosing qualified name."""
+    found = {}
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                if getattr(exc, "id", None) == name or getattr(exc, "attr", None) == name:
+                    found[scope] = found.get(scope, 0) + 1
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, child.name if scope == "<module>" else f"{scope}.{child.name}")
+            else:
+                visit(child, scope)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_raises_by_function_are_found():
+    tree = ast.parse("raise E\nclass A:\n    def f(self):\n        raise E('x')\n"
+                     "        def g():\n            raise m.E() from None\n            raise F\n")
+    assert raises_by_function(tree, "E") == {"<module>": 1, "A.f": 1, "A.f.g": 1}
+
+
+def test_each_refusal_has_one_raise_site_outside_linalg():
+    # linalg computes and its callers decide what a result means: the QP
+    # fresh step refuses an indefinite Q_AA, and ConeInstance a singular A
+    errors = ("NotPositiveDefiniteError", "SingularMatrixError")
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SOURCE_DIR.rglob("*.py"))}
+    found = {error: {f"{module}.{scope}": count for module, tree in trees.items()
+                     for scope, count in raises_by_function(tree, error).items()}
+             for error in errors}
+    assert found == {"NotPositiveDefiniteError": {"qp.qp_newton_solve.fresh": 1},
+                     "SingularMatrixError": {"qp.ConeInstance.__post_init__": 1}}
+    assert sorted(named_identifiers(trees["linalg"]) & set(errors)) == []
+
+
 def test_held_factors_solve_only_in_the_bordered_steps():
     # every fresh step and capacitance system solves in its lu_factor call;
     # only a bordered step solves again, with the held factor, once
