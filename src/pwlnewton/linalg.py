@@ -1,10 +1,12 @@
 """Dense linear algebra kernels used by every solver module.
 
 One factor entry point, factor, which factors and solves in one LAPACK
-call: LU with partial pivoting and a scale-invariant singularity flag
-(gesv), or a Cholesky factorization of the QP step's SPD matrices (posv);
-its Factor solves again by getrs or potrs.  Also the spectral norm and
-||M^-1|| from the singular values (gesdd), and every module's input checks.
+call: LU with partial pivoting and a singularity flag (gesv), or a
+Cholesky factorization with a scale-invariant flag (posv) of the symmetric
+matrices meant to be positive definite: the QP step's Q_AA, a symmetric T's
+T/b step matrices, and qp_to_pwls's Q - I.  Its Factor solves again by
+getrs or potrs.  Also the spectral norm and ||M^-1|| from the singular
+values (gesdd), and every module's input checks.
 
 factor overwrites m; every other function is pure.  None keeps shared
 state, so concurrent calls on distinct inputs need no locking.
@@ -64,7 +66,8 @@ class Factor:
     """PM = LU factors in LAPACK's combined storage, or a Cholesky factor.
 
     ``piv`` holds the successive row interchanges as returned by gesv:
-    row i was swapped with row piv[i].  The SPD branch of factor stores
+    row i was swapped with row piv[i].  The SPD branch of factor, which
+    the QP step, the T/b step on a symmetric T and qp_to_pwls take, stores
     instead the lower triangle of M = L L^T, as returned by posv, in
     ``lu``, with ``piv`` None.  When ``singular`` is set, no solve may be
     performed with the factor.  ``solve`` solves a further right-hand side

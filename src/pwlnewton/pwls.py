@@ -38,7 +38,7 @@ REUSE_RATIO = 8
 
 # every Newton step factors and solves through these names, looked up at call
 # time so that one wrapper sees every step; lu_factor also solves, and lu_solve
-# serves held factors with their own kernel (potrs after the QP's spd=True).
+# serves held factors with their own kernel (potrs after spd=True).
 # Newton-path products use ndarray.dot: the BLAS call @ makes, without its dispatch
 lu_factor = factor
 lu_solve = Factor.solve
@@ -51,14 +51,21 @@ def sign_pattern(x) -> SignPattern:
 
 @dataclass
 class PwlsProblem:
-    """Problem data (T, b) for the system  x+ + T x = b."""
+    """Problem data (T, b) for the system  x+ + T x = b.
+
+    ``symmetric`` is derived, not set: True when T equals its transpose
+    exactly, decided once here.  newton_solve then factors its steps by
+    Cholesky, so T must not be changed in place afterwards.
+    """
 
     T: np.ndarray
     b: np.ndarray
+    symmetric: bool = field(init=False, default=False)
 
     def __post_init__(self):
         self.T = as_square_matrix(self.T, "T")
         self.b = as_vector(self.b, "b", self.T.shape[0])
+        self.symmetric = bool(np.array_equal(self.T, self.T.T))
 
     @property
     def n(self) -> int:
@@ -200,7 +207,7 @@ def residual(p: PwlsProblem, x) -> np.ndarray:
 
 
 def _pattern_matrix(T: np.ndarray, bits: SignPattern) -> np.ndarray:
-    # a fresh column-major copy, the layout gesv factors, whatever T's layout;
+    # a fresh column-major copy, the layout gesv and posv factor, whatever T's layout;
     # its memory-order ravel is a view, and this strided slice its diagonal
     m = T.copy(order="F")
     m.ravel(order="K")[:: T.shape[0] + 1] += bits
@@ -337,22 +344,37 @@ def newton_solve(p: PwlsProblem, x0, opts: Optional[SolverOptions] = None) -> So
     """Run the Newton iteration [diag(s_k) + T] x_{k+1} = b from x0.
 
     A fresh step factors M = T + diag(s), of order n, and holds (f, y):
-    its LU factors and its iterate y = M^-1 b.  A bordered step from the
-    held pattern p, with D the k indices where s differs and delta = s_D -
-    p_D (each +1 or -1), uses T + diag(s) = M + diag(delta) on D: one
-    solve with f against the unit columns at D gives Y_D, then the k x k
-    capacitance system (diag(delta) + Y_DD) z = y_D gives x = y - Y_D z.
-    The capacitance matrix is judged singular at the size of Y_DD too:
-    where T + diag(s) is exactly singular, it cancels to rounding level,
-    which its own scale would not flag (a nonzero 1 x 1 matrix never is).
-    Reuse stays because it pays: on 900 n = 100 solves (one BLAS thread, a
-    2-vCPU Xeon) it took a median 0.946 of the fresh-only time over 8 passes.
+    its factor and its iterate y = M^-1 b.  The factor is Cholesky when T
+    is symmetric (PwlsProblem.symmetric), since for s >= 0 M is then
+    positive definite whenever T is, and LU otherwise.  The first fresh
+    step whose posv fails takes factor's LU result and switches the rest
+    of the solve to LU, so a symmetric indefinite T costs at most one
+    failed posv per solve.
+
+    A bordered step from the held pattern p, with D the k indices where s
+    differs and delta = s_D - p_D (each +1 or -1), uses T + diag(s) = M +
+    diag(delta) on D: one solve with f against the unit columns at D gives
+    Y_D, then the k x k capacitance system (diag(delta) + Y_DD) z = y_D
+    gives x = y - Y_D z.  The capacitance system is always LU, judged
+    singular at the size of Y_DD too: where T + diag(s) is exactly
+    singular, it cancels to rounding level, which its own scale would not
+    flag (a nonzero 1 x 1 matrix never is).
+
+    One reuse rule serves both kernels.  Against fresh-only steps, on one
+    BLAS thread of a 2-vCPU Xeon (medians of 8 passes, alternating which
+    ran first), reuse took 0.786 of the time on 60 nonsymmetric T of order
+    100 and 200, and 1.046 on the 900 symmetric n = 100 T/b problems of the
+    benchmark's pwls-resid-n100 workload (0.924 there with LU steps).
 
     A singular step matrix ends the run as SingularJacobian, not an exception.
     """
 
+    spd = p.symmetric  # until a posv fails
+
     def fresh(bits: SignPattern) -> Optional[tuple[np.ndarray, int, tuple]]:
-        f, x = lu_factor(_pattern_matrix(p.T, bits), p.b)
+        nonlocal spd
+        f, x = lu_factor(_pattern_matrix(p.T, bits), p.b, spd=spd)
+        spd = f.piv is None
         if f.singular:
             return None
         return x, p.n, (f, x)

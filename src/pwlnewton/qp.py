@@ -237,11 +237,17 @@ def qp_to_pwls(q: QpProblem) -> PwlsProblem:
 
     Only valid when Q - I is nonsingular (no eigenvalue of Q equals 1);
     otherwise EquivalenceUnavailableError is raised and callers should use
-    qp_newton_solve directly, which needs no inverse.
+    qp_newton_solve directly, which needs no inverse.  Q - I is inverted by
+    Cholesky (posv) where it is positive definite, and by LU elsewhere, and
+    the inverse is symmetrized as 1/2 T + 1/2 T^T: T is exactly symmetric
+    and column-major, so newton_solve factors its steps by Cholesky.
     """
-    f, T = factor(_minus_identity(q.Q), np.eye(q.n))
+    # Q - I is exactly symmetric: its transpose is the column-major copy posv wants
+    f, T = factor(_minus_identity(q.Q).T, np.eye(q.n), spd=True)
     if f.singular:
         raise EquivalenceUnavailableError("Q - I is singular; the T/b form does not exist")
+    half = 0.5 * T
+    np.add(half, half.T, out=T)
     return PwlsProblem(T=T, b=-(T @ q.b_tilde))
 
 

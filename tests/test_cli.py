@@ -89,7 +89,9 @@ def test_solve_diagonal_converges(diagonal_file, capsys):
     assert "status: Converged" in out
     iterations = int(next(l for l in out.splitlines() if l.startswith("iterations:")).split()[1])
     assert iterations <= 3
-    assert "solution: [1.0, -1.0]" in out
+    # T = 3I is symmetric, so each step is one posv, whose Cholesky solve of
+    # diag(4, 3) x = [4, -3] rounds x_1 to -1.0000000000000002 (gesv gave -1.0)
+    assert "solution: [1.0, -1.0000000000000002]" in out
 
 
 def test_solve_qp_identity_single_iteration(tmp_path, capsys):
@@ -133,7 +135,9 @@ def test_solve_qp_as_pwls_formulation(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "||T^-1||" in out
-    assert "solution: [2.0" in out
+    # T = [[0.2]]^-1 and the step on T + 1 are each one posv, which rounds
+    # through a square root where gesv divided once (it gave 2.0)
+    assert "solution: [1.9999999999999996]" in out
 
 
 @pytest.mark.parametrize("c", [3.5, "x", True, [7]], ids=["number", "string", "bool", "list"])
@@ -187,7 +191,7 @@ def test_solve_report_and_trace(diagonal_file, tmp_path, capsys):
     assert code == 0
     payload = json.loads(report_path.read_text())
     assert payload["status"] in ("Converged", "ConvergedExact")
-    assert payload["solution"] == [1.0, -1.0]
+    assert payload["solution"] == [1.0, -1.0000000000000002]  # posv's rounding, as above
     assert payload["condition"]["rate_ok"] is True
     assert len(payload["iterates"]) == payload["iterations"] + 1
 

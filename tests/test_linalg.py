@@ -356,9 +356,11 @@ def test_dot_and_matmul_agree_byte_for_byte_on_the_step_shapes():
 
 
 def test_lu_inverse():
-    # qp_to_pwls forms (Q - I)^-1 as the solution of factor(Q - I, I)
+    # qp_to_pwls forms (Q - I)^-1 as the solution of factor(Q - I, I, spd=True)
     m = np.array([[2.0, 1.0], [1.0, 3.0]])
-    np.testing.assert_allclose(factor(m, np.eye(2))[1] @ m, np.eye(2), atol=1e-14)
+    for spd in (False, True):
+        inverse = factor(m.copy(), np.eye(2), spd=spd)[1]
+        np.testing.assert_allclose(inverse @ m, np.eye(2), atol=1e-14)
 
 
 # ------------------------------------------------------- spectral norm

@@ -32,7 +32,7 @@ from pwlnewton import (
     residual,
     sign_pattern,
 )
-from pwlnewton import pwls
+from pwlnewton import linalg, pwls
 from pwlnewton.linalg import PIVOT_RTOL, Factor, factor
 from pwlnewton.pwls import REUSE_MIN_SIZE, _pattern_matrix
 
@@ -252,10 +252,9 @@ def test_newton_solve_singular_jacobian_status():
     assert report.solution is None
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 3: the pivot rule judges against max|T + diag(s)|, "
-                          "so the diagonal step matrix diag(1e13, 1) counts as singular")
 def test_newton_solve_converges_on_a_badly_scaled_diagonal_t():
+    # diag(1e13, 1) + diag(s) is SPD, and the Cholesky step's Jacobi-scaled
+    # pivot rule does not flag it, where LU's rule against max|M| did
     report = newton_solve(PwlsProblem(T=np.diag([1e13, 1.0]), b=[1.0, 1.0]), np.zeros(2))
     assert report.status is SolveStatus.CONVERGED_EXACT
     np.testing.assert_allclose(report.solution, [1e-13, 0.5], rtol=1e-12)
@@ -424,6 +423,73 @@ def test_held_factor_step_matches_fresh_step(seed, monkeypatch):
             assert backward_error(p, report.solution) <= n * eps
 
 
+def with_one_ulp_asymmetry(p):
+    """The same problem with T[0, 1] moved up by one ulp: nonsymmetric, so its steps take LU."""
+    t = p.T.copy()
+    t[0, 1] = np.nextafter(t[0, 1], np.inf)
+    return PwlsProblem(T=t, b=p.b)
+
+
+@pytest.mark.parametrize("n", [7, 100, 150])
+def test_symmetric_t_steps_by_cholesky_to_the_lu_outcome(n, monkeypatch):
+    # qp_to_pwls gives an exactly symmetric SPD T, so every fresh step is a
+    # Cholesky factor; the LU steps of a one-ulp asymmetric T take the same
+    # patterns to the same status, with iterates equal up to rounding
+    opts = SolverOptions(keep_iterates=True)
+    cases = generated_pwls(n, seed=0)
+    factors = spy_on(monkeypatch, "lu_factor")
+    solves = spy_on(monkeypatch, "lu_solve")
+    reports = [newton_solve(p, x0, opts) for p, x0 in cases]
+    assert all(p.symmetric for p, _ in cases)
+    fresh = [f for args, (f, _) in factors if len(args[0]) == n]
+    assert len(fresh) > len(cases) and all(f.piv is None for f in fresh)
+    assert (len(solves) > 0) == (n >= REUSE_MIN_SIZE)  # bordered steps at n >= 64
+    factors.clear()
+    for (p, x0), report in zip(cases, reports, strict=True):
+        lu = newton_solve(with_one_ulp_asymmetry(p), x0, opts)
+        assert (lu.status, lu.iterations) == (report.status, report.iterations)
+        assert np.array_equal(lu.pattern_trace, report.pattern_trace)
+        for x, y in zip(report.iterate_trace, lu.iterate_trace, strict=True):
+            assert np.abs(x - y).max() <= 1e-10 * (1.0 + np.abs(x).max())
+    assert all(f.piv is not None for args, (f, _) in factors if len(args[0]) == n)
+
+
+def symmetric_indefinite_cases():
+    # every T + diag(s) of this T is indefinite: its determinant is negative
+    t = np.array([[-1.0, 0.5], [0.5, 1.0]])
+    for b in ([1.0, -1.0], [-1.0, 2.0], [0.3, -0.7]):
+        for x0 in ([1.0, 1.0], [-1.0, 1.0], [1.0, -1.0], [-1.0, -1.0]):
+            yield PwlsProblem(T=t, b=b), np.array(x0)
+    # eigenvalues of T down to -9 or below: some step matrices are indefinite
+    rng = np.random.default_rng(7)
+    for n in (100, 150):
+        g = rng.standard_normal((n, n))
+        t = 0.5 * g + 0.5 * g.T
+        t[np.diag_indices(n)] += 0.5 * np.sqrt(n)
+        u = rng.standard_normal(n)
+        x0 = u.copy()
+        x0[:5] = -x0[:5]
+        yield PwlsProblem(T=t, b=np.maximum(u, 0.0) + t @ u), x0
+
+
+def test_symmetric_indefinite_t_tries_cholesky_once_per_solve(monkeypatch):
+    # the first failed posv switches the rest of the solve to LU, so the
+    # solve ends as with LU at every step (on the one-ulp asymmetric T)
+    posv = linalg.dposv
+    calls = []
+    monkeypatch.setattr(linalg, "dposv", lambda *args, **kwargs: calls.append(1)
+                        or posv(*args, **kwargs))
+    for p, x0 in symmetric_indefinite_cases():
+        calls.clear()
+        report = newton_solve(p, x0)
+        assert p.symmetric and len(calls) == 1
+        lu = newton_solve(with_one_ulp_asymmetry(p), x0)
+        assert len(calls) == 1
+        assert report.status is lu.status is SolveStatus.CONVERGED_EXACT
+        assert report.iterations == lu.iterations
+        assert np.array_equal(report.pattern_trace, lu.pattern_trace)
+
+
 def pivot_rule_matrices():
     rng = np.random.default_rng(61)
     yield rng.standard_normal((7, 7))
@@ -513,18 +579,60 @@ print(h.hexdigest(), len(held))
 """
 
 
-def test_newton_solve_is_independent_of_the_blas_thread_count():
-    # with one right-hand side OpenBLAS's gesv runs on one thread, so fresh
-    # and bordered T/b steps give the same bytes at 1 and 2 BLAS threads
+# Solves 10 T/b problems with an exactly symmetric SPD T of order 128 to
+# 300, drawn without BLAS, and prints each (status, iterations), then how
+# many steps posv factored at order >= 128.
+SYMMETRIC_THREAD_RUN = """
+import numpy as np
+from pwlnewton import pwls
+core = pwls.lu_factor
+large = []
+def spy(m, rhs, *args, **kwargs):
+    f, x = core(m, rhs, *args, **kwargs)
+    large.append(len(m) >= 128 and f.piv is None)
+    return f, x
+pwls.lu_factor = spy
+rng = np.random.default_rng(2027)
+for n in np.linspace(128, 300, 10).astype(int):
+    g = rng.standard_normal((n, n))
+    t = 0.5 * g + 0.5 * g.T
+    t[np.diag_indices(n)] += 2.0 * np.sqrt(n)
+    p = pwls.PwlsProblem(T=t, b=rng.standard_normal(n))
+    report = pwls.newton_solve(p, rng.standard_normal(n))
+    print(report.status.value, report.iterations)
+print(sum(large))
+"""
+
+
+def outputs_at_one_and_two_blas_threads(script: str) -> list[list[str]]:
+    """The stdout words of script run by python at OPENBLAS_NUM_THREADS 1 and 2."""
     source = str(Path(pwls.__file__).parents[1])
-    procs = [subprocess.Popen([sys.executable, "-c", THREAD_RUN], stdout=subprocess.PIPE, text=True,
+    procs = [subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE, text=True,
                               env=dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
                                        PYTHONPATH=source))
              for threads in (1, 2)]
     outputs = [proc.communicate(timeout=300)[0].split() for proc in procs]
     assert [proc.returncode for proc in procs] == [0, 0]
+    return outputs
+
+
+def test_newton_solve_is_independent_of_the_blas_thread_count():
+    # with one right-hand side OpenBLAS's gesv runs on one thread, so fresh
+    # and bordered steps on a nonsymmetric T give the same bytes at 1 and 2
+    # BLAS threads
+    outputs = outputs_at_one_and_two_blas_threads(THREAD_RUN)
     assert int(outputs[0][1]) > 0  # some steps were bordered
     assert outputs[0] == outputs[1]
+
+
+def test_symmetric_t_statuses_and_iterations_are_independent_of_the_blas_thread_count():
+    # OpenBLAS's posv runs threaded from order 128 up, so the Cholesky steps
+    # of a symmetric T may differ in their last bits at 1 and 2 BLAS
+    # threads; the statuses and iteration counts agree
+    outputs = outputs_at_one_and_two_blas_threads(SYMMETRIC_THREAD_RUN)
+    assert len(outputs[0]) == 21
+    assert int(outputs[0][-1]) > 0  # some steps factored by posv at order >= 128
+    assert outputs[0][:-1] == outputs[1][:-1]
 
 
 def flagged_capacitance_case():
@@ -596,10 +704,10 @@ def test_no_factor_is_alive_when_a_step_factors_afresh(monkeypatch):
     core = pwls.lu_factor
     alive = []
 
-    def spy(m, rhs, scale=None):
+    def spy(m, rhs, scale=None, spd=False):
         if scale is None:  # a step matrix, not a capacitance matrix
             alive.append(sum(isinstance(o, Factor) for o in gc.get_objects()))
-        return core(m, rhs, scale)
+        return core(m, rhs, scale, spd)
 
     monkeypatch.setattr(pwls, "lu_factor", spy)
     cases = generated_pwls(100, seed=0) + [flagged_capacitance_case()]

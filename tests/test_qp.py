@@ -700,8 +700,32 @@ def test_qp_to_pwls_scalar():
 
 
 def test_qp_to_pwls_rejects_identity():
-    with pytest.raises(EquivalenceUnavailableError):
-        qp_to_pwls(QpProblem(Q=np.eye(3), b_tilde=np.zeros(3)))
+    # and Q = diag(1, 2), whose Q - I = diag(0, 1) is positive semidefinite and singular
+    for q_matrix in (np.eye(3), np.diag([1.0, 2.0])):
+        with pytest.raises(EquivalenceUnavailableError):
+            qp_to_pwls(QpProblem(Q=q_matrix, b_tilde=np.zeros(len(q_matrix))))
+
+
+@pytest.mark.parametrize("beta, definite", [(0.3, False), (0.9, False), (5.0, True)])
+def test_qp_to_pwls_returns_an_exactly_symmetric_column_major_t(beta, definite, monkeypatch):
+    # ||Q - I|| = beta: Q - I is positive definite when generated (posv
+    # inverts it) and indefinite but nonsingular from spd_near_identity (LU)
+    inverses = spy_on(monkeypatch, "factor", qp)
+    rng = np.random.default_rng(31)
+    n = 40
+    if definite:
+        q = make_batch(GeneratorConfig(n=n, beta_low=beta, beta_high=beta + 1.0, seed=2), 1)[0].q
+    else:
+        q = QpProblem(Q=spd_near_identity(n, beta, rng), b_tilde=rng.standard_normal(n))
+    eigenvalues = np.linalg.eigvalsh(_minus_identity(q.Q))
+    assert (eigenvalues.min() > 0.0) == definite and eigenvalues.max() > 0.0
+    p = qp_to_pwls(q)
+    [(_, (f, _))] = inverses
+    assert (f.piv is None) == definite
+    assert p.symmetric and np.array_equal(p.T, p.T.T)
+    assert p.T.flags.f_contiguous
+    assert np.array_equal(p.b, -(p.T @ q.b_tilde))
+    np.testing.assert_allclose(p.T @ _minus_identity(q.Q), np.eye(n), atol=1e-10)
 
 
 def test_cross_formulation_agreement():
