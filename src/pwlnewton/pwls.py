@@ -25,6 +25,7 @@ from enum import Enum
 from typing import Any, Callable, Optional
 
 import numpy as np
+from scipy.linalg.blas import dnrm2
 
 from .errors import DimensionError
 from .linalg import Factor, as_square_matrix, as_vector, factor, inv_spectral_norm
@@ -90,14 +91,10 @@ class SolverOptions:
 
     Exactly one stopping rule is active per run.  When ``known_solution``
     is set, the run stops as soon as ||u - x_k|| < tol_x * (1 + ||u||)
-    (the benchmark rule; norms Euclidean).  Otherwise the residual rule
+    (the benchmark rule; Euclidean norms by BLAS dnrm2, which scales its
+    sum of squares and so does not overflow).  Otherwise the residual rule
     applies: stop when the max-norm residual falls below
     tol_f * (1 + max-norm of the right-hand side).
-
-    ``unit`` is derived, not set: 1, or 2^-e when max|u| = m 2^e >= 2^480
-    (1/2 <= m < 1).  The distance rule is judged on u and x times unit,
-    which a power of two scales exactly, so no size of u overflows the
-    rule's sums of squares; below 2^480 nothing changes.
     """
 
     max_iter: int = 100
@@ -105,7 +102,6 @@ class SolverOptions:
     tol_x: float = 1e-6
     known_solution: Optional[np.ndarray] = None
     keep_iterates: bool = False
-    unit: float = field(init=False, default=1.0)
 
     def __post_init__(self):
         try:
@@ -120,9 +116,6 @@ class SolverOptions:
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if self.known_solution is not None:
             self.known_solution = as_vector(self.known_solution, "known_solution")
-            top = float(np.abs(self.known_solution).max())
-            if top >= 2.0**480:
-                self.unit = math.ldexp(1.0, -math.frexp(top)[1])
 
 
 @dataclass(slots=True)
@@ -257,7 +250,10 @@ def _iterate_patterns(
     iterate, or the cycle's iterates, up to rounding.  In known-solution
     mode a pattern repeat means the iteration has become stationary, so an
     iterate that misses the distance rule there could never improve:
-    running out the cap would only repeat the same solve.
+    running out the cap would only repeat the same solve.  The distance
+    rule is dnrm2(u - x) < tol_x * (1 + dnrm2(u)): dnrm2 scales as it
+    sums, so only u - x itself can overflow, where u and x are both within
+    a factor of 2 of the largest float.
 
     A step that overflows to a non-finite iterate raises ValueError.  Only
     known_solution's length is checked here; SolverOptions checked the rest.
@@ -267,16 +263,14 @@ def _iterate_patterns(
     """
     opts = opts if opts is not None else SolverOptions()
     x = as_vector(x0, "x0", rhs.size).copy()
-    u, unit = opts.known_solution, opts.unit
+    u = opts.known_solution
     # the active stopping rule's threshold, computed once per solve
     if u is None:
         bound = opts.tol_f * (1.0 + float(np.abs(rhs).max()))
     else:
         if u.size != rhs.size:
             raise DimensionError(f"known_solution has length {u.size}, expected {rhs.size}")
-        if unit != 1.0:
-            u = unit * u
-        bound = opts.tol_x * (unit + math.sqrt(u.dot(u)))
+        bound = opts.tol_x * (1.0 + dnrm2(u))
 
     patterns: list[SignPattern] = []
     trace: Optional[list[np.ndarray]] = [] if opts.keep_iterates else None
@@ -302,8 +296,7 @@ def _iterate_patterns(
         key = pat.tobytes()
         previous = seen.get(key)
         if u is not None:
-            d = u - x if unit == 1.0 else u - unit * x
-            if math.sqrt(d.dot(d)) < bound:
+            if dnrm2(u - x) < bound:
                 return report(SolveStatus.CONVERGED)
             if previous == k - 1:
                 # stationary but outside the distance tolerance: no later

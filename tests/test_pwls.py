@@ -222,9 +222,10 @@ def test_newton_solve_known_solution_mode():
     assert np.linalg.norm(x_star - x) < 1e-6 * (1.0 + np.linalg.norm(x_star))
 
 
-def test_known_solution_rule_is_invariant_under_scaling_by_2_to_the_600():
-    # every iterate scales exactly, and the rule's sums of squares must not overflow
-    scale = 2.0**600
+@pytest.mark.parametrize("power", [600, 900])
+def test_known_solution_rule_is_invariant_under_power_of_two_scaling(power):
+    # every iterate scales exactly, and the rule's norms must not overflow
+    scale = 2.0**power
     n = 8
     for seed in range(40):
         rng = np.random.default_rng(seed)
@@ -243,6 +244,15 @@ def test_known_solution_rule_is_invariant_under_scaling_by_2_to_the_600():
             assert np.array_equal(y, scale * x)
 
 
+def test_known_solution_rule_judges_a_far_iterate_without_overflow():
+    # iterate 0's distance to u squares past the largest float
+    opts = SolverOptions(known_solution=[1.0, -1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = newton_solve(PwlsProblem(T=3.0 * np.eye(2), b=[4.0, -3.0]), [1e160, 1e160], opts)
+    assert (report.status, report.iterations) == (SolveStatus.CONVERGED, 2)
+
+
 def test_newton_solve_singular_jacobian_status():
     # pattern (1,1) turns diag(-1,1) into diag(0,2); [1,5] is not a solution
     p = PwlsProblem(T=T_TWO_ZEROS, b=B_TWO_ZEROS)
@@ -258,6 +268,15 @@ def test_newton_solve_converges_on_a_badly_scaled_diagonal_t():
     report = newton_solve(PwlsProblem(T=np.diag([1e13, 1.0]), b=[1.0, 1.0]), np.zeros(2))
     assert report.status is SolveStatus.CONVERGED_EXACT
     np.testing.assert_allclose(report.solution, [1e-13, 0.5], rtol=1e-12)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 3: LU's pivot rule judges against max|M|, so a "
+                          "well-posed nonsymmetric T with a scaled row ends SingularJacobian")
+def test_newton_solve_converges_on_a_badly_scaled_nonsymmetric_t():
+    report = newton_solve(PwlsProblem(T=[[1e13, 1.0], [0.0, 1.0]], b=[1.0, 1.0]), np.zeros(2))
+    assert report.status is SolveStatus.CONVERGED_EXACT
+    np.testing.assert_allclose(report.solution, [0.5 / (1e13 + 1.0), 0.5], rtol=1e-12)
 
 
 def test_newton_solve_max_iterations():

@@ -559,9 +559,10 @@ def test_final_residual_norm_is_residual_of_last_iterate(q, x0, opts, status):
 PLANTED_QP, PLANTED_X = planted_qp(6, 0.3, np.random.default_rng(1))
 
 
-def test_known_solution_rule_is_invariant_under_scaling_by_2_to_the_600():
-    # every iterate scales exactly, and the rule's sums of squares must not overflow
-    scale = 2.0**600
+@pytest.mark.parametrize("power", [600, 900])
+def test_known_solution_rule_is_invariant_under_power_of_two_scaling(power):
+    # every iterate scales exactly, and the rule's norms must not overflow
+    scale = 2.0**power
     for inst in make_batch(GeneratorConfig(n=30, beta_low=0.1, beta_high=0.5, seed=3), 20):
         runs = []
         for s in (1.0, scale):
@@ -575,6 +576,15 @@ def test_known_solution_rule_is_invariant_under_scaling_by_2_to_the_600():
         assert (scaled.status, scaled.iterations) == (plain.status, plain.iterations)
         for x, y in zip(plain.iterate_trace, scaled.iterate_trace, strict=True):
             assert np.array_equal(y, scale * x)
+
+
+def test_known_solution_rule_judges_a_far_iterate_without_overflow():
+    # iterate 0's distance to u squares past the largest float
+    opts = SolverOptions(known_solution=[1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = qp_newton_solve(QpProblem(Q=[[2.0]], b_tilde=[-2.0]), [1e160], opts)
+    assert (report.status, report.iterations) == (SolveStatus.CONVERGED, 1)
 
 
 @pytest.mark.parametrize("q, x0, opts, status", [

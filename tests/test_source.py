@@ -283,3 +283,30 @@ def test_newton_path_multiplies_with_ndarray_dot():
     found = {f"{module}:{name}": matmuls(top_level_function(SOURCE_DIR / module, name))
              for module, names in path.items() for name in names}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def square_root_norms(tree: ast.AST) -> list[int]:
+    """Line of every ``sqrt(v.dot(v))`` in tree, a norm that squares its vector."""
+
+    def squares(arg: ast.AST) -> bool:
+        return (isinstance(arg, ast.Call) and getattr(arg.func, "attr", None) == "dot"
+                and len(arg.args) == 1 and ast.dump(arg.func.value) == ast.dump(arg.args[0]))
+
+    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+                  and getattr(node.func, "id", getattr(node.func, "attr", None)) == "sqrt"
+                  and len(node.args) == 1 and squares(node.args[0]))
+
+
+def test_square_root_norms_are_found():
+    tree = ast.parse("def f(d, e):\n    a = math.sqrt(d.dot(d))\n    b = sqrt(d.dot(e))\n"
+                     "    def g():\n        return np.sqrt((d - e).dot(d - e))\n"
+                     "    return math.sqrt(d @ d), sqrt(d.dot(d, e))\n")
+    assert square_root_norms(tree) == [2, 5]
+
+
+def test_no_norm_squares_its_vector():
+    # sqrt(v.dot(v)) overflows once ||v|| passes 1.3e154, where BLAS dnrm2,
+    # which scales as it sums, gives the norm
+    found = {path.name: square_root_norms(ast.parse(path.read_text(), str(path)))
+             for path in sorted(SOURCE_DIR.rglob("*.py"))}
+    assert {name: sites for name, sites in found.items() if sites} == {}
