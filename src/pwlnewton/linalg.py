@@ -4,9 +4,10 @@ One factor entry point, factor, which factors and solves in one LAPACK
 call: LU with partial pivoting and a singularity flag (gesv), or a
 Cholesky factorization with a scale-invariant flag (posv) of the symmetric
 matrices meant to be positive definite: the QP step's Q_AA, a symmetric T's
-T/b step matrices, and qp_to_pwls's Q - I.  Its Factor solves again by
-getrs or potrs.  Also the spectral norm and ||M^-1|| from the singular
-values (gesdd), and every module's input checks.
+T/b step matrices, and qp_to_pwls's Q - I.  Its Factor solves again with
+M by getrs, or with one triangle L of M = L L^T by trtrs, and inverts M
+(getrs against I, or potri).  Also the spectral norm and ||M^-1|| from the
+singular values (gesdd), and every module's input checks.
 
 factor overwrites m; every other function is pure.  None keeps shared
 state, so concurrent calls on distinct inputs need no locking.
@@ -20,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.linalg.lapack import dgesv, dgetrs, dposv, dpotrs
+from scipy.linalg.lapack import dgesv, dgetrs, dposv, dpotri, dtrtrs
 
 from .errors import DimensionError
 
@@ -70,22 +71,44 @@ class Factor:
     the QP step, the T/b step on a symmetric T and qp_to_pwls take, stores
     instead the lower triangle of M = L L^T, as returned by posv, in
     ``lu``, with ``piv`` None.  When ``singular`` is set, no solve may be
-    performed with the factor.  ``solve`` solves a further right-hand side
-    with the kernel that matches the factor (getrs, or potrs when ``piv``
-    is None), and checks neither the flag nor the right-hand side.
+    performed with the factor.  ``solve`` and ``inverse`` check neither the
+    flag nor the right-hand side.
     """
 
     lu: np.ndarray
     piv: Optional[np.ndarray]
     singular: bool
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
+    def solve(self, rhs: np.ndarray, trans: bool = False) -> np.ndarray:
+        """X with F X = rhs, or F^T X = rhs when trans, for the stored factor F.
+
+        F is M itself for LU factors (getrs), but L alone for a Cholesky
+        factor M = L L^T (trtrs), so W = L^-1 B gives B^T M^-1 B as W^T W.
+        """
         cholesky = self.piv is None
-        x, info = dpotrs(self.lu, rhs, lower=1) if cholesky else dgetrs(self.lu, self.piv, rhs)
+        if cholesky:
+            x, info = dtrtrs(self.lu, rhs, lower=1, trans=trans)
+        else:
+            x, info = dgetrs(self.lu, self.piv, rhs, trans=trans)
         if info < 0:
-            kernel = "potrs" if cholesky else "getrs"
+            kernel = "trtrs" if cholesky else "getrs"
             raise ValueError(f"illegal value in argument {-info} of {kernel}")
         return x
+
+    def inverse(self) -> np.ndarray:
+        """M^-1, column-major: getrs against I for LU factors, else potri.
+
+        potri takes 2/3 m^3 flops against 2 m^3 for a solve against I; it
+        writes the lower triangle, mirrored here so M^-1 is exactly symmetric.
+        """
+        n = len(self.lu)
+        if self.piv is not None:
+            return self.solve(np.eye(n))
+        inv, info = dpotri(self.lu, lower=1)
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of potri")
+        np.copyto(inv, inv.T, where=~np.tri(n, dtype=bool))  # strict upper from lower
+        return inv
 
 
 def factor(m: np.ndarray, rhs: np.ndarray, scale: Optional[float] = None,

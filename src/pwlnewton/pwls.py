@@ -39,7 +39,7 @@ REUSE_RATIO = 8
 
 # every Newton step factors and solves through these names, looked up at call
 # time so that one wrapper sees every step; lu_factor also solves, and lu_solve
-# serves held factors with their own kernel (potrs after spd=True).
+# serves held factors with their own kernel (trtrs, with L alone, after spd=True).
 # Newton-path products use ndarray.dot: the BLAS call @ makes, without its dispatch
 lu_factor = factor
 lu_solve = Factor.solve
@@ -346,18 +346,21 @@ def newton_solve(p: PwlsProblem, x0, opts: Optional[SolverOptions] = None) -> So
 
     A bordered step from the held pattern p, with D the k indices where s
     differs and delta = s_D - p_D (each +1 or -1), uses T + diag(s) = M +
-    diag(delta) on D: one solve with f against the unit columns at D gives
-    Y_D, then the k x k capacitance system (diag(delta) + Y_DD) z = y_D
-    gives x = y - Y_D z.  The capacitance system is always LU, judged
-    singular at the size of Y_DD too: where T + diag(s) is exactly
-    singular, it cancels to rounding level, which its own scale would not
-    flag (a nonzero 1 x 1 matrix never is).
+    diag(delta) on D: with U_D the unit columns at D, the k x k capacitance
+    system (diag(delta) + U_D^T M^-1 U_D) z = y_D gives x = y - M^-1 U_D z.
+    LU factors solve once, for M^-1 U_D.  From M = L L^T, W = L^-1 U_D gives
+    U_D^T M^-1 U_D as the exactly symmetric W^T W, and x = y - L^-T (W z):
+    m^2 k + m^2 flops against 2 m^2 k.  The capacitance system is always LU,
+    judged singular at the size of U_D^T M^-1 U_D too: where T + diag(s) is
+    exactly singular, it cancels to rounding level, which its own scale
+    would not flag (a nonzero 1 x 1 matrix never is).
 
-    One reuse rule serves both kernels.  Against fresh-only steps, on one
-    BLAS thread of a 2-vCPU Xeon (medians of 8 passes, alternating which
-    ran first), reuse took 0.786 of the time on 60 nonsymmetric T of order
-    100 and 200, and 1.046 on the 900 symmetric n = 100 T/b problems of the
-    benchmark's pwls-resid-n100 workload (0.924 there with LU steps).
+    One reuse rule serves both kernels, at the same bordered-to-fresh flop
+    ratio.  Against fresh-only steps, on one BLAS thread of a 2-vCPU Xeon
+    (medians of 8 passes, alternating which ran first), reuse took 0.826 of
+    the time on 60 nonsymmetric T of order 100 and 200, and 1.016 on the
+    900 symmetric n = 100 T/b problems of the benchmark's pwls-resid-n100
+    workload.
 
     A singular step matrix ends the run as SingularJacobian, not an exception.
     """
@@ -378,14 +381,17 @@ def newton_solve(p: PwlsProblem, x0, opts: Optional[SolverOptions] = None) -> So
         k = d.size
         units = np.zeros((p.n, k), order="F")
         units[d, np.arange(k)] = 1.0
-        y_d = lu_solve(f, units)
-        cap = y_d.take(d, axis=0)  # a fresh C-ordered copy, so this strided slice is its diagonal
+        cholesky = f.piv is None
+        w = lu_solve(f, units)  # L^-1 U_D, or M^-1 U_D for LU factors
+        # U_D^T M^-1 U_D, a fresh C-ordered array either way, so the strided
+        # slice below is its diagonal; W^T W is exactly symmetric
+        cap = w.T.dot(w) if cholesky else w.take(d, axis=0)
         size = float(np.abs(cap).max())
         cap.ravel()[:: k + 1] += np.where(bits.take(d), 1.0, -1.0)  # delta
         f_cap, z = lu_factor(cap, y.take(d), size)
         if f_cap.singular:
             return None
-        return y - y_d.dot(z)
+        return y - (lu_solve(f, w.dot(z), trans=True) if cholesky else w.dot(z))
 
     return _iterate_patterns(x0, p.b, opts, fresh, bordered, residual_of=lambda x: residual(p, x))
 

@@ -13,6 +13,7 @@ Q = A^T A, b_tilde = -A^T z, and is exposed directly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -134,11 +135,12 @@ def qp_newton_solve(q: QpProblem, x0, opts: Optional[SolverOptions] = None) -> S
     B = [Q_PE | unit columns at D], G = diag(Q_EE, 0) and g = (-b_E, 0):
     the unit rows pin x_D = 0 and the unit columns free the D equations,
     whose right-hand side then moves only z_D, so x_P off D and z_E = x_E
-    solve the step.  With y the held x_P, one solve with the held factor
-    against B leaves the k x k capacitance system (B^T Q_PP^-1 B - G) z =
-    B^T y - g, k = |D| + |E|, and then x_P = y - Q_PP^-1 B z.  That system
-    is symmetric but indefinite when D is non-empty, so it is factored by
-    LU, judged at the size of B^T Q_PP^-1 B as in newton_solve.  The lift
+    solve the step.  With y the held x_P and Q_PP = L L^T, one triangular
+    solve with the held factor gives W = L^-1 B, whose exactly symmetric
+    W^T W = B^T Q_PP^-1 B leaves the k x k capacitance system (W^T W - G) z
+    = B^T y - g, k = |D| + |E|, and one more gives x_P = y - L^-T (W z).
+    That system is symmetric but indefinite when D is non-empty, so it is
+    factored by LU, judged at the size of W^T W as in newton_solve.  The lift
     then reads the held rows Q[P], with x_D set to its exact 0, and gathers
     only Q[E]: x = -b_tilde - x_P Q[P] - x_E Q[E].
 
@@ -197,9 +199,8 @@ def qp_newton_solve(q: QpProblem, x0, opts: Optional[SolverOptions] = None) -> S
         border = np.zeros((p.size, k), order="F")
         border[:, :ne] = q_ep.T
         border[d, np.arange(ne, k)] = 1.0
-        solved = pwls.lu_solve(f, border)
-        # B^T Q_PP^-1 B, a product on the Q_EP rows and a gather on the unit rows, less G
-        cap = np.concatenate((q_ep.dot(solved), solved.take(d, axis=0)))
+        w = pwls.lu_solve(f, border)  # L^-1 B, with Q_PP = L L^T
+        cap = w.T.dot(w)  # B^T Q_PP^-1 B, exactly symmetric, less G next
         size = float(np.abs(cap).max())
         cap[:ne, :ne] -= q_e.take(e, axis=1)
         # minus the Schur complement S of the positive definite Q_PP in Q_{P+E},
@@ -210,7 +211,7 @@ def qp_newton_solve(q: QpProblem, x0, opts: Optional[SolverOptions] = None) -> S
                                   size)
         if f_cap.singular:
             return None
-        x_p = y - solved.dot(z)  # fresh, unlike the held rows and y
+        x_p = y - pwls.lu_solve(f, w.dot(z), trans=True)  # fresh, unlike the held rows and y
         x_e = z[:ne]
         x_p[d] = 0.0
         x = minus_b - x_p.dot(rows) - x_e.dot(q_e)
@@ -225,10 +226,19 @@ def qp_newton_solve(q: QpProblem, x0, opts: Optional[SolverOptions] = None) -> S
 def kkt_residual(q: QpProblem, x) -> KktResidual:
     x = as_vector(x, "x", q.n)
     gradient = q.Q @ x + q.b_tilde
+    # |<gradient, x>| in power-of-two units: the scalings are exact, so the
+    # product rounds as unscaled, and only a value past the largest float is inf
+    e_g = math.frexp(float(np.abs(gradient).max()))[1]
+    e_x = math.frexp(float(np.abs(x).max()))[1]
+    scaled = float(abs(np.ldexp(gradient, -e_g) @ np.ldexp(x, -e_x)))
+    try:
+        complementarity = math.ldexp(scaled, e_g + e_x)
+    except OverflowError:
+        complementarity = math.inf
     return KktResidual(
         primal_violation=float(np.abs(np.minimum(x, 0.0)).max()),
         dual_violation=float(np.abs(np.minimum(gradient, 0.0)).max()),
-        complementarity=float(abs(gradient @ x)),
+        complementarity=complementarity,
     )
 
 
@@ -237,17 +247,21 @@ def qp_to_pwls(q: QpProblem) -> PwlsProblem:
 
     Only valid when Q - I is nonsingular (no eigenvalue of Q equals 1);
     otherwise EquivalenceUnavailableError is raised and callers should use
-    qp_newton_solve directly, which needs no inverse.  Q - I is inverted by
-    Cholesky (posv) where it is positive definite, and by LU elsewhere, and
-    the inverse is symmetrized as 1/2 T + 1/2 T^T: T is exactly symmetric
-    and column-major, so newton_solve factors its steps by Cholesky.
+    qp_newton_solve directly, which needs no inverse.  Q - I is factored as
+    factor's spd branch factors it: by Cholesky (posv) where it is positive
+    definite, inverted by potri, and by LU elsewhere, inverted against the
+    identity and symmetrized as 1/2 T + 1/2 T^T.  Either way T is exactly
+    symmetric and column-major, so newton_solve factors its steps by
+    Cholesky.
     """
     # Q - I is exactly symmetric: its transpose is the column-major copy posv wants
-    f, T = factor(_minus_identity(q.Q).T, np.eye(q.n), spd=True)
+    f, _ = factor(_minus_identity(q.Q).T, np.zeros(q.n), spd=True)
     if f.singular:
         raise EquivalenceUnavailableError("Q - I is singular; the T/b form does not exist")
-    half = 0.5 * T
-    np.add(half, half.T, out=T)
+    T = f.inverse()
+    if f.piv is not None:
+        half = 0.5 * T
+        np.add(half, half.T, out=T)
     return PwlsProblem(T=T, b=-(T @ q.b_tilde))
 
 

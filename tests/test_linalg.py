@@ -139,9 +139,11 @@ def test_lu_kernels_raise_on_illegal_lapack_argument(monkeypatch):
                         lambda m, b, overwrite_a: (m, np.zeros(2, np.int32), b, -1))
     with pytest.raises(ValueError, match="argument 1 of gesv"):
         factor_of(np.eye(2))
-    monkeypatch.setattr(linalg, "dgetrs", lambda lu, piv, b: (b, -3))
+    monkeypatch.setattr(linalg, "dgetrs", lambda lu, piv, b, trans: (b, -3))
     with pytest.raises(ValueError, match="argument 3 of getrs"):
         f.solve(np.ones(2))
+    with pytest.raises(ValueError, match="argument 3 of getrs"):
+        f.inverse()
 
 
 @pytest.mark.parametrize("pivots, singular", [
@@ -207,6 +209,7 @@ def test_factor_core_rejects_non_finite_matrix():
 
 
 def test_spd_factor_is_a_cholesky_that_solves_with_potrs():
+    # a held Cholesky factor solves with L alone; L then L^T solve with M
     rng = np.random.default_rng(45)
     g = rng.standard_normal((7, 7))
     m = g @ g.T + np.eye(7)
@@ -217,7 +220,7 @@ def test_spd_factor_is_a_cholesky_that_solves_with_potrs():
         assert f.piv is None and not f.singular
         np.testing.assert_allclose(np.tril(f.lu) @ np.tril(f.lu).T, m, rtol=1e-13, atol=1e-13)
         np.testing.assert_allclose(m @ x, b, rtol=0, atol=1e-12)
-        assert f.solve(b).tobytes() == x.tobytes()
+        np.testing.assert_allclose(f.solve(f.solve(b), trans=True), x, rtol=0, atol=1e-12)
     assert m.tobytes() == before.tobytes()
 
 
@@ -269,9 +272,12 @@ def test_spd_kernels_raise_on_illegal_lapack_argument(monkeypatch):
     monkeypatch.setattr(linalg, "dposv", lambda m, b, lower, overwrite_a: (m, b, -1))
     with pytest.raises(ValueError, match="argument 1 of posv"):
         factor_of(np.eye(2), spd=True)
-    monkeypatch.setattr(linalg, "dpotrs", lambda c, b, lower: (b, -2))
-    with pytest.raises(ValueError, match="argument 2 of potrs"):
+    monkeypatch.setattr(linalg, "dtrtrs", lambda c, b, lower, trans: (b, -2))
+    with pytest.raises(ValueError, match="argument 2 of trtrs"):
         f.solve(np.ones(2))
+    monkeypatch.setattr(linalg, "dpotri", lambda c, lower: (c, -1))
+    with pytest.raises(ValueError, match="argument 1 of potri"):
+        f.inverse()
 
 
 def test_factor_leaves_its_right_hand_side_untouched():
@@ -348,19 +354,71 @@ def test_dot_and_matmul_agree_byte_for_byte_on_the_step_shapes():
         pairs = [(v, v), (square, v), (v, square), (empty, np.empty((0, m)))]
         for k in range(1, 13):
             rows = rng.standard_normal((k, m))  # a gathered Q_EP or Q[E]
-            solved = np.asfortranarray(rng.standard_normal((m, k)))  # a getrs/potrs output
+            solved = np.asfortranarray(rng.standard_normal((m, k)))  # a getrs/trtrs output
             z = rng.standard_normal(k)
-            pairs += [(solved, z), (z, rows), (rows, solved), (rows, v)]
+            pairs += [(solved, z), (z, rows), (rows, solved), (rows, v), (solved.T, solved)]
         for a, b in pairs:
             assert a.dot(b).tobytes() == (a @ b).tobytes(), (a.shape, b.shape, m)
 
 
+@pytest.mark.parametrize("trans", [False, True])
+def test_cholesky_factor_solves_with_its_triangle_as_scipy_does(trans):
+    # a held Cholesky factor solves with L, or L^T, alone: scipy's
+    # solve_triangular byte for byte, for vector and matrix right-hand
+    # sides in either layout, which it leaves untouched
+    rng = np.random.default_rng(51)
+    for n in (1, 3, 25, 64, 99, 150):
+        g = rng.standard_normal((n, n))
+        m = g @ g.T + np.eye(n)
+        f = factor_of(m, spd=True)
+        assert f.piv is None and not f.singular
+        triangle = np.tril(f.lu).T if trans else np.tril(f.lu)
+        for rhs in (rng.standard_normal(n), rng.standard_normal((n, 8)),
+                    np.asfortranarray(rng.standard_normal((n, 8)))):
+            before = rhs.tobytes()
+            x = f.solve(rhs, trans=trans)
+            expected = sla.solve_triangular(f.lu, rhs, trans=int(trans), lower=True)
+            assert x.tobytes() == expected.tobytes()
+            np.testing.assert_allclose(triangle @ x, rhs, rtol=0, atol=1e-12 * np.abs(rhs).max())
+            assert rhs.tobytes() == before
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 50, 100, 150])
+def test_cholesky_inverse_is_exactly_symmetric_and_matches_numpy(n):
+    # potri's lower triangle, mirrored: exactly symmetric and column-major,
+    # within n cond(M) eps of numpy's LU inverse, and the factor is kept
+    rng = np.random.default_rng(52 + n)
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    m = (u * np.logspace(0, -6, n)) @ u.T
+    f = factor_of(m, spd=True)
+    assert f.piv is None and not f.singular
+    held = f.lu.tobytes()
+    inverse = f.inverse()
+    assert inverse.flags.f_contiguous and np.array_equal(inverse, inverse.T)
+    expected = np.linalg.inv(m)
+    bound = n * np.linalg.cond(m) * np.finfo(float).eps * np.abs(expected).max()
+    assert np.abs(inverse - expected).max() <= bound
+    assert f.lu.tobytes() == held
+
+
 def test_lu_inverse():
-    # qp_to_pwls forms (Q - I)^-1 as the solution of factor(Q - I, I, spd=True)
-    m = np.array([[2.0, 1.0], [1.0, 3.0]])
-    for spd in (False, True):
-        inverse = factor(m.copy(), np.eye(2), spd=spd)[1]
-        np.testing.assert_allclose(inverse @ m, np.eye(2), atol=1e-14)
+    # an LU factor's inverse, that of a nonsymmetric M or of a symmetric
+    # indefinite one where posv fails, is getrs against I: scipy's
+    # lu_solve(lu_factor(M), I) byte for byte, and column-major.  From order
+    # 100 up a threaded getrf may round otherwise than gesv against one
+    # column, so there the oracle solves with the factor that gesv gave.
+    rng = np.random.default_rng(53)
+    for n in (1, 2, 7, 50, 99, 150):
+        g = rng.standard_normal((n, n))
+        indefinite = 0.5 * g + 0.5 * g.T
+        indefinite[0, 0] = -abs(indefinite[0, 0]) - 1.0
+        for m, spd in ((g, False), (indefinite, True)):
+            f = factor_of(m, spd=spd)
+            assert f.piv is not None and not f.singular
+            inverse = f.inverse()
+            lu = sla.lu_factor(m) if n < 100 else (f.lu, f.piv)
+            assert inverse.tobytes() == sla.lu_solve(lu, np.eye(n)).tobytes()
+            assert inverse.flags.f_contiguous
 
 
 # ------------------------------------------------------- spectral norm

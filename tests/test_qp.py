@@ -1,7 +1,9 @@
+import math
 import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -295,6 +297,40 @@ def test_two_bordered_steps_from_one_held_factor(monkeypatch):
     assert changes == [(3, 7), (3, 5)]
     # one fresh factor of Q_PP, then one capacitance factor of order |D| + |E| per step
     assert [args[0].shape[0] for args, _ in factors] == [np.count_nonzero(held), 10, 8]
+
+
+def test_bordered_capacitance_matrices_on_a_cholesky_factor_are_exactly_symmetric(monkeypatch):
+    # from a held Cholesky factor both bordered steps form B^T M^-1 B as
+    # W^T W, W = L^-1 B, so the capacitance matrix of a QP step (less the
+    # symmetric G) and of a T/b step on qp_to_pwls's symmetric T (plus
+    # diag(delta)) reaches its LU factor exactly symmetric
+    core = pwls.lu_factor
+    capacitance, fresh = [], []
+
+    def spy(m, rhs, scale=None, spd=False):
+        if scale is not None:  # judged at the size of its terms: a capacitance matrix
+            capacitance.append(m.copy())
+        f, x = core(m, rhs, scale, spd)
+        if scale is None:
+            fresh.append(f.piv is None)
+        return f, x
+
+    monkeypatch.setattr(pwls, "lu_factor", spy)
+    n = 160
+    rng = np.random.default_rng(3)
+    q = QpProblem(Q=spd_with_beta(n, 0.3, rng), b_tilde=rng.standard_normal(n) - 1.0)
+    x0 = qp_newton_solve(q, np.zeros(n)).solution
+    flipped = rng.choice(n, 8, replace=False)
+    x0[flipped] = -x0[flipped]
+    cases = [(qp_newton_solve, q, x0)]
+    for inst in make_batch(GeneratorConfig(n=100, beta_low=0.5, beta_high=1e3, seed=0), 3):
+        cases.append((newton_solve, qp_to_pwls(inst.q), inst.x0))
+    for solve, problem, start in cases:
+        capacitance.clear()
+        fresh.clear()
+        assert solve(problem, start).converged
+        assert len(capacitance) > 0 and all(fresh)
+        assert all(np.array_equal(c, c.T) for c in capacitance)
 
 
 def test_singular_jacobian_only_from_a_fresh_factor(monkeypatch):
@@ -662,6 +698,41 @@ def test_kkt_residual_scalar_interior_miss():
     assert kkt.primal_violation == 0.0
     assert kkt.dual_violation == pytest.approx(1.2)
     assert kkt.complementarity == pytest.approx(1.2)
+
+
+def test_kkt_residual_of_a_huge_projection_is_inf_not_nan():
+    # z of size 2^600 converges, and <gradient, v> exceeds the largest float
+    # (summed exactly); it reads inf with no overflow or invalid-value
+    # warning, where the unscaled product read nan
+    rng = np.random.default_rng(0)
+    ci = ConeInstance(A=rng.standard_normal((30, 30)) + 3.0 * np.eye(30),
+                      z=rng.standard_normal(30) * 2.0**600)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = cone_projection(ci)
+    assert result.report.status is SolveStatus.CONVERGED_EXACT
+    assert result.report.iterations == 4
+    assert result.kkt.complementarity == math.inf
+    q = cone_instance_to_qp(ci)
+    gradient = q.Q @ result.v + q.b_tilde
+    exact = sum(Fraction(g) * Fraction(v) for g, v in zip(gradient, result.v))
+    assert abs(exact) > Fraction(np.finfo(float).max)
+
+
+def test_kkt_complementarity_is_finite_where_its_terms_overflow():
+    # the products are +-2^1100 and cancel exactly; on ordinary data the
+    # power-of-two units leave the bytes of |gradient @ x| unchanged
+    q = QpProblem(Q=np.zeros((2, 2)), b_tilde=[2.0**600, -(2.0**600)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kkt = kkt_residual(q, [2.0**500, 2.0**500])
+    assert kkt.complementarity == 0.0 and kkt.dual_violation == 2.0**600
+    rng = np.random.default_rng(9)
+    q, _ = planted_qp(20, 0.4, rng)
+    for _ in range(20):
+        x = rng.standard_normal(20) * 10.0 ** rng.integers(-100, 100)
+        gradient = q.Q @ x + q.b_tilde
+        assert kkt_residual(q, x).complementarity == abs(gradient @ x)
 
 
 def test_qp_objective():

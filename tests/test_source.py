@@ -153,9 +153,11 @@ def test_lapack_lu_and_pivot_rule_are_named_only_by_linalg():
     # the factor rule has one home: every step's factor or solve goes through
     # linalg.  qp calls potrf on its own in two places, neither a factor it
     # solves with: QpProblem.is_positive_definite and the bordered step's
-    # Schur-complement certificate
-    kernels = {"dgesv", "dgetrs", "dposv", "dpotrs", "PIVOT_RTOL"}
-    naming = {path.name: sorted(kernels & named_identifiers(ast.parse(path.read_text())))
+    # Schur-complement certificate.  No module names potrs: a held Cholesky
+    # factor solves with one triangle at a time
+    kernels = {"dgesv", "dgetrs", "dposv", "dtrtrs", "dpotri", "PIVOT_RTOL"}
+    searched = kernels | {"dpotrs"}
+    naming = {path.name: sorted(searched & named_identifiers(ast.parse(path.read_text())))
               for path in sorted(SOURCE_DIR.rglob("*.py"))}
     assert {name: found for name, found in naming.items() if found} == {
         "linalg.py": sorted(kernels)}
@@ -254,11 +256,12 @@ def test_each_refusal_has_one_raise_site_outside_linalg():
 
 def test_held_factors_solve_only_in_the_bordered_steps():
     # every fresh step and capacitance system solves in its lu_factor call;
-    # only a bordered step solves again, with the held factor, once
+    # only a bordered step solves again, with the held factor: against the
+    # border, and, from a Cholesky factor, with L^T against W z
     found = {path.name: calls_by_function(ast.parse(path.read_text()), "lu_solve")
              for path in sorted(SOURCE_DIR.rglob("*.py"))}
     assert {name: calls for name, calls in found.items() if calls} == {
-        "pwls.py": {"bordered": 1}, "qp.py": {"bordered": 1}}
+        "pwls.py": {"bordered": 2}, "qp.py": {"bordered": 2}}
 
 
 def matmuls(tree: ast.AST) -> list[int]:

@@ -94,9 +94,9 @@ def replay_reuse_rule(steps, order):
 def test_traced_bordered_steps_feed_layer_metrics(tracer):
     # from the planted solution with three signs flipped, the first step
     # factors Q_AA afresh and later ones that change few indices reuse it:
-    # a reused step solves against the border with the held factor, then
-    # factors and solves its capacitance system in one lu_factor call.
-    # Set-up is traced too, as in a benchmark run.
+    # a reused step solves against the border with the held factor's L,
+    # factors and solves its capacitance system in one lu_factor call, and
+    # solves with L^T once more.  Set-up is traced too, as in a benchmark run.
     t = tracer.Tracer()
     with t.installed(solve=False):
         cfg = tracer.gen.GeneratorConfig(n=160, beta_low=0.1, beta_high=0.5)
@@ -113,7 +113,7 @@ def test_traced_bordered_steps_feed_layer_metrics(tracer):
     fresh, reused = replay_reuse_rule(report.pattern_trace[: report.iterations], np.count_nonzero)
     assert fresh > 0 and reused > 0
     assert calls["linalg.lu_factor"] == fresh + reused
-    assert calls["linalg.lu_solve"] == reused
+    assert calls["linalg.lu_solve"] == 2 * reused
 
     patterns = np.asarray(report.pattern_trace, dtype=np.int8)
     traced = {"time": 1.0, "solves": 1, "iterations": report.iterations,
@@ -123,16 +123,17 @@ def test_traced_bordered_steps_feed_layer_metrics(tracer):
                                          untraced_s_per_solve=1.0,
                                          untraced_ms_per_iteration=1.0, bare_ms=1.0)
     assert metrics["linalg.lu_factor.calls"]["value"] == fresh + reused
-    assert metrics["linalg.lu_solve.calls"]["value"] == reused
+    assert metrics["linalg.lu_solve.calls"]["value"] == 2 * reused
     assert all(np.isfinite(m["value"]) for m in metrics.values())
 
 
 def test_traced_tb_held_factor_steps(tracer):
     # a T/b solve at n >= REUSE_MIN_SIZE factors T + diag(s) afresh at its
     # first step and reuses that factor at later steps that change few
-    # indices: a reused step solves against the unit columns with the held
-    # factor and factors and solves its capacitance system in one call, as a
-    # bordered QP step does
+    # indices.  qp_to_pwls gives a symmetric T, so the factor is Cholesky,
+    # and as in a bordered QP step a reused step solves against the unit
+    # columns with L, factors and solves its capacitance system in one call,
+    # and solves with L^T once more
     n = 100
     assert n >= tracer.pwls.REUSE_MIN_SIZE
     cfg = tracer.gen.GeneratorConfig(n=n, beta_low=0.5, beta_high=1e3)
@@ -143,5 +144,6 @@ def test_traced_tb_held_factor_steps(tracer):
     # a T/b step factors T + diag(s), of order n
     fresh, reused = replay_reuse_rule(report.pattern_trace[: report.iterations], lambda bits: n)
     assert fresh > 0 and reused > 0
+    assert p.symmetric
     assert calls["linalg.lu_factor"] == fresh + reused
-    assert calls["linalg.lu_solve"] == reused
+    assert calls["linalg.lu_solve"] == 2 * reused
