@@ -1,13 +1,15 @@
 """Dense linear algebra kernels used by every solver module.
 
-One factor entry point, factor, which factors and solves in one LAPACK
-call: LU with partial pivoting and a singularity flag (gesv), or a
-Cholesky factorization with a scale-invariant flag (posv) of the symmetric
+One factor entry point, factor, which factors M and solves with it: LU
+with partial pivoting and a singularity flag (gesv, one LAPACK call), or a
+Cholesky factorization with a scale-invariant flag of the symmetric
 matrices meant to be positive definite: the QP step's Q_AA, a symmetric T's
-T/b step matrices, and qp_to_pwls's Q - I.  Its Factor solves again with
-M by getrs, or with one triangle L of M = L L^T by trtrs, and inverts M
-(getrs against I, or potri).  Also the spectral norm and ||M^-1|| from the
-singular values (gesdd), and every module's input checks.
+T/b step matrices, and qp_to_pwls's Q - I.  That is one posv below order
+SPLIT_MIN_ORDER, and from there potrf, then trtrs with L and with L^T.
+Its Factor solves again with M by getrs, or with one triangle L of
+M = L L^T by trtrs, and inverts M (getrs against I, or potri).  Also the
+spectral norm and ||M^-1|| from the singular values (gesdd), and every
+module's input checks.
 
 factor overwrites m; every other function is pure.  None keeps shared
 state, so concurrent calls on distinct inputs need no locking.
@@ -21,13 +23,22 @@ from typing import Optional
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.linalg.lapack import dgesv, dgetrs, dposv, dpotri, dtrtrs
+from scipy.linalg.lapack import dgesv, dgetrs, dposv, dpotrf, dpotri, dtrtrs
 
 from .errors import DimensionError
 
 # Pivots below PIVOT_RTOL * max|M| mark an LU factorization singular, and
 # Jacobi-scaled pivots L_jj^2 / M_jj below it a Cholesky factorization.
 PIVOT_RTOL = 1e-12
+
+# From this order up, factor's Cholesky branch calls potrf and solves with the
+# triangle it holds (trtrs with L, then L^T) instead of one posv: with scipy's
+# OpenBLAS 0.3.30 posv's potrs half is the slower solve, but the two extra calls
+# cost more at small orders.  Time of factor(spd=True) split over posv, one
+# right-hand side, 1 BLAS thread of a 2-vCPU Xeon, medians of 21 interleaved
+# repeats: 1.21 at order 32, 1.05 at 64, 1.01 at 80, 1.00 at 88, 0.98 at 96,
+# 0.96 at 128, 0.94 at 200, 0.93 at 400.
+SPLIT_MIN_ORDER = 96
 
 
 def as_vector(x, name: str = "vector", n: Optional[int] = None) -> np.ndarray:
@@ -69,8 +80,8 @@ class Factor:
     ``piv`` holds the successive row interchanges as returned by gesv:
     row i was swapped with row piv[i].  The SPD branch of factor, which
     the QP step, the T/b step on a symmetric T and qp_to_pwls take, stores
-    instead the lower triangle of M = L L^T, as returned by posv, in
-    ``lu``, with ``piv`` None.  When ``singular`` is set, no solve may be
+    instead the lower triangle of M = L L^T, as returned by posv or potrf,
+    in ``lu``, with ``piv`` None.  When ``singular`` is set, no solve may be
     performed with the factor.  ``solve`` and ``inverse`` check neither the
     flag nor the right-hand side.
     """
@@ -112,14 +123,14 @@ class Factor:
 
 
 def factor(m: np.ndarray, rhs: np.ndarray, scale: Optional[float] = None,
-           spd: bool = False) -> tuple[Factor, np.ndarray]:
+           spd: bool = False) -> tuple[Factor, Optional[np.ndarray]]:
     """Factor a square float64 M that the library built from checked data, and solve M X = rhs.
 
     Returns the factor and X, flagged singular or not, and leaves what a
     flag or a failed Cholesky factorization means to the caller.
-    One call to gesv (posv with ``spd``), byte for byte getrf then getrs (potrf
-    then potrs); X is void when M is flagged singular.  For the flag alone pass
-    a zero vector: OpenBLAS's gesv does not factor when rhs has no columns.
+    One call to gesv, byte for byte getrf then getrs; X is void when M is
+    flagged singular.  For the flag alone pass a zero vector: OpenBLAS's
+    gesv does not factor when rhs has no columns.
     m is scratch, factored in place when F-contiguous; rhs is never written.
 
     By default M = P L U with partial pivoting, flagged singular when any
@@ -134,31 +145,43 @@ def factor(m: np.ndarray, rhs: np.ndarray, scale: Optional[float] = None,
     so a NaN pivot neither sets the flag nor hides a tiny one.  One abs-max
     pass is both the rule's scale and the finite check.
 
-    With ``spd``, M must be symmetric (posv reads its lower triangle only,
+    With ``spd``, M must be symmetric (LAPACK reads its lower triangle only,
     the faster variant in OpenBLAS from order 50 up) and is meant to be
-    positive definite.  When posv completes, M = L L^T is returned, flagged
-    singular when min_j L_jj (L_jj / M_jj) < PIVOT_RTOL, an O(m) test on
-    the Jacobi-scaled matrix that no M -> D M D (diagonal D > 0) changes and
-    that cannot overflow.  A NaN or inf that posv reads makes it fail or
-    reaches L's diagonal, whose argmax (a NaN, if any) is the finite check;
-    argmax and argmin cost less than a ufunc reduce on small diagonals.
-    When posv fails, M is not positive definite.  posv has overwritten its
-    lower triangle, so M is rebuilt from the strict upper triangle, which
-    posv never writes, and the diagonal saved before, and the LU branch's
-    factors and X are returned, ``piv`` not None: unflagged, they show M
-    nonsingular and indefinite.
+    positive definite.  Below SPLIT_MIN_ORDER that is one posv, byte for
+    byte potrf then potrs.  From there it is potrf, and X comes from the
+    held triangle, trtrs with L and then with L^T, which are skipped when
+    M is flagged (X is then None).  When the factorization completes,
+    M = L L^T is returned, flagged singular when min_j L_jj (L_jj / M_jj)
+    < PIVOT_RTOL, an O(m) test on the Jacobi-scaled matrix that no
+    M -> D M D (diagonal D > 0) changes and that cannot overflow.  A NaN or
+    inf that potrf reads makes it fail or reaches L's diagonal, whose
+    argmax (a NaN, if any) is the finite check; argmax and argmin cost
+    less than a ufunc reduce on small diagonals.  When the factorization
+    fails, M is not positive definite.  LAPACK has overwritten its lower
+    triangle, so M is rebuilt from the strict upper triangle, which neither
+    posv nor potrf with clean=0 writes, and the diagonal saved before, and
+    the LU branch's factors and X are returned, ``piv`` not None:
+    unflagged, they show M nonsingular and indefinite.
     """
     if spd:
         m_diagonal = m.diagonal().copy()
-        c, x, info = dposv(m, rhs, lower=1, overwrite_a=1)
+        if len(m) < SPLIT_MIN_ORDER:
+            c, x, info = dposv(m, rhs, lower=1, overwrite_a=1)
+            kernel = "posv"
+        else:
+            c, info = dpotrf(m, lower=1, clean=0, overwrite_a=1)
+            x, kernel = None, "potrf"
         if info < 0:
-            raise ValueError(f"illegal value in argument {-info} of posv")
+            raise ValueError(f"illegal value in argument {-info} of {kernel}")
         if info == 0:
             c_diagonal = c.diagonal()
             if not math.isfinite(c_diagonal[c_diagonal.argmax()]):  # inf / inf warns in ratios
                 raise ValueError("matrix must contain only finite values")
             ratios = c_diagonal / m_diagonal * c_diagonal
-            return Factor(c, None, float(ratios[ratios.argmin()]) < PIVOT_RTOL), x
+            f = Factor(c, None, float(ratios[ratios.argmin()]) < PIVOT_RTOL)
+            if x is None and not f.singular:
+                x = f.solve(f.solve(rhs), trans=True)
+            return f, x
         np.copyto(m, m.T, where=np.tri(len(m), k=-1, dtype=bool))  # lower from strict upper
         np.fill_diagonal(m, m_diagonal)
         return factor(m, rhs, scale)

@@ -200,7 +200,7 @@ def residual(p: PwlsProblem, x) -> np.ndarray:
 
 
 def _pattern_matrix(T: np.ndarray, bits: SignPattern) -> np.ndarray:
-    # a fresh column-major copy, the layout gesv and posv factor, whatever T's layout;
+    # a fresh column-major copy, the layout LAPACK factors in, whatever T's layout;
     # its memory-order ravel is a view, and this strided slice its diagonal
     m = T.copy(order="F")
     m.ravel(order="K")[:: T.shape[0] + 1] += bits
@@ -340,9 +340,9 @@ def newton_solve(p: PwlsProblem, x0, opts: Optional[SolverOptions] = None) -> So
     its factor and its iterate y = M^-1 b.  The factor is Cholesky when T
     is symmetric (PwlsProblem.symmetric), since for s >= 0 M is then
     positive definite whenever T is, and LU otherwise.  The first fresh
-    step whose posv fails takes factor's LU result and switches the rest
-    of the solve to LU, so a symmetric indefinite T costs at most one
-    failed posv per solve.
+    step whose Cholesky factorization fails takes factor's LU result and
+    switches the rest of the solve to LU, so a symmetric indefinite T costs
+    at most one failed Cholesky factorization per solve.
 
     A bordered step from the held pattern p, with D the k indices where s
     differs and delta = s_D - p_D (each +1 or -1), uses T + diag(s) = M +
@@ -357,15 +357,15 @@ def newton_solve(p: PwlsProblem, x0, opts: Optional[SolverOptions] = None) -> So
 
     One reuse rule serves both kernels, at the same bordered-to-fresh flop
     ratio.  Against fresh-only steps, on one BLAS thread of a 2-vCPU Xeon
-    (medians of 8 passes, alternating which ran first), reuse took 0.826 of
-    the time on 60 nonsymmetric T of order 100 and 200, and 1.016 on the
+    (medians of 8 passes, alternating which ran first), reuse took 0.816 of
+    the time on 60 nonsymmetric T of order 100 and 200, and 1.005 on the
     900 symmetric n = 100 T/b problems of the benchmark's pwls-resid-n100
-    workload.
+    workload, whose fresh steps are potrf and two trtrs calls.
 
     A singular step matrix ends the run as SingularJacobian, not an exception.
     """
 
-    spd = p.symmetric  # until a posv fails
+    spd = p.symmetric  # until a Cholesky factorization fails
 
     def fresh(bits: SignPattern) -> Optional[tuple[np.ndarray, int, tuple]]:
         nonlocal spd

@@ -127,8 +127,9 @@ def qp_newton_solve(q: QpProblem, x0, opts: Optional[SolverOptions] = None) -> S
     mat-vec, and x_{k+1} = -b_tilde with nothing factored when A is empty.
     This is the primal-dual active-set form of the semi-smooth Newton step.
 
-    A fresh step factors Q_AA, of order |A|, by Cholesky and solves in one
-    LAPACK call (posv), and holds (f, A, Q[A], x_A): its factor, the rows
+    A fresh step factors Q_AA, of order |A|, by Cholesky and solves with it
+    (one posv below linalg.SPLIT_MIN_ORDER, potrf then two triangular
+    solves from there), and holds (f, A, Q[A], x_A): its factor, the rows
     and the solution.  A bordered step from the held active set P, with
     D = P - A (indices that left) and E = A - P (indices that joined),
     reads x_A off [[Q_PP, B], [B^T, G]] [x_P; z] = [-b_P; g], where
@@ -175,11 +176,11 @@ def qp_newton_solve(q: QpProblem, x0, opts: Optional[SolverOptions] = None) -> S
         if not a.size:
             return minus_b.copy(), 0, None
         rows = q.Q.take(a, axis=0)
-        # Q_AA is exactly symmetric: its transpose is the column-major copy posv wants
+        # Q_AA is exactly symmetric: its transpose is the column-major copy LAPACK wants
         f, x_a = pwls.lu_factor(rows.take(a, axis=1).T, minus_b.take(a), spd=True)
         if f.singular:
             return None
-        if f.piv is not None:  # posv failed, and LU found Q_AA nonsingular
+        if f.piv is not None:  # Cholesky failed, and LU found Q_AA nonsingular
             raise NotPositiveDefiniteError(
                 "symmetric matrix is nonsingular and not positive definite")
         # Q is exactly symmetric, so x_A @ Q[A] is Q[:, A] x_A
@@ -248,13 +249,13 @@ def qp_to_pwls(q: QpProblem) -> PwlsProblem:
     Only valid when Q - I is nonsingular (no eigenvalue of Q equals 1);
     otherwise EquivalenceUnavailableError is raised and callers should use
     qp_newton_solve directly, which needs no inverse.  Q - I is factored as
-    factor's spd branch factors it: by Cholesky (posv) where it is positive
+    factor's spd branch factors it: by Cholesky where it is positive
     definite, inverted by potri, and by LU elsewhere, inverted against the
     identity and symmetrized as 1/2 T + 1/2 T^T.  Either way T is exactly
     symmetric and column-major, so newton_solve factors its steps by
     Cholesky.
     """
-    # Q - I is exactly symmetric: its transpose is the column-major copy posv wants
+    # Q - I is exactly symmetric: its transpose is the column-major copy LAPACK wants
     f, _ = factor(_minus_identity(q.Q).T, np.zeros(q.n), spd=True)
     if f.singular:
         raise EquivalenceUnavailableError("Q - I is singular; the T/b form does not exist")

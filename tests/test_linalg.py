@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from scipy.linalg.lapack import dgetrf, dpotrf, dpotrs
+from scipy.linalg.lapack import dgetrf, dposv, dpotrf, dpotrs, dtrtrs
 
 from pwlnewton import (
     DimensionError,
@@ -16,7 +16,7 @@ from _random_problems import EXTREME_FINITE_VECTORS, non_finite_vectors
 
 from pwlnewton import linalg
 from pwlnewton.gen import sym_eig
-from pwlnewton.linalg import PIVOT_RTOL, as_vector, factor
+from pwlnewton.linalg import PIVOT_RTOL, SPLIT_MIN_ORDER, as_vector, factor
 
 
 def sigma_max_2x2(m):
@@ -89,20 +89,47 @@ def test_lu_kernels_match_scipy_bit_for_bit():
                     assert f.solve(rhs).tobytes() == x.tobytes()
 
 
+def spd_matrix(rng, n):
+    g = rng.standard_normal((n, n))
+    return np.asfortranarray(g @ g.T + np.eye(n))
+
+
 def test_spd_kernels_match_potrf_then_potrs_bit_for_bit():
-    # posv is potrf then potrs byte for byte, as gesv is getrf then getrs
-    # above: factor, solution and flag.  Below order 100 that holds at any
-    # BLAS thread count.  posv factors each call's own copy of m in place.
+    # below SPLIT_MIN_ORDER the Cholesky branch is one posv, which is potrf
+    # then potrs byte for byte, as gesv is getrf then getrs above: factor,
+    # solution and flag.  posv factors each call's own copy of m in place.
     rng = np.random.default_rng(46)
-    for n in (1, 3, 25, 64, 99):
-        g = rng.standard_normal((n, n))
-        m = np.asfortranarray(g @ g.T + np.eye(n))
+    for n in (1, 3, 25, 64, SPLIT_MIN_ORDER - 1):
+        m = spd_matrix(rng, n)
         c, _ = dpotrf(m, lower=1, clean=0)
         for rhs in (rng.standard_normal(n), rng.standard_normal((n, 12))):
             f, x = factor(m.copy(order="F"), rhs, spd=True)
-            assert f.lu.tobytes() == c.tobytes() and f.piv is None
-            assert x.tobytes() == dpotrs(c, rhs, lower=1)[0].tobytes()
+            c_posv, x_posv, _ = dposv(m, rhs, lower=1)
+            assert f.lu.tobytes() == c.tobytes() == c_posv.tobytes() and f.piv is None
+            assert x.tobytes() == dpotrs(c, rhs, lower=1)[0].tobytes() == x_posv.tobytes()
             assert f.singular is bool((np.square(c.diagonal()) < PIVOT_RTOL * m.diagonal()).any())
+
+
+def test_spd_kernels_from_the_split_order_match_potrf_then_trtrs_bit_for_bit():
+    # from SPLIT_MIN_ORDER up the Cholesky branch is potrf, then trtrs with L
+    # and with L^T, the kernel a held factor solves with; a flagged factor
+    # skips both solves
+    rng = np.random.default_rng(49)
+    for n in (SPLIT_MIN_ORDER, SPLIT_MIN_ORDER + 1, 130, 200):
+        m = spd_matrix(rng, n)
+        c, _ = dpotrf(m, lower=1, clean=0)
+        for rhs in (rng.standard_normal(n), rng.standard_normal((n, 12))):
+            f, x = factor(m.copy(order="F"), rhs, spd=True)
+            assert f.lu.tobytes() == c.tobytes() and f.piv is None and not f.singular
+            y = dtrtrs(c, rhs, lower=1)[0]
+            assert x.shape == rhs.shape
+            assert x.tobytes() == dtrtrs(c, y, lower=1, trans=1)[0].tobytes()
+        # [[1, 1], [1, 1 + 1e-14]] on indices 0 and n - 1: L_nn^2 / M_nn is about 1e-14
+        m = np.eye(n, order="F")
+        m[0, -1] = m[-1, 0] = 1.0
+        m[-1, -1] += 1e-14
+        f, x = factor(m, rng.standard_normal(n), spd=True)
+        assert f.piv is None and f.singular and x is None
 
 
 @pytest.mark.parametrize("spd", [False, True])
@@ -257,14 +284,18 @@ def test_spd_factor_lets_the_lu_rule_decide_where_cholesky_fails():
 
 
 def test_spd_factor_rejects_non_finite_matrix():
-    # lower-triangle entries, the part posv reads: a non-finite one makes
-    # posv fail, and the LU branch's check catches it, or reaches L's diagonal
-    for bad in (np.nan, np.inf, -np.inf):
-        for i, j in ((0, 0), (0, 1), (1, 1)):
-            m = np.eye(2)
-            m[i, j] = m[j, i] = bad
-            with pytest.raises(ValueError, match="matrix must contain only finite values"):
-                factor_of(m, spd=True)
+    # lower-triangle entries, the part posv and potrf read: a non-finite one
+    # makes the factorization fail, and the LU branch's check catches it, or
+    # reaches L's diagonal, checked before any solve
+    n = SPLIT_MIN_ORDER
+    for order, positions in ((2, ((0, 0), (0, 1), (1, 1))),
+                             (n, ((0, 0), (1, 0), (n - 1, 0), (n - 1, n - 2), (n - 1, n - 1)))):
+        for bad in (np.nan, np.inf, -np.inf):
+            for i, j in positions:
+                m = np.eye(order)
+                m[i, j] = m[j, i] = bad
+                with pytest.raises(ValueError, match="matrix must contain only finite values"):
+                    factor_of(m, spd=True)
 
 
 def test_spd_kernels_raise_on_illegal_lapack_argument(monkeypatch):
@@ -272,6 +303,9 @@ def test_spd_kernels_raise_on_illegal_lapack_argument(monkeypatch):
     monkeypatch.setattr(linalg, "dposv", lambda m, b, lower, overwrite_a: (m, b, -1))
     with pytest.raises(ValueError, match="argument 1 of posv"):
         factor_of(np.eye(2), spd=True)
+    monkeypatch.setattr(linalg, "dpotrf", lambda m, lower, clean, overwrite_a: (m, -1))
+    with pytest.raises(ValueError, match="argument 1 of potrf"):
+        factor_of(np.eye(SPLIT_MIN_ORDER), spd=True)
     monkeypatch.setattr(linalg, "dtrtrs", lambda c, b, lower, trans: (b, -2))
     with pytest.raises(ValueError, match="argument 2 of trtrs"):
         f.solve(np.ones(2))
@@ -282,11 +316,12 @@ def test_spd_kernels_raise_on_illegal_lapack_argument(monkeypatch):
 
 def test_factor_leaves_its_right_hand_side_untouched():
     # m is scratch, rhs is not: neither branch writes into it, in any layout,
-    # nor does the SPD branch when posv fails and the LU branch decides
+    # nor does the SPD branch when its factorization fails and the LU branch
+    # decides, or when it solves with the triangle from SPLIT_MIN_ORDER up
     rng = np.random.default_rng(44)
     g = rng.standard_normal((6, 6))
     cases = [(g, False), (np.diag([0.0, 2.0]), False), (g @ g.T + np.eye(6), True),
-             (np.ones((6, 6)), True)]
+             (np.ones((6, 6)), True), (spd_matrix(rng, SPLIT_MIN_ORDER), True)]
     for m, spd in cases:
         n = m.shape[0]
         for rhs in (rng.standard_normal(n), rng.standard_normal((n, 3)),
@@ -296,12 +331,8 @@ def test_factor_leaves_its_right_hand_side_untouched():
             assert rhs.tobytes() == before
 
 
-def test_spd_fallback_factors_the_matrix_posv_was_given():
-    # posv writes L over the lower triangle as it goes.  At order 70 a blocked
-    # potrf has written L into columns 1 to 69 when it fails at column 70, so
-    # the LU branch must see M rebuilt, not the matrix posv left behind.
-    rng = np.random.default_rng(48)
-    n = 70
+def assert_spd_fallback_factors_the_matrix_it_was_given(rng, n):
+    """Where the Cholesky branch fails at column n, the LU branch gets M back."""
     g = rng.standard_normal((n - 1, n - 1))
     m = np.zeros((n, n))
     m[:-1, :-1] = g @ g.T + np.eye(n - 1)
@@ -314,6 +345,19 @@ def test_spd_fallback_factors_the_matrix_posv_was_given():
     m[-1, -1] = -1.0
     m[0, -1] = m[-1, 0] = 0.5
     assert_spd_factor_is_the_unflagged_lu_of(m, rng.standard_normal(n))
+
+
+def test_spd_fallback_factors_the_matrix_posv_was_given():
+    # posv writes L over the lower triangle as it goes.  At order 70 a blocked
+    # potrf has written L into columns 1 to 69 when it fails at column 70, so
+    # the LU branch must see M rebuilt, not the matrix posv left behind.
+    assert_spd_fallback_factors_the_matrix_it_was_given(np.random.default_rng(48), 70)
+
+
+def test_spd_fallback_from_the_split_order_factors_the_matrix_potrf_was_given():
+    # the same from SPLIT_MIN_ORDER up, where potrf runs alone: it must leave
+    # the strict upper triangle, the rebuild's source, unwritten (clean=0)
+    assert_spd_fallback_factors_the_matrix_it_was_given(np.random.default_rng(50), 130)
 
 
 def test_as_vector_rejects_non_vector_input():

@@ -492,16 +492,18 @@ def symmetric_indefinite_cases():
 
 
 def test_symmetric_indefinite_t_tries_cholesky_once_per_solve(monkeypatch):
-    # the first failed posv switches the rest of the solve to LU, so the
-    # solve ends as with LU at every step (on the one-ulp asymmetric T)
-    posv = linalg.dposv
+    # the first failed Cholesky factorization (posv at n = 2, potrf from
+    # SPLIT_MIN_ORDER up) switches the rest of the solve to LU, so the solve
+    # ends as with LU at every step (on the one-ulp asymmetric T)
     calls = []
-    monkeypatch.setattr(linalg, "dposv", lambda *args, **kwargs: calls.append(1)
-                        or posv(*args, **kwargs))
+    for name in ("dposv", "dpotrf"):
+        kernel = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name, lambda *args, name=name, kernel=kernel, **kwargs:
+                            calls.append(name) or kernel(*args, **kwargs))
     for p, x0 in symmetric_indefinite_cases():
         calls.clear()
         report = newton_solve(p, x0)
-        assert p.symmetric and len(calls) == 1
+        assert p.symmetric and calls == ["dposv" if p.n < linalg.SPLIT_MIN_ORDER else "dpotrf"]
         lu = newton_solve(with_one_ulp_asymmetry(p), x0)
         assert len(calls) == 1
         assert report.status is lu.status is SolveStatus.CONVERGED_EXACT
@@ -600,7 +602,7 @@ print(h.hexdigest(), len(held))
 
 # Solves 10 T/b problems with an exactly symmetric SPD T of order 128 to
 # 300, drawn without BLAS, and prints each (status, iterations), then how
-# many steps posv factored at order >= 128.
+# many steps took a Cholesky factor at order >= 128.
 SYMMETRIC_THREAD_RUN = """
 import numpy as np
 from pwlnewton import pwls
@@ -645,12 +647,12 @@ def test_newton_solve_is_independent_of_the_blas_thread_count():
 
 
 def test_symmetric_t_statuses_and_iterations_are_independent_of_the_blas_thread_count():
-    # OpenBLAS's posv runs threaded from order 128 up, so the Cholesky steps
-    # of a symmetric T may differ in their last bits at 1 and 2 BLAS
+    # OpenBLAS's potrf runs threaded from order 128 up, so the Cholesky
+    # steps of a symmetric T may differ in their last bits at 1 and 2 BLAS
     # threads; the statuses and iteration counts agree
     outputs = outputs_at_one_and_two_blas_threads(SYMMETRIC_THREAD_RUN)
     assert len(outputs[0]) == 21
-    assert int(outputs[0][-1]) > 0  # some steps factored by posv at order >= 128
+    assert int(outputs[0][-1]) > 0  # some steps factored by potrf at order >= 128
     assert outputs[0][:-1] == outputs[1][:-1]
 
 

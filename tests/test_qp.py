@@ -464,7 +464,7 @@ print(sum(large))
 
 
 def test_qp_statuses_and_iterations_are_independent_of_the_blas_thread_count(tmp_path):
-    # OpenBLAS's posv runs threaded from order 128 up, so the QP step's
+    # OpenBLAS's potrf runs threaded from order 128 up, so the QP step's
     # iterates may differ in their last bits at 1 and 2 BLAS threads; the
     # statuses and iteration counts agree.  Both runs read the same bytes,
     # since the generator's B^T B depends on the thread count itself.
@@ -481,7 +481,7 @@ def test_qp_statuses_and_iterations_are_independent_of_the_blas_thread_count(tmp
     outputs = [proc.communicate(timeout=300)[0].splitlines() for proc in procs]
     assert [proc.returncode for proc in procs] == [0, 0]
     assert [len(lines) for lines in outputs] == [21, 21]
-    assert int(outputs[0][-1]) > 0  # some steps factored by posv at order >= 128
+    assert int(outputs[0][-1]) > 0  # some steps factored by potrf at order >= 128
     assert outputs[0][:-1] == outputs[1][:-1]
 
 
@@ -789,8 +789,9 @@ def test_qp_to_pwls_rejects_identity():
 
 @pytest.mark.parametrize("beta, definite", [(0.3, False), (0.9, False), (5.0, True)])
 def test_qp_to_pwls_returns_an_exactly_symmetric_column_major_t(beta, definite, monkeypatch):
-    # ||Q - I|| = beta: Q - I is positive definite when generated (posv
-    # inverts it) and indefinite but nonsingular from spd_near_identity (LU)
+    # ||Q - I|| = beta: Q - I is positive definite when generated (its
+    # Cholesky factor inverts it) and indefinite but nonsingular from
+    # spd_near_identity (LU)
     inverses = spy_on(monkeypatch, "factor", qp)
     rng = np.random.default_rng(31)
     n = 40

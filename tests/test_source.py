@@ -151,16 +151,18 @@ def test_named_identifiers_are_found():
 
 def test_lapack_lu_and_pivot_rule_are_named_only_by_linalg():
     # the factor rule has one home: every step's factor or solve goes through
-    # linalg.  qp calls potrf on its own in two places, neither a factor it
-    # solves with: QpProblem.is_positive_definite and the bordered step's
+    # linalg, whose Cholesky branch calls potrf itself from SPLIT_MIN_ORDER up.
+    # qp calls potrf on its own in two places, neither a factor it solves
+    # with: QpProblem.is_positive_definite and the bordered step's
     # Schur-complement certificate.  No module names potrs: a held Cholesky
-    # factor solves with one triangle at a time
-    kernels = {"dgesv", "dgetrs", "dposv", "dtrtrs", "dpotri", "PIVOT_RTOL"}
-    searched = kernels | {"dpotrs"}
+    # factor, and a fresh one from SPLIT_MIN_ORDER up, solves with one
+    # triangle at a time
+    kernels = {"dgesv", "dgetrs", "dposv", "dtrtrs", "dpotri", "PIVOT_RTOL", "SPLIT_MIN_ORDER"}
+    searched = kernels | {"dpotrf", "dpotrs"}
     naming = {path.name: sorted(searched & named_identifiers(ast.parse(path.read_text())))
               for path in sorted(SOURCE_DIR.rglob("*.py"))}
     assert {name: found for name, found in naming.items() if found} == {
-        "linalg.py": sorted(kernels)}
+        "linalg.py": sorted(kernels | {"dpotrf"}), "qp.py": ["dpotrf"]}
 
 
 def top_level_function(path: Path, name: str) -> ast.FunctionDef:
